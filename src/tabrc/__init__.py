@@ -1,7 +1,17 @@
 """tabrc: synthetic reading-comprehension corpora from semi-structured
 tables, plus accuracy-driven multi-task sampling schedules."""
 
-from .facts import Context, ContextConfig, Fact, FactKind, FactPlan, GoldSpec, build_context, render_fact
+from .facts import (
+    Context,
+    ContextConfig,
+    Fact,
+    FactKind,
+    FactPlan,
+    FactPool,
+    GoldSpec,
+    build_context,
+    render_fact,
+)
 from .generators import (
     Answer,
     AnswerKind,
@@ -30,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Answer", "AnswerKind", "AccuracyHistory", "CellValue", "Context", "ContextConfig",
-    "Date", "Duration", "Fact", "FactKind", "FactPlan", "GeneratorKind", "GoldSpec",
+    "Date", "Duration", "Fact", "FactKind", "FactPlan", "FactPool", "GeneratorKind", "GoldSpec",
     "Instantiation", "LearnerTask", "MalformedRecord", "RawTable", "SamplerConfig",
     "SemanticType", "ShapeRejected", "SimulationConfig", "Strategy", "TaskDistribution",
     "Template", "Triplet", "TypedTable", "build_context", "compose_batch",

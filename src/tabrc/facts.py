@@ -15,6 +15,9 @@ about the table.
 A context is a seed-shuffled mix of the gold facts required by one question
 and distractor facts drawn from cells the question does not touch, prefixed
 with the table and page titles.
+
+Distractors come from a `FactPool`: each pool fact is rendered once per
+table, and a cell index finds the facts a question's gold cells rule out.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .tables import TypedTable
 
@@ -87,13 +91,7 @@ class GoldSpec:
 
 
 def gold_spec(plans: list[FactPlan] | tuple[FactPlan, ...]) -> GoldSpec:
-    cells = set()
-    for plan in plans:
-        for r in plan.rows:
-            cells.add((r, plan.subject))
-            for key in plan.keys:
-                cells.add((r, key))
-    return GoldSpec(frozenset(cells), tuple(plans))
+    return GoldSpec(frozenset().union(*map(_plan_cells, plans)), tuple(plans))
 
 
 @dataclass(frozen=True)
@@ -161,70 +159,99 @@ def render_fact(table: TypedTable, subject_col: int, key_col: int,
     return _render_plan(table, FactPlan(subject_col, (key_col,), tuple(key_rows)), FactKind.GOLD)
 
 
-def _fact_pool(table: TypedTable) -> list[tuple[FactPlan, frozenset]]:
-    """Every complete single-key fact the table can express, with its cell
-    footprint. Cached on the table; the distractor picker filters it per
-    example."""
-    pool = getattr(table, "_fact_pool", None)
-    if pool is None:
-        pool = []
+@dataclass(frozen=True)
+class PoolFact:
+    """One pool fact: its (subject, key) column pair, the fact rendered as a
+    distractor, and its word count."""
+
+    pair: tuple[int, int]
+    fact: Fact
+    words: int
+
+
+class FactPool:
+    """Every complete single-key fact one table can express, rendered once,
+    with an index from each cell to the facts that touch it. Each part is
+    built on first use; make one per table and pass it to every
+    `build_context` call on that table."""
+
+    def __init__(self, table: TypedTable):
+        self.table = table
+
+    @cached_property
+    def entries(self) -> tuple[PoolFact, ...]:
+        """The facts in a fixed order."""
+        table = self.table
+        out = []
         for key_col in range(table.n_cols):
             for subject_col in range(table.n_cols):
                 if subject_col == key_col:
                     continue
-                for _value, rows in table.groups(key_col).items():
+                for rows in table.groups(key_col).values():
                     if any(not table.raw(r, subject_col) for r in rows):
                         continue
                     plan = FactPlan(subject_col, (key_col,), rows)
-                    pool.append((plan, _plan_cells(plan)))
-        table._fact_pool = pool
-    return pool
+                    fact = _render_plan(table, plan, FactKind.DISTRACTOR)
+                    out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split())))
+        return tuple(out)
+
+    @cached_property
+    def by_cell(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each cell to the positions in `entries` of the facts touching it."""
+        index: dict[tuple[int, int], list[int]] = {}
+        for i, entry in enumerate(self.entries):
+            for cell in entry.fact.cells:
+                index.setdefault(cell, []).append(i)
+        return {cell: tuple(positions) for cell, positions in index.items()}
 
 
-def _distractor_plans(table: TypedTable, gold: GoldSpec) -> tuple[list[FactPlan], list[FactPlan]]:
-    """Candidate distractor facts, split into a preferred tier reusing the
-    gold facts' column pairs (other rows) and a fallback tier over other
-    column pairs. Every candidate is a complete, true fact whose cells are
-    disjoint from the gold cells."""
+def _distractor_tiers(pool: FactPool, gold: GoldSpec) -> tuple[list[int], list[int]]:
+    """Positions of candidate distractor facts in the pool, split into a
+    preferred tier reusing the gold facts' column pairs (other rows) and a
+    fallback tier over other column pairs, each in pool order. Every
+    candidate is a complete, true fact whose cells are disjoint from the gold
+    cells."""
     gold_pairs = {(plan.subject, plan.keys[0]) for plan in gold.plans if len(plan.keys) == 1}
-    preferred: list[FactPlan] = []
-    fallback: list[FactPlan] = []
-    for plan, cells in _fact_pool(table):
-        if cells & gold.cells:
+    excluded = {i for cell in gold.cells for i in pool.by_cell.get(cell, ())}
+    preferred: list[int] = []
+    fallback: list[int] = []
+    for i, entry in enumerate(pool.entries):
+        if i in excluded:
             continue
-        tier = preferred if (plan.subject, plan.keys[0]) in gold_pairs else fallback
-        tier.append(plan)
+        tier = preferred if entry.pair in gold_pairs else fallback
+        tier.append(i)
     return preferred, fallback
 
 
-def build_context(table: TypedTable, gold: GoldSpec, seed: int,
+def build_context(pool: FactPool, gold: GoldSpec, seed: int,
                   config: ContextConfig = ContextConfig()) -> Context:
-    """Assemble the context for one example.
+    """Assemble the context for one example on `pool.table`.
 
     Gold facts are always all present; the distractor count is drawn from the
     configured range, trimmed when the table runs out of disjoint material or
     the word cap is reached. The final order is a seed-determined shuffle.
     """
+    table = pool.table
     rng = random.Random(seed)
     gold_facts = [_render_plan(table, plan, FactKind.GOLD) for plan in gold.plans]
 
     wanted = rng.randint(config.distractors_min, config.distractors_max)
-    preferred, fallback = _distractor_plans(table, gold)
+    preferred, fallback = _distractor_tiers(pool, gold)
     rng.shuffle(preferred)
     rng.shuffle(fallback)
 
     prefix = f"In {table.meta.table_title} of {table.meta.page_title}: "
     words = len(prefix.split()) + sum(len(f.text.split()) for f in gold_facts)
     distractors: list[Fact] = []
-    for plan in preferred + fallback:
+    entries = pool.entries
+    for i in preferred + fallback:
         if len(distractors) >= wanted:
             break
-        fact = _render_plan(table, plan, FactKind.DISTRACTOR)
-        cost = len(fact.text.split())
-        if words + cost > config.word_cap:
+        entry = entries[i]
+        if words + entry.words > config.word_cap:
             continue
-        words += cost
-        distractors.append(fact)
+        words += entry.words
+        distractors.append(entry.fact)
 
     facts = gold_facts + distractors
     rng.shuffle(facts)

@@ -612,12 +612,10 @@ def answer_date_difference(table: TypedTable, a: tuple[str, str], b: tuple[str, 
 # ---------------------------------------------------------------------------
 
 
-def _anchor_pairs(table: TypedTable) -> tuple[int | None, list]:
+def _anchor_pairs(table: TypedTable) -> list:
     """Pairs of unique-valued anchors on distinct rows, with parseable event
-    dates. Cached на the table since three generators share it."""
-    cached = getattr(table, "_anchor_pairs", None)
-    if cached is not None:
-        return cached
+    dates. The three temporal pair generators each build it; it is cheap
+    next to their realization."""
     date_col = table.event_date_column()
     pairs: list = []
     if date_col is not None:
@@ -635,8 +633,7 @@ def _anchor_pairs(table: TypedTable) -> tuple[int | None, list]:
                 if first[0] != second[0] and first[1] == second[1]:
                     continue
                 pairs.append((first, second))
-    table._anchor_pairs = (date_col, pairs)
-    return date_col, pairs
+    return pairs
 
 
 def _cands_composition(table: TypedTable, hops: int) -> list:
@@ -723,8 +720,7 @@ def _cands_number_pairs(table: TypedTable, operators: tuple[str, ...]) -> list:
 
 
 def _cands_temporal_pairs(table: TypedTable, operators: tuple[str, ...]) -> list:
-    _date_col, pairs = _anchor_pairs(table)
-    return [(first, second, op) for first, second in pairs for op in operators]
+    return [(first, second, op) for first, second in _anchor_pairs(table) for op in operators]
 
 
 def _cands_superlative(table: TypedTable, temporal: bool) -> list:

@@ -2,11 +2,11 @@
 
 Generation streams the input dump line by line: each accepted table is
 expanded through the selected generators, contexts are built, and one JSON
-record per example is appended to the output. Nothing but the current table
-and the set of already-seen example ids is held in memory, so a dump of any
-length processes under a bounted footprint. With more than one worker,
-tables are processed in parallel but records are flushed in input order, so
-output bytes depend only on (input, seed, flags).
+record per example is appended to the output. Nothing but the current table,
+its rendered fact pool and the set of already-seen example ids is held in
+memory, so a dump of any length processes under a bounded footprint. With
+more than one worker, tables are processed in parallel but records are
+flushed in input order, so output bytes depend only on (input, seed, flags).
 
 Example ids hash the table id, the generator and the template bindings;
 records whose id was already written are dropped and counted, which
@@ -23,7 +23,7 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .facts import ContextConfig, FactKind, build_context
+from .facts import ContextConfig, FactKind, FactPool, build_context
 from .generators import (
     PER_TABLE_CAP,
     GeneratorKind,
@@ -35,10 +35,8 @@ from .tables import (
     MAX_ROWS,
     MIN_ROWS,
     IngestError,
-    RawTable,
     TypedTable,
     ingest,
-    iter_raw_tables,
     raw_table_from_json,
 )
 
@@ -84,12 +82,13 @@ def example_id(table_id: str, kind: GeneratorKind, triplet: Triplet) -> str:
 
 
 def build_record(table: TypedTable, kind: GeneratorKind, triplet: Triplet,
-                 context) -> dict:
+                 context, record_id: str) -> dict:
+    """One example record; `record_id` is the triplet's `example_id`."""
     source = {"page_title": table.meta.page_title, "table_id": table.meta.id}
     if table.meta.category is not None:
         source["category"] = table.meta.category
     return {
-        "id": example_id(table.meta.id, kind, triplet),
+        "id": record_id,
         "eg": kind.value,
         "template_id": triplet.instantiation.template.id,
         "question": triplet.instantiation.question,
@@ -103,21 +102,23 @@ def build_record(table: TypedTable, kind: GeneratorKind, triplet: Triplet,
 
 def table_examples(table: TypedTable, settings: GenerationSettings) -> Iterator[dict]:
     """All example records for one table under the given settings."""
+    pool = FactPool(table)
     for kind in settings.kinds:
         for triplet in generate(table, kind, settings.seed, settings.cap):
-            ctx_seed = derive_seed(settings.seed, table.meta.id, kind.value,
-                                   example_id(table.meta.id, kind, triplet), "context")
-            context = build_context(table, triplet.gold, ctx_seed, settings.context)
-            yield build_record(table, kind, triplet, context)
+            record_id = example_id(table.meta.id, kind, triplet)
+            ctx_seed = derive_seed(settings.seed, table.meta.id, kind.value, record_id, "context")
+            context = build_context(pool, triplet.gold, ctx_seed, settings.context)
+            yield build_record(table, kind, triplet, context, record_id)
 
 
 def _record_json(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def _process_line(settings: GenerationSettings,
-                  item: tuple[int, str]) -> tuple[str, list[str], tuple[str, str] | None]:
-    """Worker body: one input line to (status, record json lines, rejection)."""
+def _process_line(settings: GenerationSettings, item: tuple[int, str]
+                  ) -> tuple[str, list[tuple[str, str]], tuple[str, str] | None]:
+    """Worker body: one input line to (status, (record id, record json)
+    pairs, rejection)."""
     line_no, text = item
     if not text.strip():
         return "blank", [], None
@@ -133,7 +134,7 @@ def _process_line(settings: GenerationSettings,
         table = ingest(raw, settings.min_rows, settings.max_rows)
     except IngestError as exc:
         return "rejected", [], (raw.id, exc.reason)
-    return "accepted", [_record_json(r) for r in table_examples(table, settings)], None
+    return "accepted", [(r["id"], _record_json(r)) for r in table_examples(table, settings)], None
 
 
 def _numbered_lines(handle) -> Iterator[tuple[int, str]]:
@@ -174,8 +175,7 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                     rejects.write(f"{rejection[0]}\t{rejection[1]}\n")
                     continue
                 summary.tables_accepted += 1
-                for record_json in records:
-                    record_id = json.loads(record_json)["id"]
+                for record_id, record_json in records:
                     key = int(record_id, 16)
                     if key in seen_ids:
                         summary.duplicates += 1

@@ -20,7 +20,7 @@ import pytest
 from fixtures import HAND_TABLES, typed
 from tablegen import make_table, write_dump
 from tabrc import oracle
-from tabrc.facts import FactKind, build_context
+from tabrc.facts import FactKind, FactPool, build_context
 from tabrc.generators import GeneratorKind, derive_seed, generate
 from tabrc.pipeline import GenerationSettings, build_record, corpus_stats, example_id, generate_corpus
 from tabrc.sampling import SamplerConfig, Strategy, error_sampling, momentum_sampling, uniform
@@ -47,12 +47,13 @@ class DeskCorpus:
         for source in sources:
             table = ingest(raw_table_from_json(source))
             self.tables[table.meta.id] = table
+            pool = FactPool(table)
             for kind in GeneratorKind:
                 for triplet in generate(table, kind, SEED, cap=10):
-                    ctx_seed = derive_seed(SEED, table.meta.id, kind.value,
-                                           example_id(table.meta.id, kind, triplet), "context")
-                    context = build_context(table, triplet.gold, ctx_seed)
-                    record = build_record(table, kind, triplet, context)
+                    record_id = example_id(table.meta.id, kind, triplet)
+                    ctx_seed = derive_seed(SEED, table.meta.id, kind.value, record_id, "context")
+                    context = build_context(pool, triplet.gold, ctx_seed)
+                    record = build_record(table, kind, triplet, context, record_id)
                     self.examples.append((table, kind, triplet, context, record))
         self.build_seconds = time.perf_counter() - start
         self._queries = None
@@ -153,7 +154,7 @@ def test_criterion_3_worked_example(corpus):
 
     facts_ok = False
     if comparison_hit:
-        ctx = build_context(table, comparison_hit[0].gold, 7)
+        ctx = build_context(FactPool(table), comparison_hit[0].gold, 7)
         gold_texts = {f.text for f in ctx.facts if f.kind is FactKind.GOLD}
         facts_ok = gold_texts == {
             "The Attendance when the Round was QF was 34,178",
@@ -161,7 +162,7 @@ def test_criterion_3_worked_example(corpus):
         }
     plural_ok = False
     if superlative_hit:
-        ctx = build_context(table, superlative_hit[0].gold, 7)
+        ctx = build_context(FactPool(table), superlative_hit[0].gold, 7)
         texts = {f.text for f in ctx.facts if f.kind is FactKind.GOLD}
         plural_ok = "The attendances when the opponent was Walsall were 5,666 and 10,037" in texts
 

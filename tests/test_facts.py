@@ -1,15 +1,19 @@
 import random
 
 from fixtures import chelsea
+from roughgen import rough_table
 from tabrc.facts import (
     ContextConfig,
     FactKind,
     FactPlan,
+    FactPool,
     build_context,
     gold_spec,
     pluralize,
     render_fact,
 )
+from tabrc.generators import GeneratorKind, generate
+from tabrc.tables import ingest, raw_table_from_json
 
 
 def table():
@@ -59,16 +63,40 @@ def _gold():
     return t, gold_spec([FactPlan(att, (rnd,), (9,)), FactPlan(att, (rnd,), (10,))])
 
 
+def _conjunction_gold():
+    t = table()
+    att, opp, result = (t.column_index(name) for name in ("Attendance", "Opponent", "Result"))
+    return t, gold_spec([FactPlan(att, (opp, result), (4,))])
+
+
+def _rough_table_with_blank_and_na():
+    for i in range(40):
+        record = rough_table(i, seed=0)
+        cells = [cell for row in record["rows"] for cell in row]
+        if "" in cells and "n/a" in cells:
+            return ingest(raw_table_from_json(record))
+    raise AssertionError("no rough table with both blank and n/a cells")
+
+
+def _rough_golds():
+    t = _rough_table_with_blank_and_na()
+    return t, [triplet.gold for kind in GeneratorKind for triplet in generate(t, kind, 3, cap=2)]
+
+
+# Large enough that every candidate distractor is taken.
+TAKE_ALL = ContextConfig(distractors_min=10**6, distractors_max=10**6, word_cap=10**9)
+
+
 class TestBuildContext:
     def test_prefix_and_terminal(self):
         t, gold = _gold()
-        ctx = build_context(t, gold, seed=1)
+        ctx = build_context(FactPool(t), gold, seed=1)
         assert ctx.rendered.startswith("In League Cup of 1990-91 Chelsea F.C. season: ")
         assert ctx.rendered.endswith(".")
 
     def test_gold_facts_all_present_once(self):
         t, gold = _gold()
-        ctx = build_context(t, gold, seed=1)
+        ctx = build_context(FactPool(t), gold, seed=1)
         gold_texts = [f.text for f in ctx.facts if f.kind is FactKind.GOLD]
         assert sorted(gold_texts) == sorted([
             "The Attendance when the Round was QF was 34,178",
@@ -78,47 +106,94 @@ class TestBuildContext:
 
     def test_seeded_shuffle_deterministic(self):
         t, gold = _gold()
-        assert build_context(t, gold, seed=5) == build_context(t, gold, seed=5)
-        orders = {tuple(f.text for f in build_context(t, gold, seed=s).facts) for s in range(8)}
+        assert build_context(FactPool(t), gold, seed=5) == build_context(FactPool(t), gold, seed=5)
+        orders = {tuple(f.text for f in build_context(FactPool(t), gold, seed=s).facts) for s in range(8)}
         assert len(orders) > 1
 
     def test_distractors_avoid_gold_cells(self):
-        t, gold = _gold()
-        for seed in range(20):
-            ctx = build_context(t, gold, seed=seed)
-            for fact in ctx.facts:
-                if fact.kind is FactKind.DISTRACTOR:
-                    assert not (fact.cells & gold.cells)
+        # Inputs: a single-key gold pair, a two-key conjunction plan, and the
+        # golds of every generator on a rough table with blank and n/a cells.
+        # The candidates are exactly the pool facts whose cells miss the gold
+        # cells, as the cell index must reproduce.
+        conj_table, conj_gold = _conjunction_gold()
+        assert len(conj_gold.plans[0].keys) == 2
+        rough, rough_golds = _rough_golds()
+        assert len(rough_golds) > 10
+        cases = [_gold(), (conj_table, conj_gold)] + [(rough, gold) for gold in rough_golds]
+        for t, gold in cases:
+            pool = FactPool(t)
+            for seed in range(20):
+                ctx = build_context(pool, gold, seed=seed)
+                for fact in ctx.facts:
+                    if fact.kind is FactKind.DISTRACTOR:
+                        assert not (fact.cells & gold.cells)
+            ctx = build_context(pool, gold, seed=1, config=TAKE_ALL)
+            taken = {fact.text for fact in ctx.facts if fact.kind is FactKind.DISTRACTOR}
+            facts = [entry.fact for entry in pool.entries]
+            disjoint = {fact.text for fact in facts if not (fact.cells & gold.cells)}
+            assert taken == disjoint
+            assert len(taken) < len(facts)
 
     def test_zero_distractors_config(self):
         t, gold = _gold()
-        ctx = build_context(t, gold, seed=3, config=ContextConfig(0, 0))
+        ctx = build_context(FactPool(t), gold, seed=3, config=ContextConfig(0, 0))
         assert all(f.kind is FactKind.GOLD for f in ctx.facts)
         assert len(ctx.facts) == 2
 
     def test_distractor_count_within_range(self):
         t, gold = _gold()
         for seed in range(30):
-            ctx = build_context(t, gold, seed=seed)
+            ctx = build_context(FactPool(t), gold, seed=seed)
             count = sum(1 for f in ctx.facts if f.kind is FactKind.DISTRACTOR)
             assert 2 <= count <= 8
 
     def test_mean_distractors_tracks_uniform_two_to_eight(self):
         t, gold = _gold()
+        pool = FactPool(t)
         rng = random.Random(99)
         total = 0
         builds = 10_000
         for _ in range(builds):
-            ctx = build_context(t, gold, seed=rng.getrandbits(48))
+            ctx = build_context(pool, gold, seed=rng.getrandbits(48))
             total += sum(1 for f in ctx.facts if f.kind is FactKind.DISTRACTOR)
         assert abs(total / builds - 5.0) < 0.1
 
     def test_word_cap_trims_distractors_only(self):
         t, gold = _gold()
         tight = ContextConfig(distractors_min=8, distractors_max=8, word_cap=40)
-        ctx = build_context(t, gold, seed=2, config=tight)
+        ctx = build_context(FactPool(t), gold, seed=2, config=tight)
         gold_count = sum(1 for f in ctx.facts if f.kind is FactKind.GOLD)
         assert gold_count == 2
         assert len(ctx.rendered.split()) <= 40 + 10  # gold facts are never dropped
         distractors = sum(1 for f in ctx.facts if f.kind is FactKind.DISTRACTOR)
         assert distractors < 8
+
+
+class TestFactPool:
+    def test_pool_facts_rendered_once_per_table(self):
+        t, gold = _gold()
+        pool = FactPool(t)
+        pooled = {id(entry.fact) for entry in pool.entries}
+        for seed in range(10):
+            ctx = build_context(pool, gold, seed=seed)
+            for fact in ctx.facts:
+                if fact.kind is FactKind.DISTRACTOR:
+                    assert id(fact) in pooled
+
+    def test_cell_index_covers_every_entry(self):
+        pool = FactPool(_rough_table_with_blank_and_na())
+        for i, entry in enumerate(pool.entries):
+            assert entry.words == len(entry.fact.text.split())
+            for cell in entry.fact.cells:
+                assert i in pool.by_cell[cell]
+        assert sum(map(len, pool.by_cell.values())) == \
+            sum(len(entry.fact.cells) for entry in pool.entries)
+
+    def test_generate_and_build_context_leave_table_untouched(self):
+        for t in (table(), _rough_table_with_blank_and_na()):
+            before = dict(vars(t))
+            pool = FactPool(t)
+            for kind in GeneratorKind:
+                for triplet in generate(t, kind, 5, cap=2):
+                    build_context(pool, triplet.gold, seed=1)
+            assert vars(t) == before

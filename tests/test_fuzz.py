@@ -6,7 +6,7 @@ import pytest
 
 from roughgen import rough_table
 from tabrc import oracle
-from tabrc.facts import FactKind, build_context
+from tabrc.facts import FactKind, FactPool, build_context
 from tabrc.generators import GeneratorKind, derive_seed, generate
 from tabrc.tables import IngestError, ingest, raw_table_from_json
 
@@ -29,6 +29,7 @@ def test_rough_tables_survive_both_interpreters(batch):
     assert tables
     checked = 0
     for table in tables:
+        pool = FactPool(table)
         for kind in GeneratorKind:
             for triplet in generate(table, kind, SEED, cap=6):
                 question = triplet.instantiation.question
@@ -38,7 +39,7 @@ def test_rough_tables_survive_both_interpreters(batch):
                 assert result[0] is triplet.answer.kind
                 assert oracle.answers_match(kind, triplet.answer.values, result[1]), question
 
-                ctx = build_context(table, triplet.gold,
+                ctx = build_context(pool, triplet.gold,
                                     derive_seed(SEED, table.meta.id, kind.value, question))
                 gold = [f.text for f in ctx.facts if f.kind is FactKind.GOLD]
                 for texts in (gold, [f.text for f in ctx.facts]):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import HAND_TABLES, typed
 from tabrc import oracle
-from tabrc.facts import FactKind, build_context
+from tabrc.facts import FactKind, FactPool, build_context
 from tabrc.generators import GeneratorKind, derive_seed, generate
 from tabrc.values import Date, date_difference
 
@@ -57,9 +57,10 @@ class TestWalkedDuration:
 
 
 def _checked_examples(table, kind, seed=13, cap=10):
+    pool = FactPool(table)
     for triplet in generate(table, kind, seed, cap):
         query = oracle.parse_question(table, kind, triplet.instantiation.question)
-        ctx = build_context(table, triplet.gold,
+        ctx = build_context(pool, triplet.gold,
                             derive_seed(seed, table.meta.id, kind.value,
                                         triplet.instantiation.question))
         yield triplet, query, ctx

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from fixtures import CHELSEA, HAND_TABLES
+from roughgen import rough_table
 from tablegen import make_table
 from tabrc.cli import main
 from tabrc.generators import GeneratorKind
@@ -141,6 +143,32 @@ class TestGenerateCorpus:
         assert summary.examples == 0
         assert os.path.exists(out)
         assert read_lines(out) == []
+
+
+# sha256 of the golden corpus below. Any change to it changes output bytes,
+# which is allowed only as a declared seed-stream version change.
+GOLDEN_SHA256 = "8edc3fc001846295cda73dcb4903947aaed146fc3434f887441dda14166b965d"
+GOLDEN_EXAMPLES = 4694
+
+
+class TestGoldenDigest:
+    @pytest.fixture(scope="class")
+    def golden_dump(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "tables.jsonl"
+        records = (list(HAND_TABLES)
+                   + [make_table(i, seed=3, min_rows=10, max_rows=25) for i in range(16)]
+                   + [rough_table(i, seed=0) for i in range(8)])
+        write_lines(path, [json.dumps(r) for r in records])
+        return str(path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_bytes_pinned(self, golden_dump, tmp_path, workers):
+        out = str(tmp_path / "examples.jsonl")
+        summary = generate_corpus(golden_dump, out, GenerationSettings(seed=7, workers=workers))
+        with open(out, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert summary.examples == GOLDEN_EXAMPLES
+        assert digest == GOLDEN_SHA256
 
 
 class TestCorpusStats:
