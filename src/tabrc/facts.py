@@ -18,14 +18,18 @@ with the table and page titles.
 
 Distractors come from a `FactPool`: each pool fact is rendered once per
 table, and a cell index finds the facts a question's gold cells rule out.
+They are sampled with `_sampled`, a lazy partial Fisher–Yates shuffle that
+draws once per fact tried (seed-stream v2).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterator, TypeVar
 
 from .tables import TypedTable
 
@@ -35,6 +39,10 @@ DISTRACTORS_MIN = 2
 DISTRACTORS_MAX = 8
 CONTEXT_WORD_CAP = 200
 
+# Rendered contexts join facts with this; a distractor containing it would
+# make the context split back into the wrong facts.
+FACT_SEPARATOR = ". "
+
 _IRREGULAR_PLURALS = {
     "person": "people",
     "child": "children",
@@ -42,6 +50,21 @@ _IRREGULAR_PLURALS = {
     "woman": "women",
     "foot": "feet",
 }
+
+
+T = TypeVar("T")
+
+
+def _sampled(rng: random.Random, items: list[T]) -> Iterator[T]:
+    """Yield `items` in a seeded random order, one draw per item taken: a
+    lazy partial Fisher–Yates shuffle. Step i draws `rng.randrange(i, n)` and
+    swaps, so a consumer that stops after k items has made k draws. Reorders
+    `items` in place."""
+    n = len(items)
+    for i in range(n):
+        j = rng.randrange(i, n)
+        items[i], items[j] = items[j], items[i]
+        yield items[i]
 
 
 def pluralize(word: str) -> str:
@@ -171,8 +194,10 @@ class PoolFact:
 
 class FactPool:
     """Every complete single-key fact one table can express, rendered once,
-    with an index from each cell to the facts that touch it. Each part is
-    built on first use; make one per table and pass it to every
+    with an index from each cell to the facts that touch it. Facts whose text
+    contains `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out,
+    since as distractors they would make the context split back wrongly.
+    Each part is built on first use; make one per table and pass it to every
     `build_context` call on that table."""
 
     def __init__(self, table: TypedTable):
@@ -180,7 +205,8 @@ class FactPool:
 
     @cached_property
     def entries(self) -> tuple[PoolFact, ...]:
-        """The facts in a fixed order."""
+        """The facts in a fixed order; the facts of one (subject, key) column
+        pair form one contiguous run."""
         table = self.table
         out = []
         for key_col in range(table.n_cols):
@@ -192,8 +218,27 @@ class FactPool:
                         continue
                     plan = FactPlan(subject_col, (key_col,), rows)
                     fact = _render_plan(table, plan, FactKind.DISTRACTOR)
+                    if FACT_SEPARATOR in fact.text:
+                        continue
                     out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split())))
         return tuple(out)
+
+    @cached_property
+    def shortest(self) -> int:
+        """The word count of the shortest fact."""
+        return min((entry.words for entry in self.entries), default=0)
+
+    @cached_property
+    def spans(self) -> dict[tuple[int, int], range]:
+        """Each (subject, key) column pair to the positions of its run in
+        `entries`."""
+        spans = {}
+        start = 0
+        for pair, run in itertools.groupby(self.entries, key=lambda entry: entry.pair):
+            end = start + sum(1 for _ in run)
+            spans[pair] = range(start, end)
+            start = end
+        return spans
 
     @cached_property
     def by_cell(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -205,22 +250,22 @@ class FactPool:
         return {cell: tuple(positions) for cell, positions in index.items()}
 
 
-def _distractor_tiers(pool: FactPool, gold: GoldSpec) -> tuple[list[int], list[int]]:
-    """Positions of candidate distractor facts in the pool, split into a
-    preferred tier reusing the gold facts' column pairs (other rows) and a
-    fallback tier over other column pairs, each in pool order. Every
-    candidate is a complete, true fact whose cells are disjoint from the gold
-    cells."""
-    gold_pairs = {(plan.subject, plan.keys[0]) for plan in gold.plans if len(plan.keys) == 1}
+def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[int]:
+    """Positions in the pool of candidate distractor facts, in the order to
+    try them. First, in a seeded random order, the preferred tier: facts
+    reusing the gold facts' column pairs (other rows). Then, likewise, the
+    fallback tier over the other column pairs, built only if the preferred
+    tier runs out. Every candidate is a complete, true fact whose cells are
+    disjoint from the gold cells."""
+    gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
+                               if len(plan.keys) == 1)
     excluded = {i for cell in gold.cells for i in pool.by_cell.get(cell, ())}
-    preferred: list[int] = []
-    fallback: list[int] = []
-    for i, entry in enumerate(pool.entries):
-        if i in excluded:
-            continue
-        tier = preferred if entry.pair in gold_pairs else fallback
-        tier.append(i)
-    return preferred, fallback
+    spans = pool.spans
+    preferred = [i for pair in gold_pairs for i in spans.get(pair, ()) if i not in excluded]
+    yield from _sampled(rng, preferred)
+    fallback = [i for pair, span in spans.items() if pair not in gold_pairs
+                for i in span if i not in excluded]
+    yield from _sampled(rng, fallback)
 
 
 def build_context(pool: FactPool, gold: GoldSpec, seed: int,
@@ -229,31 +274,33 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int,
 
     Gold facts are always all present; the distractor count is drawn from the
     configured range, trimmed when the table runs out of disjoint material or
-    the word cap is reached. The final order is a seed-determined shuffle.
+    the word cap is reached. Distractors are taken lazily from
+    `_distractor_order`, one draw per fact tried (seed-stream v2), and the
+    search stops once not even the pool's shortest fact fits. The final
+    order is a seed-determined shuffle.
     """
     table = pool.table
     rng = random.Random(seed)
     gold_facts = [_render_plan(table, plan, FactKind.GOLD) for plan in gold.plans]
 
     wanted = rng.randint(config.distractors_min, config.distractors_max)
-    preferred, fallback = _distractor_tiers(pool, gold)
-    rng.shuffle(preferred)
-    rng.shuffle(fallback)
-
     prefix = f"In {table.meta.table_title} of {table.meta.page_title}: "
     words = len(prefix.split()) + sum(len(f.text.split()) for f in gold_facts)
     distractors: list[Fact] = []
     entries = pool.entries
-    for i in preferred + fallback:
-        if len(distractors) >= wanted:
-            break
-        entry = entries[i]
-        if words + entry.words > config.word_cap:
-            continue
-        words += entry.words
-        distractors.append(entry.fact)
+    if wanted > 0:
+        for i in _distractor_order(pool, gold, rng):
+            entry = entries[i]
+            if words + entry.words > config.word_cap:
+                if words + pool.shortest > config.word_cap:
+                    break  # no candidate left can fit
+                continue
+            words += entry.words
+            distractors.append(entry.fact)
+            if len(distractors) >= wanted:
+                break
 
     facts = gold_facts + distractors
     rng.shuffle(facts)
-    rendered = prefix + ". ".join(f.text for f in facts) + "."
+    rendered = prefix + FACT_SEPARATOR.join(f.text for f in facts) + "."
     return Context(prefix, tuple(facts), rendered)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
-from .facts import FactPlan, GoldSpec, gold_spec, pluralize
+from .facts import FactPlan, GoldSpec, _sampled, gold_spec, pluralize
 from .tables import TypedTable
 from .values import (
     Date,
@@ -85,7 +85,6 @@ class Template:
     kind: GeneratorKind
     id: str
     pattern: str
-    operator_set: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,8 @@ def derive_seed(*parts: object) -> int:
 _SLOT_RE = re.compile(r"col:\d+|val:\d+|table-title|page-title|\[OPERATOR\]")
 
 
-def _template(kind: GeneratorKind, idx: int, pattern: str, ops: tuple[str, ...] = ()) -> Template:
-    return Template(kind, f"{kind.value}-{idx}", pattern, ops)
+def _template(kind: GeneratorKind, idx: int, pattern: str) -> Template:
+    return Template(kind, f"{kind.value}-{idx}", pattern)
 
 
 TEMPLATES: dict[GeneratorKind, tuple[Template, ...]] = {
@@ -161,54 +160,46 @@ TEMPLATES: dict[GeneratorKind, tuple[Template, ...]] = {
     ),
     GeneratorKind.QUANTIFIER_EVERY: (
         _template(GeneratorKind.QUANTIFIER_EVERY, 1,
-                  "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?",
-                  ("every",)),
+                  "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?"),
     ),
     GeneratorKind.QUANTIFIER_MOST: (
         _template(GeneratorKind.QUANTIFIER_MOST, 1,
-                  "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?",
-                  ("most",)),
+                  "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?"),
     ),
     GeneratorKind.NUMBER_COMPARISON: (
         _template(GeneratorKind.NUMBER_COMPARISON, 1,
                   "In table-title of page-title, which col:1 had a [OPERATOR] col:2: "
-                  "val:1 or val:1?", ("higher", "lower")),
+                  "val:1 or val:1?"),
     ),
     GeneratorKind.TEMPORAL_COMPARISON: (
         _template(GeneratorKind.TEMPORAL_COMPARISON, 1,
                   "In table-title of page-title, what happened [OPERATOR]: the col:1 was val:1 "
-                  "or the col:2 was val:2?", ("earlier", "later")),
+                  "or the col:2 was val:2?"),
     ),
     GeneratorKind.NUMBER_BOOLEAN_COMPARISON: (
         _template(GeneratorKind.NUMBER_BOOLEAN_COMPARISON, 1,
-                  "In table-title of page-title, did val:1 have [OPERATOR] col:2 than val:1?",
-                  ("higher", "lower")),
+                  "In table-title of page-title, did val:1 have [OPERATOR] col:2 than val:1?"),
     ),
     GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: (
         _template(GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON, 1,
-                  "The col:1 was val:1 [OPERATOR] the col:2 was val:2 in table-title of page-title?",
-                  ("more recently than when", "earlier than when")),
+                  "The col:1 was val:1 [OPERATOR] the col:2 was val:2 in table-title of page-title?"),
     ),
     GeneratorKind.NUMBER_SUPERLATIVE: (
         _template(GeneratorKind.NUMBER_SUPERLATIVE, 1,
-                  "In table-title of page-title, which col:1 has the [OPERATOR] col:2?",
-                  ("highest", "lowest")),
+                  "In table-title of page-title, which col:1 has the [OPERATOR] col:2?"),
         _template(GeneratorKind.NUMBER_SUPERLATIVE, 2,
-                  "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?",
-                  ("highest", "lowest")),
+                  "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?"),
     ),
     GeneratorKind.TEMPORAL_SUPERLATIVE: (
         _template(GeneratorKind.TEMPORAL_SUPERLATIVE, 1,
-                  "In table-title of page-title, which col:1 has the [OPERATOR] col:2?",
-                  ("earliest", "latest")),
+                  "In table-title of page-title, which col:1 has the [OPERATOR] col:2?"),
         _template(GeneratorKind.TEMPORAL_SUPERLATIVE, 2,
-                  "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?",
-                  ("earliest", "latest")),
+                  "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?"),
     ),
     GeneratorKind.ARITHMETIC_SUPERLATIVE: (
         _template(GeneratorKind.ARITHMETIC_SUPERLATIVE, 1,
                   "In table-title of page-title, what was the [OPERATOR] col:1 when the "
-                  "col:2 was val:2?", ("highest", "lowest", "earliest", "latest")),
+                  "col:2 was val:2?"),
     ),
     GeneratorKind.ARITHMETIC_ADDITION: (
         _template(GeneratorKind.ARITHMETIC_ADDITION, 1,
@@ -1072,18 +1063,20 @@ def generate(table: TypedTable, kind: GeneratorKind, seed: int,
              cap: int | None = PER_TABLE_CAP) -> list[Triplet]:
     """Sample up to `cap` valid triplets for one (table, generator) pair.
 
-    Candidates are enumerated exhaustively, shuffled with a seed derived from
-    (seed, table id, generator), and validated in order; discards do not
-    count against the cap. Pass cap=None to realize every valid candidate.
-    Returns an empty list when the generator's requirements cannot be met.
+    Candidates are enumerated exhaustively, then drawn one at a time in a
+    random order seeded from (seed, table id, generator) and validated as
+    drawn; discards do not count against the cap. Each draw is one step of a
+    lazy partial Fisher–Yates shuffle, so the cost follows the candidates
+    tried, not the number enumerated (seed-stream v2). Pass cap=None to
+    realize every valid candidate. Returns an empty list when the generator's
+    requirements cannot be met.
     """
     rng = random.Random(derive_seed(seed, table.meta.id, kind.value))
     candidates = _CANDIDATES[kind](table)
-    rng.shuffle(candidates)
     realize = _REALIZE[kind]
     out: list[Triplet] = []
     seen_bindings: set[tuple] = set()
-    for cand in candidates:
+    for cand in _sampled(rng, candidates):
         if cap is not None and len(out) >= cap:
             break
         try:

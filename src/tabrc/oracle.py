@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import calendar
 import datetime
+import functools
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -59,9 +60,9 @@ class QuestionParseError(ValueError):
     pass
 
 
-def _surface_map(table: TypedTable) -> dict[str, str]:
+def _surface_map(column_names: tuple[str, ...]) -> dict[str, str]:
     surfaces: dict[str, str] = {}
-    for name in table.column_names:
+    for name in column_names:
         for surface in (name, name.lower(), pluralize(name.lower())):
             surfaces.setdefault(surface, name)
     return surfaces
@@ -76,10 +77,11 @@ _SUP_OPS = "highest|lowest|earliest|latest"
 _TEMPORAL_BOOL_OPS = "more recently than when|earlier than when"
 
 
-def _question_patterns(table: TypedTable) -> dict[GeneratorKind, list[str]]:
-    cols = _columns_pattern(_surface_map(table))
-    tt = re.escape(table.meta.table_title)
-    pt = re.escape(table.meta.page_title)
+def _question_patterns(column_names: tuple[str, ...], table_title: str,
+                       page_title: str) -> dict[GeneratorKind, list[str]]:
+    cols = _columns_pattern(_surface_map(column_names))
+    tt = re.escape(table_title)
+    pt = re.escape(page_title)
     composition = (
         rf"^What was the (?P<c1>{cols})\(s\) when the (?P<c2>{cols}) was (?P<v2>.+) "
         rf"in {tt} of {pt}\?$"
@@ -141,14 +143,21 @@ def _question_patterns(table: TypedTable) -> dict[GeneratorKind, list[str]]:
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _compiled_patterns(column_names: tuple[str, ...], table_title: str,
+                       page_title: str) -> dict[GeneratorKind, list[re.Pattern]]:
+    """The compiled question patterns for one table shape, cached by the
+    strings they are built from (never on the table)."""
+    patterns = _question_patterns(column_names, table_title, page_title)
+    return {k: [re.compile(p) for p in ps] for k, ps in patterns.items()}
+
+
 def parse_question(table: TypedTable, kind: GeneratorKind, question: str) -> Query:
     """Reconstruct the structured query behind a question string."""
-    cache = getattr(table, "_question_patterns", None)
-    if cache is None:
-        cache = {k: [re.compile(p) for p in ps] for k, ps in _question_patterns(table).items()}
-        table._question_patterns = cache
-    surfaces = _surface_map(table)
-    for pattern in cache[kind]:
+    compiled = _compiled_patterns(table.column_names, table.meta.table_title,
+                                  table.meta.page_title)
+    surfaces = _surface_map(table.column_names)
+    for pattern in compiled[kind]:
         match = pattern.match(question)
         if not match:
             continue

@@ -61,8 +61,9 @@ class TableMeta:
 
 @dataclass(frozen=True)
 class CellValue:
-    """Raw cell text plus its parse under the owning column's type.
+    """Cell text plus its parse under the owning column's type.
 
+    `raw` is the cell text with surrounding whitespace stripped at ingest.
     `parsed` is a Decimal for NUMBER columns, a Date for DATE columns, the
     stripped text for STRING columns, and None when the cell is empty or does
     not parse under the column type (such cells are skipped downstream).
@@ -155,7 +156,7 @@ class TypedTable:
         return self.column_names.index(name)
 
     def raw(self, r: int, c: int) -> str:
-        return self.cells[r][c].raw.strip()
+        return self.cells[r][c].raw
 
     def parsed(self, r: int, c: int) -> Decimal | Date | str | None:
         return self.cells[r][c].parsed
@@ -185,18 +186,18 @@ class TypedTable:
 def _parse_cell(raw: str, kind: SemanticType) -> CellValue:
     text = raw.strip()
     if not text:
-        return CellValue(raw, None)
+        return CellValue(text, None)
     if kind is SemanticType.NUMBER:
         try:
-            return CellValue(raw, parse_number(text))
+            return CellValue(text, parse_number(text))
         except NotANumber:
-            return CellValue(raw, None)
+            return CellValue(text, None)
     if kind is SemanticType.DATE:
         try:
-            return CellValue(raw, parse_date(text))
+            return CellValue(text, parse_date(text))
         except NotADate:
-            return CellValue(raw, None)
-    return CellValue(raw, text)
+            return CellValue(text, None)
+    return CellValue(text, text)
 
 
 def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS,

@@ -3,10 +3,12 @@ import random
 from fixtures import chelsea
 from roughgen import rough_table
 from tabrc.facts import (
+    FACT_SEPARATOR,
     ContextConfig,
     FactKind,
     FactPlan,
     FactPool,
+    _sampled,
     build_context,
     gold_spec,
     pluralize,
@@ -18,6 +20,37 @@ from tabrc.tables import ingest, raw_table_from_json
 
 def table():
     return chelsea()
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+class TestSampled:
+    def test_full_consumption_is_a_permutation(self):
+        items = list(range(50))
+        assert sorted(_sampled(random.Random(4), list(items))) == items
+
+    def test_stopping_after_k_items_makes_k_draws(self):
+        for k in (0, 1, 3, 10):
+            rng = CountingRandom(7)
+            taken = [x for _, x in zip(range(k), _sampled(rng, list(range(10))))]
+            assert len(taken) == k
+            assert rng.draws == k
+
+    def test_fixed_seed_repeats(self):
+        first = list(_sampled(random.Random(11), list("abcdefgh")))
+        assert list(_sampled(random.Random(11), list("abcdefgh"))) == first
+
+    def test_every_order_of_three_occurs(self):
+        orders = {tuple(_sampled(random.Random(seed), [1, 2, 3])) for seed in range(200)}
+        assert len(orders) == 6
 
 
 class TestPluralize:
@@ -168,6 +201,53 @@ class TestBuildContext:
         distractors = sum(1 for f in ctx.facts if f.kind is FactKind.DISTRACTOR)
         assert distractors < 8
 
+    def test_word_cap_leaves_no_fitting_fact_unused(self):
+        # Short of the wanted count, a context stops only when no disjoint
+        # pool fact left would fit under the cap.
+        t, gold = _gold()
+        pool = FactPool(t)
+        for cap in (40, 60, 80):
+            tight = ContextConfig(distractors_min=8, distractors_max=8, word_cap=cap)
+            for seed in range(20):
+                ctx = build_context(pool, gold, seed=seed, config=tight)
+                taken = {f.text for f in ctx.facts if f.kind is FactKind.DISTRACTOR}
+                if len(taken) == 8:
+                    continue
+                used = len(ctx.rendered.split())
+                left = [entry for entry in pool.entries if entry.fact.text not in taken
+                        and not entry.fact.cells & gold.cells]
+                assert all(used + entry.words > cap for entry in left)
+
+
+def _st_louis_table():
+    header = ["Team", "City", "Wins"]
+    cities = ["St. Louis", "Boston", "Denver", "St. Louis", "Miami",
+              "Austin", "St. Paul", "Reno", "Dallas", "Tulsa"]
+    rows = [[f"Team {i}", city, str(10 + i)] for i, city in enumerate(cities)]
+    record = {"id": "st-louis", "page_title": "League", "table_title": "Teams",
+              "header": header, "rows": rows}
+    return ingest(raw_table_from_json(record))
+
+
+class TestSeparatorText:
+    def test_distractors_never_contain_the_separator(self):
+        t = _st_louis_table()
+        team, city, wins = (t.column_index(name) for name in ("Team", "City", "Wins"))
+        pool = FactPool(t)
+        assert pool.entries
+        assert not any(FACT_SEPARATOR in entry.fact.text for entry in pool.entries)
+        # A gold fact naming St. Louis keeps its place.
+        gold = gold_spec([FactPlan(city, (team,), (0,)), FactPlan(wins, (city,), (1,))])
+        gold_texts = sorted(render_fact(t, plan.subject, plan.keys[0], plan.rows).text
+                            for plan in gold.plans)
+        assert any(FACT_SEPARATOR in text for text in gold_texts)
+        for seed in range(30):
+            ctx = build_context(pool, gold, seed=seed)
+            assert sorted(f.text for f in ctx.facts if f.kind is FactKind.GOLD) == gold_texts
+            distractors = [f for f in ctx.facts if f.kind is FactKind.DISTRACTOR]
+            assert distractors
+            assert not any(FACT_SEPARATOR in f.text for f in distractors)
+
 
 class TestFactPool:
     def test_pool_facts_rendered_once_per_table(self):
@@ -188,6 +268,13 @@ class TestFactPool:
                 assert i in pool.by_cell[cell]
         assert sum(map(len, pool.by_cell.values())) == \
             sum(len(entry.fact.cells) for entry in pool.entries)
+
+    def test_spans_are_the_runs_of_each_pair(self):
+        pool = FactPool(_rough_table_with_blank_and_na())
+        assert [i for span in pool.spans.values() for i in span] == list(range(len(pool.entries)))
+        for pair, span in pool.spans.items():
+            assert span
+            assert all(pool.entries[i].pair == pair for i in span)
 
     def test_generate_and_build_context_leave_table_untouched(self):
         for t in (table(), _rough_table_with_blank_and_na()):

@@ -135,6 +135,14 @@ class TestQuestionParsing:
             return
         raise AssertionError("expected QuestionParseError")
 
+    def test_parsing_leaves_table_untouched(self):
+        table = typed(HAND_TABLES[0])
+        before = dict(vars(table))
+        for kind in GeneratorKind:
+            for triplet in generate(table, kind, seed=21, cap=2):
+                oracle.parse_question(table, kind, triplet.instantiation.question)
+        assert vars(table) == before
+
     def test_every_generated_question_parses(self):
         for record in HAND_TABLES:
             table = typed(record)
