@@ -7,6 +7,16 @@ computes the answer from the table. `generate` instantiates up to `cap`
 question/answer/gold-spec triplets for one (table, generator) pair,
 deterministically for a fixed seed.
 
+A generator is data: an entry in `_GENERATORS` pairs a candidate enumerator
+with a realizer, and `TEMPLATES` holds its question patterns. A realizer
+takes one candidate, validates it through the generator's `_*_core` function
+(raising a `Discard` when it cannot give a sound example) and returns a
+`_Realized`: the `Answer`, the fact plans behind the gold facts, the ordered
+slot bindings, and the template index. A slot binds a column (`_Column`), a
+cell (`_Cell`) or an operator word (`_Operator`). `_instantiate` turns the
+bindings into both the question text and the binding payloads that example
+ids hash, so binding order is part of the output.
+
 Conventions shared with the rest of the toolkit:
 
 - Filters and anchors match on stripped raw cell text; empty cells never
@@ -24,19 +34,19 @@ Conventions shared with the rest of the toolkit:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .facts import FactPlan, GoldSpec, _sampled, gold_spec, pluralize
 from .tables import TypedTable
 from .values import (
     Date,
     IncomparablePrecision,
-    SemanticType,
     compare_dates,
     date_difference,
     render_date,
@@ -136,104 +146,69 @@ def derive_seed(*parts: object) -> int:
 _SLOT_RE = re.compile(r"col:\d+|val:\d+|table-title|page-title|\[OPERATOR\]")
 
 
-def _template(kind: GeneratorKind, idx: int, pattern: str) -> Template:
-    return Template(kind, f"{kind.value}-{idx}", pattern)
-
-
-TEMPLATES: dict[GeneratorKind, tuple[Template, ...]] = {
+# Question patterns per generator; the i-th pattern (from 1) is template
+# `<generator>-<i>`.
+_PATTERNS: dict[GeneratorKind, tuple[str, ...]] = {
     GeneratorKind.COMPOSITION_2HOP: (
-        _template(GeneratorKind.COMPOSITION_2HOP, 1,
-                  "What was the col:1(s) when the col:2 was val:2 in table-title of page-title?"),
+        "What was the col:1(s) when the col:2 was val:2 in table-title of page-title?",
     ),
     GeneratorKind.COMPOSITION_3HOP: (
-        _template(GeneratorKind.COMPOSITION_3HOP, 1,
-                  "What was the col:1(s) when the col:2 was val:2 in table-title of page-title?"),
+        "What was the col:1(s) when the col:2 was val:2 in table-title of page-title?",
     ),
     GeneratorKind.CONJUNCTION: (
-        _template(GeneratorKind.CONJUNCTION, 1,
-                  "What was the col:1 when the col:2 was val:2 and the col:3 was val:3 "
-                  "in table-title of page-title?"),
+        "What was the col:1 when the col:2 was val:2 and the col:3 was val:3 in table-title "
+        "of page-title?",
     ),
     GeneratorKind.QUANTIFIER_ONLY: (
-        _template(GeneratorKind.QUANTIFIER_ONLY, 1,
-                  "Is val:1 the only col:1 that has col:2 val:2 in table-title of page-title?"),
+        "Is val:1 the only col:1 that has col:2 val:2 in table-title of page-title?",
     ),
     GeneratorKind.QUANTIFIER_EVERY: (
-        _template(GeneratorKind.QUANTIFIER_EVERY, 1,
-                  "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?"),
+        "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?",
     ),
     GeneratorKind.QUANTIFIER_MOST: (
-        _template(GeneratorKind.QUANTIFIER_MOST, 1,
-                  "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?"),
+        "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?",
     ),
     GeneratorKind.NUMBER_COMPARISON: (
-        _template(GeneratorKind.NUMBER_COMPARISON, 1,
-                  "In table-title of page-title, which col:1 had a [OPERATOR] col:2: "
-                  "val:1 or val:1?"),
+        "In table-title of page-title, which col:1 had a [OPERATOR] col:2: val:1 or val:1?",
     ),
     GeneratorKind.TEMPORAL_COMPARISON: (
-        _template(GeneratorKind.TEMPORAL_COMPARISON, 1,
-                  "In table-title of page-title, what happened [OPERATOR]: the col:1 was val:1 "
-                  "or the col:2 was val:2?"),
+        "In table-title of page-title, what happened [OPERATOR]: the col:1 was val:1 or the "
+        "col:2 was val:2?",
     ),
     GeneratorKind.NUMBER_BOOLEAN_COMPARISON: (
-        _template(GeneratorKind.NUMBER_BOOLEAN_COMPARISON, 1,
-                  "In table-title of page-title, did val:1 have [OPERATOR] col:2 than val:1?"),
+        "In table-title of page-title, did val:1 have [OPERATOR] col:2 than val:1?",
     ),
     GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: (
-        _template(GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON, 1,
-                  "The col:1 was val:1 [OPERATOR] the col:2 was val:2 in table-title of page-title?"),
+        "The col:1 was val:1 [OPERATOR] the col:2 was val:2 in table-title of page-title?",
     ),
     GeneratorKind.NUMBER_SUPERLATIVE: (
-        _template(GeneratorKind.NUMBER_SUPERLATIVE, 1,
-                  "In table-title of page-title, which col:1 has the [OPERATOR] col:2?"),
-        _template(GeneratorKind.NUMBER_SUPERLATIVE, 2,
-                  "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?"),
+        "In table-title of page-title, which col:1 has the [OPERATOR] col:2?",
+        "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?",
     ),
     GeneratorKind.TEMPORAL_SUPERLATIVE: (
-        _template(GeneratorKind.TEMPORAL_SUPERLATIVE, 1,
-                  "In table-title of page-title, which col:1 has the [OPERATOR] col:2?"),
-        _template(GeneratorKind.TEMPORAL_SUPERLATIVE, 2,
-                  "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?"),
+        "In table-title of page-title, which col:1 has the [OPERATOR] col:2?",
+        "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?",
     ),
     GeneratorKind.ARITHMETIC_SUPERLATIVE: (
-        _template(GeneratorKind.ARITHMETIC_SUPERLATIVE, 1,
-                  "In table-title of page-title, what was the [OPERATOR] col:1 when the "
-                  "col:2 was val:2?"),
+        "In table-title of page-title, what was the [OPERATOR] col:1 when the col:2 was val:2?",
     ),
     GeneratorKind.ARITHMETIC_ADDITION: (
-        _template(GeneratorKind.ARITHMETIC_ADDITION, 1,
-                  "In table-title of page-title, what was the total number of col:1 when the "
-                  "col:2 was val:2?"),
+        "In table-title of page-title, what was the total number of col:1 when the col:2 was "
+        "val:2?",
     ),
     GeneratorKind.COUNTING: (
-        _template(GeneratorKind.COUNTING, 1,
-                  "How many col:1 have col:2 val:2 in table-title of page-title?"),
+        "How many col:1 have col:2 val:2 in table-title of page-title?",
     ),
     GeneratorKind.DATE_DIFFERENCE: (
-        _template(GeneratorKind.DATE_DIFFERENCE, 1,
-                  "In table-title of page-title, how much time had passed between when the "
-                  "col:1 was val:1 and when the col:2 was val:2?"),
+        "In table-title of page-title, how much time had passed between when the col:1 was "
+        "val:1 and when the col:2 was val:2?",
     ),
 }
 
-ANSWER_KINDS: dict[GeneratorKind, tuple[AnswerKind, ...]] = {
-    GeneratorKind.COMPOSITION_2HOP: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.COMPOSITION_3HOP: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.CONJUNCTION: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.QUANTIFIER_ONLY: (AnswerKind.YES_NO,),
-    GeneratorKind.QUANTIFIER_MOST: (AnswerKind.YES_NO,),
-    GeneratorKind.QUANTIFIER_EVERY: (AnswerKind.YES_NO,),
-    GeneratorKind.NUMBER_COMPARISON: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.TEMPORAL_COMPARISON: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.NUMBER_BOOLEAN_COMPARISON: (AnswerKind.YES_NO,),
-    GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: (AnswerKind.YES_NO,),
-    GeneratorKind.NUMBER_SUPERLATIVE: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.TEMPORAL_SUPERLATIVE: (AnswerKind.SPAN_LIST,),
-    GeneratorKind.ARITHMETIC_SUPERLATIVE: (AnswerKind.NUMBER, AnswerKind.DATE),
-    GeneratorKind.ARITHMETIC_ADDITION: (AnswerKind.NUMBER,),
-    GeneratorKind.COUNTING: (AnswerKind.NUMBER,),
-    GeneratorKind.DATE_DIFFERENCE: (AnswerKind.DURATION,),
+TEMPLATES: dict[GeneratorKind, tuple[Template, ...]] = {
+    kind: tuple(Template(kind, f"{kind.value}-{i}", pattern)
+                for i, pattern in enumerate(patterns, start=1))
+    for kind, patterns in _PATTERNS.items()
 }
 
 
@@ -251,21 +226,66 @@ def _fill(template: Template, slot_values: dict[str, list[str]]) -> str:
 
 
 def _dedup(values: list[str]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return tuple(out)
+    """Distinct values in first-seen order."""
+    return tuple(dict.fromkeys(values))
 
 
-def _col_bind(table: TypedTable, c: int) -> dict:
-    return {"column": table.column_name(c)}
+class _Column(NamedTuple):
+    """A slot bound to a column. The binding records the column name; the
+    question shows `form(name)`, which is the name itself by default. `form`
+    must be one function object per generator, not made per call, because
+    `generate` compares slots to drop repeated bindings."""
+    c: int
+    form: Callable[[str], str] = str
+
+    def bind(self, table: TypedTable) -> tuple[str, dict]:
+        name = table.column_name(self.c)
+        return self.form(name), {"column": name}
 
 
-def _val_bind(table: TypedTable, c: int, r: int) -> dict:
-    return {"column": table.column_name(c), "row": r, "value": table.raw(r, c)}
+class _Cell(NamedTuple):
+    """A slot bound to the cell (column c, row r); the question shows its text."""
+    c: int
+    r: int
+
+    def bind(self, table: TypedTable) -> tuple[str, dict]:
+        value = table.raw(self.r, self.c)
+        return value, {"column": table.column_name(self.c), "row": self.r, "value": value}
+
+
+class _Operator(NamedTuple):
+    """A slot bound to an operator word, shown as is."""
+    op: str
+
+    def bind(self, table: TypedTable) -> tuple[str, dict]:
+        return self.op, {"operator": self.op}
+
+
+_Slots = tuple[tuple[str, "_Column | _Cell | _Operator"], ...]
+
+
+class _Realized(NamedTuple):
+    """What a realizer returns for one valid candidate."""
+    answer: Answer
+    plans: list[FactPlan]
+    slots: _Slots
+    template: int = 0  # index into TEMPLATES[kind]
+
+
+def _instantiate(table: TypedTable, template: Template, slots: _Slots) -> Instantiation:
+    """Fill the template from the ordered slot bindings. A slot bound more
+    than once fills its occurrences in binding order; the titles are filled
+    from the table."""
+    shown: dict[str, list[str]] = {
+        "table-title": [table.meta.table_title],
+        "page-title": [table.meta.page_title],
+    }
+    bindings = []
+    for slot, binding in slots:
+        text, payload = binding.bind(table)
+        shown.setdefault(slot, []).append(text)
+        bindings.append((slot, payload))
+    return Instantiation(template, tuple(bindings), _fill(template, shown))
 
 
 # ---------------------------------------------------------------------------
@@ -479,126 +499,6 @@ def _date_difference_core(table: TypedTable, col_a: int, row_a: int, col_b: int,
 
 
 # ---------------------------------------------------------------------------
-# Public answer operations (name-based column references).
-# ---------------------------------------------------------------------------
-
-
-def answer_composition(table: TypedTable, hops: int, anchor: tuple[str, str],
-                       target_col: str) -> Answer:
-    """Answer a 2- or 3-hop lookup chained from `anchor` to `target_col`.
-    Raises AmbiguousChain when no chain of unique intermediates exists."""
-    if hops not in (2, 3):
-        raise ValueError("hops must be 2 or 3")
-    a = table.column_index(anchor[0])
-    t = table.column_index(target_col)
-    pool = [c for c in range(table.n_cols) if c not in (a, t)]
-    last: Discard = AmbiguousChain("no candidate chain")
-    for chain in itertools.permutations(pool, hops - 1):
-        try:
-            values, _ = _composition_core(table, a, anchor[1], chain, t)
-            return Answer(AnswerKind.SPAN_LIST, values)
-        except Discard as exc:
-            last = exc
-    raise last
-
-
-def answer_conjunction(table: TypedTable, cond2: tuple[str, str], cond3: tuple[str, str],
-                       target_col: str) -> Answer:
-    values, _ = _conjunction_core(
-        table, table.column_index(target_col),
-        table.column_index(cond2[0]), cond2[1],
-        table.column_index(cond3[0]), cond3[1],
-    )
-    return Answer(AnswerKind.SPAN_LIST, values)
-
-
-def answer_quantifier(table: TypedTable, which: str, cond1: tuple[str, str | None],
-                      cond2: tuple[str, str]) -> Answer:
-    result, _ = _quantifier_core(
-        table, which, table.column_index(cond1[0]), cond1[1],
-        table.column_index(cond2[0]), cond2[1],
-    )
-    return Answer(AnswerKind.YES_NO, ("yes" if result else "no",))
-
-
-def answer_comparison(table: TypedTable, family: str, boolean: bool, operator: str,
-                      a: tuple[str, str], b: tuple[str, str],
-                      value_col: str | None = None) -> Answer:
-    """Compare the quantities behind two anchors. `value_col` names the
-    numeric column for the number family; the temporal family reads the
-    event date column."""
-    ca, va = table.column_index(a[0]), a[1]
-    cb, vb = table.column_index(b[0]), b[1]
-    rows_a = table.rows_with(ca, va)
-    rows_b = table.rows_with(cb, vb)
-    if len(rows_a) != 1 or len(rows_b) != 1:
-        raise AmbiguousChain("anchor value must identify one row")
-    row_a, row_b = rows_a[0], rows_b[0]
-
-    if family == "number":
-        if value_col is None:
-            raise ValueError("number comparison requires value_col")
-        c2 = table.column_index(value_col)
-        qa, qb, _ = _number_pair_core(table, ca, c2, row_a, row_b)
-        a_wins = (qa > qb) == (operator == "higher")
-    elif family == "temporal":
-        order, _ = _temporal_pair_core(table, ca, row_a, cb, row_b)
-        if operator in ("later", "more recently than when"):
-            a_wins = order > 0
-        else:
-            a_wins = order < 0
-    else:
-        raise ValueError(f"unknown family {family}")
-
-    if boolean:
-        return Answer(AnswerKind.YES_NO, ("yes" if a_wins else "no",))
-    winner = va if a_wins else vb
-    return Answer(AnswerKind.SPAN_LIST, (winner,))
-
-
-def answer_superlative(table: TypedTable, family: str, operator: str,
-                       target_col: str | None, value_col: str,
-                       filter: tuple[str, str] | None = None) -> Answer:
-    """Number/temporal superlatives return the target values of the extreme
-    rows; the arithmetic variant returns the extreme value itself over the
-    filtered rows and therefore requires a filter."""
-    c2 = table.column_index(value_col)
-    if family == "arithmetic":
-        if filter is None:
-            raise ValueError("arithmetic superlative requires a filter")
-        rendered, kind, _ = _arith_superlative_core(
-            table, c2, table.column_index(filter[0]), filter[1], operator)
-        return Answer(kind, (rendered,))
-    if target_col is None:
-        raise ValueError("superlative requires a target column")
-    values, _ = _superlative_core(table, table.column_index(target_col), c2, operator)
-    return Answer(AnswerKind.SPAN_LIST, values)
-
-
-def answer_addition(table: TypedTable, target_col: str, filter: tuple[str, str]) -> Answer:
-    rendered, _ = _addition_core(
-        table, table.column_index(target_col), table.column_index(filter[0]), filter[1])
-    return Answer(AnswerKind.NUMBER, (rendered,))
-
-
-def answer_counting(table: TypedTable, target_col: str, filter: tuple[str, str]) -> Answer:
-    count, _ = _counting_core(
-        table, table.column_index(target_col), table.column_index(filter[0]), filter[1])
-    return Answer(AnswerKind.NUMBER, (str(count),))
-
-
-def answer_date_difference(table: TypedTable, a: tuple[str, str], b: tuple[str, str]) -> Answer:
-    ca = table.column_index(a[0])
-    cb = table.column_index(b[0])
-    rows_a = table.rows_with(ca, a[1])
-    rows_b = table.rows_with(cb, b[1])
-    if len(rows_a) != 1 or len(rows_b) != 1:
-        raise AmbiguousChain("anchor value must identify one row")
-    rendered, _ = _date_difference_core(table, ca, rows_a[0], cb, rows_b[0])
-    return Answer(AnswerKind.DURATION, (rendered,))
-
-
-# ---------------------------------------------------------------------------
 # Candidate enumeration and realization per generator.
 # ---------------------------------------------------------------------------
 
@@ -645,8 +545,7 @@ def _cands_composition(table: TypedTable, hops: int) -> list:
 
 
 def _cands_conjunction(table: TypedTable) -> list:
-    out = []
-    seen = set()
+    out: dict[tuple, None] = {}
     for t in range(table.n_cols):
         for c2 in range(table.n_cols):
             if c2 == t:
@@ -656,13 +555,9 @@ def _cands_conjunction(table: TypedTable) -> list:
                     continue
                 for r in range(table.n_rows):
                     v2, v3 = table.raw(r, c2), table.raw(r, c3)
-                    if not v2 or not v3:
-                        continue
-                    key = (t, c2, c3, v2, v3)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-    return out
+                    if v2 and v3:
+                        out[(t, c2, c3, v2, v3)] = None
+    return list(out)
 
 
 def _cands_only(table: TypedTable) -> list:
@@ -672,17 +567,9 @@ def _cands_only(table: TypedTable) -> list:
             if c1 == c2:
                 continue
             for v2, rows in table.groups(c2).items():
-                names = []
-                ok = True
-                for r in rows:
-                    name = table.raw(r, c1)
-                    if not name:
-                        ok = False
-                        break
-                    if name not in names:
-                        names.append(name)
-                if ok:
-                    out.extend((c1, v1, c2, v2) for v1 in names)
+                names = [table.raw(r, c1) for r in rows]
+                if all(names):
+                    out.extend((c1, v1, c2, v2) for v1 in _dedup(names))
     return out
 
 
@@ -739,123 +626,77 @@ def _cands_filtered(table: TypedTable, value_cols: list[int], min_rows: int = 1)
 
 def _cands_arith_superlative(table: TypedTable) -> list:
     out = []
-    for c1, ops in ((c, ("highest", "lowest")) for c in table.number_columns()):
-        for c2 in range(table.n_cols):
-            if c1 == c2:
-                continue
-            for v2, rows in table.groups(c2).items():
-                if len(rows) >= 2:
-                    out.extend((c1, c2, v2, op) for op in ops)
-    for c1 in table.date_columns():
-        for c2 in range(table.n_cols):
-            if c1 == c2:
-                continue
-            for v2, rows in table.groups(c2).items():
-                if len(rows) >= 2:
-                    out.extend((c1, c2, v2, op) for op in ("earliest", "latest"))
+    for value_cols, ops in ((table.number_columns(), ("highest", "lowest")),
+                            (table.date_columns(), ("earliest", "latest"))):
+        out.extend((c1, c2, v2, op) for c1, c2, v2 in _cands_filtered(table, value_cols, min_rows=2)
+                   for op in ops)
     return out
 
 
-def _titles(table: TypedTable) -> dict[str, list[str]]:
-    return {
-        "table-title": [table.meta.table_title],
-        "page-title": [table.meta.page_title],
-    }
+def _yes_no(flag: bool) -> Answer:
+    return Answer(AnswerKind.YES_NO, ("yes" if flag else "no",))
 
 
-def _realize_composition(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _comparison_answer(boolean: bool, a_wins: bool, va: str, vb: str) -> Answer:
+    if boolean:
+        return _yes_no(a_wins)
+    return Answer(AnswerKind.SPAN_LIST, (va if a_wins else vb,))
+
+
+def _plural_noun(name: str) -> str:
+    return pluralize(name.lower())
+
+
+def _realize_composition(table: TypedTable, cand) -> _Realized:
     anchor_col, anchor_val, chain, target = cand
     values, plans = _composition_core(table, anchor_col, anchor_val, chain, target)
-    template = TEMPLATES[kind][0]
     anchor_row = table.rows_with(anchor_col, anchor_val)[0]
-    question = _fill(template, {
-        "col:1": [table.column_name(target)],
-        "col:2": [table.column_name(anchor_col)],
-        "val:2": [anchor_val],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, target)),
-        ("col:2", _col_bind(table, anchor_col)),
-        ("val:2", _val_bind(table, anchor_col, anchor_row)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.SPAN_LIST, values), gold_spec(plans))
+    return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
+        ("col:1", _Column(target)),
+        ("col:2", _Column(anchor_col)),
+        ("val:2", _Cell(anchor_col, anchor_row)),
+    ))
 
 
-def _realize_conjunction(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_conjunction(table: TypedTable, cand) -> _Realized:
     target, c2, c3, v2, v3 = cand
     values, plans = _conjunction_core(table, target, c2, v2, c3, v3)
-    template = TEMPLATES[kind][0]
     row = next(r for r in table.rows_with(c2, v2) if table.raw(r, c3) == v3)
-    question = _fill(template, {
-        "col:1": [table.column_name(target)],
-        "col:2": [table.column_name(c2)],
-        "val:2": [v2],
-        "col:3": [table.column_name(c3)],
-        "val:3": [v3],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, target)),
-        ("col:2", _col_bind(table, c2)),
-        ("val:2", _val_bind(table, c2, row)),
-        ("col:3", _col_bind(table, c3)),
-        ("val:3", _val_bind(table, c3, row)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.SPAN_LIST, values), gold_spec(plans))
+    return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
+        ("col:1", _Column(target)),
+        ("col:2", _Column(c2)),
+        ("val:2", _Cell(c2, row)),
+        ("col:3", _Column(c3)),
+        ("val:3", _Cell(c3, row)),
+    ))
 
 
-def _realize_only(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_only(table: TypedTable, cand) -> _Realized:
     c1, v1, c2, v2 = cand
     result, plans = _quantifier_core(table, "only", c1, v1, c2, v2)
-    template = TEMPLATES[kind][0]
     rows = table.rows_with(c2, v2)
     v1_row = next(r for r in rows if table.raw(r, c1) == v1)
-    question = _fill(template, {
-        "val:1": [v1],
-        "col:1": [table.column_name(c1)],
-        "col:2": [table.column_name(c2)],
-        "val:2": [v2],
-        **_titles(table),
-    })
-    bindings = (
-        ("val:1", _val_bind(table, c1, v1_row)),
-        ("col:1", _col_bind(table, c1)),
-        ("col:2", _col_bind(table, c2)),
-        ("val:2", _val_bind(table, c2, rows[0])),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.YES_NO, ("yes" if result else "no",)), gold_spec(plans))
+    return _Realized(_yes_no(result), plans, (
+        ("val:1", _Cell(c1, v1_row)),
+        ("col:1", _Column(c1)),
+        ("col:2", _Column(c2)),
+        ("val:2", _Cell(c2, rows[0])),
+    ))
 
 
-def _realize_every_most(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_every_most(which: str, table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
-    which = "every" if kind is GeneratorKind.QUANTIFIER_EVERY else "most"
     result, plans = _quantifier_core(table, which, c1, None, c2, v2)
-    template = TEMPLATES[kind][0]
-    row = table.rows_with(c2, v2)[0]
-    question = _fill(template, {
-        "[OPERATOR]": [which],
-        "col:1": [table.column_name(c1)],
-        "col:2": [table.column_name(c2)],
-        "val:2": [v2],
-        **_titles(table),
-    })
-    bindings = (
-        ("[OPERATOR]", {"operator": which}),
-        ("col:1", _col_bind(table, c1)),
-        ("col:2", _col_bind(table, c2)),
-        ("val:2", _val_bind(table, c2, row)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.YES_NO, ("yes" if result else "no",)), gold_spec(plans))
+    return _Realized(_yes_no(result), plans, (
+        ("[OPERATOR]", _Operator(which)),
+        ("col:1", _Column(c1)),
+        ("col:2", _Column(c2)),
+        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
+    ))
 
 
-def _realize_number_comparison(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Realized:
     c1, c2, (va, ra), (vb, rb), op = cand
-    boolean = kind is GeneratorKind.NUMBER_BOOLEAN_COMPARISON
     if boolean:
         # The question does not name the anchor column, so the value pair must
         # not occur together in any other column.
@@ -864,198 +705,112 @@ def _realize_number_comparison(table: TypedTable, kind: GeneratorKind, cand) -> 
                 raise AmbiguousChain("anchor pair occurs in another column")
     qa, qb, plans = _number_pair_core(table, c1, c2, ra, rb)
     a_wins = (qa > qb) == (op == "higher")
-    template = TEMPLATES[kind][0]
-    question = _fill(template, {
-        "col:1": [table.column_name(c1)],
-        "col:2": [table.column_name(c2)],
-        "val:1": [va, vb],
-        "[OPERATOR]": [op],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, c1)),
-        ("[OPERATOR]", {"operator": op}),
-        ("col:2", _col_bind(table, c2)),
-        ("val:1", _val_bind(table, c1, ra)),
-        ("val:1", _val_bind(table, c1, rb)),
-    )
-    if boolean:
-        answer = Answer(AnswerKind.YES_NO, ("yes" if a_wins else "no",))
-    else:
-        answer = Answer(AnswerKind.SPAN_LIST, (va if a_wins else vb,))
-    return Triplet(Instantiation(template, bindings, question), answer, gold_spec(plans))
+    return _Realized(_comparison_answer(boolean, a_wins, va, vb), plans, (
+        ("col:1", _Column(c1)),
+        ("[OPERATOR]", _Operator(op)),
+        ("col:2", _Column(c2)),
+        ("val:1", _Cell(c1, ra)),
+        ("val:1", _Cell(c1, rb)),
+    ))
 
 
-def _realize_temporal_comparison(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_temporal_comparison(boolean: bool, table: TypedTable, cand) -> _Realized:
     (ca, va, ra), (cb, vb, rb), op = cand
     order, plans = _temporal_pair_core(table, ca, ra, cb, rb)
-    boolean = kind is GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON
-    if op in ("later", "more recently than when"):
-        a_wins = order > 0
-    else:
-        a_wins = order < 0
-    template = TEMPLATES[kind][0]
-    question = _fill(template, {
-        "col:1": [table.column_name(ca)],
-        "val:1": [va],
-        "col:2": [table.column_name(cb)],
-        "val:2": [vb],
-        "[OPERATOR]": [op],
-        **_titles(table),
-    })
-    bindings = (
-        ("[OPERATOR]", {"operator": op}),
-        ("col:1", _col_bind(table, ca)),
-        ("val:1", _val_bind(table, ca, ra)),
-        ("col:2", _col_bind(table, cb)),
-        ("val:2", _val_bind(table, cb, rb)),
-    )
-    if boolean:
-        answer = Answer(AnswerKind.YES_NO, ("yes" if a_wins else "no",))
-    else:
-        answer = Answer(AnswerKind.SPAN_LIST, (va if a_wins else vb,))
-    return Triplet(Instantiation(template, bindings, question), answer, gold_spec(plans))
+    a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
+    return _Realized(_comparison_answer(boolean, a_wins, va, vb), plans, (
+        ("[OPERATOR]", _Operator(op)),
+        ("col:1", _Column(ca)),
+        ("val:1", _Cell(ca, ra)),
+        ("col:2", _Column(cb)),
+        ("val:2", _Cell(cb, rb)),
+    ))
 
 
-def _realize_superlative(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
-    c1, c2, op, tmpl_idx = cand
+def _realize_superlative(table: TypedTable, cand) -> _Realized:
+    c1, c2, op, template = cand
     values, plans = _superlative_core(table, c1, c2, op)
-    template = TEMPLATES[kind][tmpl_idx]
-    question = _fill(template, {
-        "col:1": [table.column_name(c1)],
-        "col:2": [table.column_name(c2)],
-        "[OPERATOR]": [op],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, c1)),
-        ("[OPERATOR]", {"operator": op}),
-        ("col:2", _col_bind(table, c2)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.SPAN_LIST, values), gold_spec(plans))
+    return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
+        ("col:1", _Column(c1)),
+        ("[OPERATOR]", _Operator(op)),
+        ("col:2", _Column(c2)),
+    ), template)
 
 
-def _realize_arith_superlative(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_arith_superlative(table: TypedTable, cand) -> _Realized:
     c1, c2, v2, op = cand
     rendered, answer_kind, plans = _arith_superlative_core(table, c1, c2, v2, op)
-    template = TEMPLATES[kind][0]
-    row = table.rows_with(c2, v2)[0]
-    question = _fill(template, {
-        "[OPERATOR]": [op],
-        "col:1": [table.column_name(c1)],
-        "col:2": [table.column_name(c2)],
-        "val:2": [v2],
-        **_titles(table),
-    })
-    bindings = (
-        ("[OPERATOR]", {"operator": op}),
-        ("col:1", _col_bind(table, c1)),
-        ("col:2", _col_bind(table, c2)),
-        ("val:2", _val_bind(table, c2, row)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(answer_kind, (rendered,)), gold_spec(plans))
+    return _Realized(Answer(answer_kind, (rendered,)), plans, (
+        ("[OPERATOR]", _Operator(op)),
+        ("col:1", _Column(c1)),
+        ("col:2", _Column(c2)),
+        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
+    ))
 
 
-def _realize_addition(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_addition(table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
     rendered, plans = _addition_core(table, c1, c2, v2)
-    template = TEMPLATES[kind][0]
-    row = table.rows_with(c2, v2)[0]
-    question = _fill(template, {
-        "col:1": [table.column_name(c1)],
-        "col:2": [table.column_name(c2)],
-        "val:2": [v2],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, c1)),
-        ("col:2", _col_bind(table, c2)),
-        ("val:2", _val_bind(table, c2, row)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.NUMBER, (rendered,)), gold_spec(plans))
+    return _Realized(Answer(AnswerKind.NUMBER, (rendered,)), plans, (
+        ("col:1", _Column(c1)),
+        ("col:2", _Column(c2)),
+        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
+    ))
 
 
-def _realize_counting(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_counting(table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
     count, plans = _counting_core(table, c1, c2, v2)
-    template = TEMPLATES[kind][0]
-    row = table.rows_with(c2, v2)[0]
-    question = _fill(template, {
-        "col:1": [pluralize(table.column_name(c1).lower())],
-        "col:2": [table.column_name(c2).lower()],
-        "val:2": [v2],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, c1)),
-        ("col:2", _col_bind(table, c2)),
-        ("val:2", _val_bind(table, c2, row)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.NUMBER, (str(count),)), gold_spec(plans))
+    return _Realized(Answer(AnswerKind.NUMBER, (str(count),)), plans, (
+        ("col:1", _Column(c1, _plural_noun)),
+        ("col:2", _Column(c2, str.lower)),
+        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
+    ))
 
 
-def _realize_date_difference(table: TypedTable, kind: GeneratorKind, cand) -> Triplet:
+def _realize_date_difference(table: TypedTable, cand) -> _Realized:
     (ca, va, ra), (cb, vb, rb), _op = cand
     rendered, plans = _date_difference_core(table, ca, ra, cb, rb)
-    template = TEMPLATES[kind][0]
-    question = _fill(template, {
-        "col:1": [table.column_name(ca)],
-        "val:1": [va],
-        "col:2": [table.column_name(cb)],
-        "val:2": [vb],
-        **_titles(table),
-    })
-    bindings = (
-        ("col:1", _col_bind(table, ca)),
-        ("val:1", _val_bind(table, ca, ra)),
-        ("col:2", _col_bind(table, cb)),
-        ("val:2", _val_bind(table, cb, rb)),
-    )
-    return Triplet(Instantiation(template, bindings, question),
-                   Answer(AnswerKind.DURATION, (rendered,)), gold_spec(plans))
+    return _Realized(Answer(AnswerKind.DURATION, (rendered,)), plans, (
+        ("col:1", _Column(ca)),
+        ("val:1", _Cell(ca, ra)),
+        ("col:2", _Column(cb)),
+        ("val:2", _Cell(cb, rb)),
+    ))
 
 
-_CANDIDATES = {
-    GeneratorKind.COMPOSITION_2HOP: lambda t: _cands_composition(t, 2),
-    GeneratorKind.COMPOSITION_3HOP: lambda t: _cands_composition(t, 3),
-    GeneratorKind.CONJUNCTION: _cands_conjunction,
-    GeneratorKind.QUANTIFIER_ONLY: _cands_only,
-    GeneratorKind.QUANTIFIER_MOST: _cands_every_most,
-    GeneratorKind.QUANTIFIER_EVERY: _cands_every_most,
-    GeneratorKind.NUMBER_COMPARISON: lambda t: _cands_number_pairs(t, ("higher", "lower")),
-    GeneratorKind.NUMBER_BOOLEAN_COMPARISON: lambda t: _cands_number_pairs(t, ("higher", "lower")),
-    GeneratorKind.TEMPORAL_COMPARISON: lambda t: _cands_temporal_pairs(t, ("earlier", "later")),
-    GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: lambda t: _cands_temporal_pairs(
-        t, ("more recently than when", "earlier than when")),
-    GeneratorKind.NUMBER_SUPERLATIVE: lambda t: _cands_superlative(t, temporal=False),
-    GeneratorKind.TEMPORAL_SUPERLATIVE: lambda t: _cands_superlative(t, temporal=True),
-    GeneratorKind.ARITHMETIC_SUPERLATIVE: _cands_arith_superlative,
-    GeneratorKind.ARITHMETIC_ADDITION: lambda t: _cands_filtered(t, t.number_columns(), min_rows=2),
-    GeneratorKind.COUNTING: lambda t: _cands_filtered(t, list(range(t.n_cols)), min_rows=1),
-    GeneratorKind.DATE_DIFFERENCE: lambda t: _cands_temporal_pairs(t, ("",)),
-}
-
-_REALIZE = {
-    GeneratorKind.COMPOSITION_2HOP: _realize_composition,
-    GeneratorKind.COMPOSITION_3HOP: _realize_composition,
-    GeneratorKind.CONJUNCTION: _realize_conjunction,
-    GeneratorKind.QUANTIFIER_ONLY: _realize_only,
-    GeneratorKind.QUANTIFIER_MOST: _realize_every_most,
-    GeneratorKind.QUANTIFIER_EVERY: _realize_every_most,
-    GeneratorKind.NUMBER_COMPARISON: _realize_number_comparison,
-    GeneratorKind.NUMBER_BOOLEAN_COMPARISON: _realize_number_comparison,
-    GeneratorKind.TEMPORAL_COMPARISON: _realize_temporal_comparison,
-    GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: _realize_temporal_comparison,
-    GeneratorKind.NUMBER_SUPERLATIVE: _realize_superlative,
-    GeneratorKind.TEMPORAL_SUPERLATIVE: _realize_superlative,
-    GeneratorKind.ARITHMETIC_SUPERLATIVE: _realize_arith_superlative,
-    GeneratorKind.ARITHMETIC_ADDITION: _realize_addition,
-    GeneratorKind.COUNTING: _realize_counting,
-    GeneratorKind.DATE_DIFFERENCE: _realize_date_difference,
+# Per generator: (candidate enumeration, realizer).
+_GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], list],
+                                       Callable[[TypedTable, object], _Realized]]] = {
+    GeneratorKind.COMPOSITION_2HOP: (lambda t: _cands_composition(t, 2), _realize_composition),
+    GeneratorKind.COMPOSITION_3HOP: (lambda t: _cands_composition(t, 3), _realize_composition),
+    GeneratorKind.CONJUNCTION: (_cands_conjunction, _realize_conjunction),
+    GeneratorKind.QUANTIFIER_ONLY: (_cands_only, _realize_only),
+    GeneratorKind.QUANTIFIER_MOST: (_cands_every_most, partial(_realize_every_most, "most")),
+    GeneratorKind.QUANTIFIER_EVERY: (_cands_every_most, partial(_realize_every_most, "every")),
+    GeneratorKind.NUMBER_COMPARISON: (
+        lambda t: _cands_number_pairs(t, ("higher", "lower")),
+        partial(_realize_number_comparison, False)),
+    GeneratorKind.NUMBER_BOOLEAN_COMPARISON: (
+        lambda t: _cands_number_pairs(t, ("higher", "lower")),
+        partial(_realize_number_comparison, True)),
+    GeneratorKind.TEMPORAL_COMPARISON: (
+        lambda t: _cands_temporal_pairs(t, ("earlier", "later")),
+        partial(_realize_temporal_comparison, False)),
+    GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: (
+        lambda t: _cands_temporal_pairs(t, ("more recently than when", "earlier than when")),
+        partial(_realize_temporal_comparison, True)),
+    GeneratorKind.NUMBER_SUPERLATIVE: (
+        lambda t: _cands_superlative(t, temporal=False), _realize_superlative),
+    GeneratorKind.TEMPORAL_SUPERLATIVE: (
+        lambda t: _cands_superlative(t, temporal=True), _realize_superlative),
+    GeneratorKind.ARITHMETIC_SUPERLATIVE: (_cands_arith_superlative, _realize_arith_superlative),
+    GeneratorKind.ARITHMETIC_ADDITION: (
+        lambda t: _cands_filtered(t, t.number_columns(), min_rows=2), _realize_addition),
+    GeneratorKind.COUNTING: (
+        lambda t: _cands_filtered(t, list(range(t.n_cols)), min_rows=1), _realize_counting),
+    GeneratorKind.DATE_DIFFERENCE: (
+        lambda t: _cands_temporal_pairs(t, ("",)), _realize_date_difference),
 }
 
 
@@ -1065,28 +820,28 @@ def generate(table: TypedTable, kind: GeneratorKind, seed: int,
 
     Candidates are enumerated exhaustively, then drawn one at a time in a
     random order seeded from (seed, table id, generator) and validated as
-    drawn; discards do not count against the cap. Each draw is one step of a
-    lazy partial Fisher–Yates shuffle, so the cost follows the candidates
-    tried, not the number enumerated (seed-stream v2). Pass cap=None to
-    realize every valid candidate. Returns an empty list when the generator's
-    requirements cannot be met.
+    drawn; discards and repeated slot bindings do not count against the cap.
+    Each draw is one step of a lazy partial Fisher–Yates shuffle, so the cost
+    follows the candidates tried, not the number enumerated (seed-stream v2).
+    Pass cap=None to realize every valid candidate. Returns an empty list
+    when the generator's requirements cannot be met.
     """
     rng = random.Random(derive_seed(seed, table.meta.id, kind.value))
-    candidates = _CANDIDATES[kind](table)
-    realize = _REALIZE[kind]
+    candidates, realize = _GENERATORS[kind]
     out: list[Triplet] = []
-    seen_bindings: set[tuple] = set()
-    for cand in _sampled(rng, candidates):
+    seen_slots: set[tuple] = set()
+    for cand in _sampled(rng, candidates(table)):
         if cap is not None and len(out) >= cap:
             break
         try:
-            triplet = realize(table, kind, cand)
+            answer, plans, slots, template = realize(table, cand)
         except (Discard, IncomparablePrecision):
             continue
-        key = tuple((slot, tuple(sorted(payload.items()))) for slot, payload in
-                    triplet.instantiation.bindings)
-        if key in seen_bindings:
+        # Slots name columns and cells by index, which within one table
+        # identifies the same bindings as their payloads do.
+        if slots in seen_slots:
             continue
-        seen_bindings.add(key)
-        out.append(triplet)
+        seen_slots.add(slots)
+        instantiation = _instantiate(table, TEMPLATES[kind][template], slots)
+        out.append(Triplet(instantiation, answer, gold_spec(plans)))
     return out

@@ -111,6 +111,11 @@ def table_examples(table: TypedTable, settings: GenerationSettings) -> Iterator[
             yield build_record(table, kind, triplet, context, record_id)
 
 
+# Tab, CR and LF in a rejected table's id are written escaped, so that each
+# rejects line is exactly "id<TAB>reason".
+_ID_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
 def _record_json(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
@@ -137,17 +142,13 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str]
     return "accepted", [(r["id"], _record_json(r)) for r in table_examples(table, settings)], None
 
 
-def _numbered_lines(handle) -> Iterator[tuple[int, str]]:
-    for line_no, line in enumerate(handle, start=1):
-        yield line_no, line
-
-
 def generate_corpus(input_path: str, output_path: str, settings: GenerationSettings,
                     rejects_path: str | None = None) -> GenerateSummary:
     """Stream a dump file through the generators into an example file.
 
-    Rejections are logged as tab-separated (table id, reason) lines. Records
-    are written in input-table order regardless of worker count.
+    Rejections are logged as tab-separated (table id, reason) lines, with
+    tab, CR and LF in the id escaped as \\t, \\r and \\n. Records are written
+    in input-table order regardless of worker count.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
@@ -158,7 +159,7 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     with open(input_path, "r", encoding="utf-8") as src, \
             open(output_path, "w", encoding="utf-8") as out, \
             open(rejects_path, "w", encoding="utf-8") as rejects:
-        items = _numbered_lines(src)
+        items = enumerate(src, start=1)
         if settings.workers > 1:
             pool = Pool(settings.workers)
             results = pool.imap(worker, items, chunksize=8)
@@ -172,7 +173,7 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                 summary.tables_read += 1
                 if status == "rejected":
                     summary.tables_rejected += 1
-                    rejects.write(f"{rejection[0]}\t{rejection[1]}\n")
+                    rejects.write(f"{rejection[0].translate(_ID_ESCAPES)}\t{rejection[1]}\n")
                     continue
                 summary.tables_accepted += 1
                 for record_id, record_json in records:
@@ -288,26 +289,38 @@ def corpus_stats(lines: Iterable[str]) -> CorpusStats:
             answer_kind = record["answer"]["kind"]
             eg = record["eg"]
             source = record["source"]
+            table_id = source["table_id"]
+            page = source["page_title"]
+            category = source.get("category")
+            gold_count = record.get("gold_fact_count", 0)
+            distractor_count = record.get("distractor_count", 0)
+            if not all(isinstance(s, str) for s in (question, context, answer_kind, eg,
+                                                   table_id, page)):
+                raise TypeError("text field is not a string")
+            if category is not None and not isinstance(category, str):
+                raise TypeError("category is not a string")
+            if not all(isinstance(n, (int, float)) for n in (gold_count, distractor_count)):
+                raise TypeError("fact count is not a number")
         except (json.JSONDecodeError, KeyError, TypeError):
             malformed += 1
             continue
         examples += 1
         question_hashes.add(digest(question))
-        tables.add(source["table_id"])
-        pages.add(source["page_title"])
+        tables.add(table_id)
+        pages.add(page)
         q_tokens = question.split()
         c_tokens = context.split()
         q_words.add(len(q_tokens))
         c_words.add(len(c_tokens))
         words.update(digest(token) for token in q_tokens)
         words.update(digest(token) for token in c_tokens)
-        gold.add(record.get("gold_fact_count", 0))
-        distractors.add(record.get("distractor_count", 0))
+        gold.add(gold_count)
+        distractors.add(distractor_count)
         bucket = ANSWER_BUCKETS.get(answer_kind, answer_kind)
         buckets[bucket] = buckets.get(bucket, 0) + 1
         eg_counts[eg] = eg_counts.get(eg, 0) + 1
-        if "category" in source:
-            categories[source["category"]] = categories.get(source["category"], 0) + 1
+        if category is not None:
+            categories[category] = categories.get(category, 0) + 1
 
     pcts = {bucket: 100.0 * count / examples for bucket, count in buckets.items()} if examples else {}
     return CorpusStats(

@@ -12,10 +12,8 @@ record, so records may be processed concurrently without shared state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Iterator
 
 from .values import Date, NotADate, NotANumber, SemanticType, TYPE_RATIO, annotate_column, parse_date, parse_number
 
@@ -227,20 +225,3 @@ def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS,
     meta = TableMeta(raw.id, raw.page_title, raw.table_title, raw.category)
     return TypedTable(meta, tuple(columns), cells)
 
-
-def iter_raw_tables(lines: Iterable[str]) -> Iterator[tuple[int, RawTable | IngestError]]:
-    """Yield (line_number, RawTable) for each non-blank line, or the
-    IngestError describing why the line could not be read."""
-    for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            yield line_no, MalformedRecord("malformed", f"invalid JSON: {exc.msg}")
-            continue
-        try:
-            yield line_no, raw_table_from_json(obj)
-        except IngestError as exc:
-            yield line_no, exc

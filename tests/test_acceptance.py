@@ -8,6 +8,7 @@ of ten examples.
 
 import json
 import math
+import os
 import random
 import re
 import resource
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+import tabrc
 from fixtures import HAND_TABLES, typed
 from tablegen import make_table, write_dump
 from tabrc import oracle
@@ -314,10 +316,15 @@ def test_criterion_8_determinism_and_throughput(tmp_path_factory):
         "print(f'PEAK_RSS_KB={total}')\n"
         "sys.exit(code)\n"
     )
+    # The probe imports the same tabrc as this test, however the test run
+    # put it on sys.path.
+    src = os.path.dirname(os.path.dirname(tabrc.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, "-c", probe, "generate", "--input", dump, "--output", big_out,
          "--egs", "counting", "--seed", "5", "--workers", "2"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     peak_kb = None
     for line in run.stdout.splitlines():
         if line.startswith("PEAK_RSS_KB="):

@@ -98,6 +98,33 @@ class TestGenerateCorpus:
         assert reasons["short"] == "shape"
         assert reasons["line:2"] == "malformed"
 
+    def test_blank_lines_skipped_and_bad_json_logged_by_line(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        first, second = make_table(0, seed=1), make_table(1, seed=1)
+        first["id"], second["id"] = "first", "second"
+        write_lines(path, [json.dumps(first), "", "not json", "   ", json.dumps(second)])
+        out = str(tmp_path / "examples.jsonl")
+        summary = generate_corpus(str(path), out, GenerationSettings(seed=1))
+        assert summary.tables_read == 3
+        assert summary.tables_accepted == 2
+        with open(out + ".rejects", encoding="utf-8") as handle:
+            assert handle.read() == "line:3\tmalformed\n"
+        table_ids = [json.loads(line)["source"]["table_id"] for line in read_lines(out)]
+        assert table_ids == sorted(table_ids, key=["first", "second"].index)
+        assert set(table_ids) == {"first", "second"}
+
+    def test_reject_ids_with_tab_or_newline_stay_on_one_line(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        ragged = dict(CHELSEA, id="x\ny")
+        ragged["rows"] = [row[:-1] for row in CHELSEA["rows"]]
+        one_row = dict(CHELSEA, id="a\tb", rows=CHELSEA["rows"][:1])
+        carriage = dict(one_row, id="c\rd")
+        write_lines(path, [json.dumps(ragged), json.dumps(one_row), json.dumps(carriage)])
+        out = str(tmp_path / "examples.jsonl")
+        generate_corpus(str(path), out, GenerationSettings(seed=1))
+        with open(out + ".rejects", "rb") as handle:
+            assert handle.read() == b"x\\ny\tragged\na\\tb\tshape\nc\\rd\tshape\n"
+
     def test_per_table_cap_respected(self, dump, tmp_path):
         out = str(tmp_path / "examples.jsonl")
         generate_corpus(dump, out, GenerationSettings(seed=7))
@@ -202,6 +229,23 @@ class TestCorpusStats:
         stats = corpus_stats(["not json", "{\"incomplete\": 1}"])
         assert stats.examples == 0
         assert stats.malformed_lines == 2
+
+    def test_fields_of_the_wrong_type_counted_as_malformed(self):
+        good = {
+            "id": "0", "eg": "counting", "template_id": "counting-1", "question": "How many?",
+            "context": "A fact.", "answer": {"kind": "number", "values": ["1"]},
+            "gold_fact_count": 1, "distractor_count": 0,
+            "source": {"page_title": "Page", "table_id": "t"},
+        }
+        bad_records = [
+            dict(good, source={"page_title": "Page"}),
+            dict(good, question=["How", "many?"]),
+            dict(good, gold_fact_count="x"),
+            dict(good, source="s"),
+        ]
+        for bad in bad_records:
+            stats = corpus_stats([json.dumps(good), json.dumps(bad)])
+            assert (stats.examples, stats.malformed_lines) == (1, 1), bad
 
     def test_category_counts(self, tmp_path):
         path = tmp_path / "tables.jsonl"

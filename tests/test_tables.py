@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from fixtures import CHELSEA
@@ -7,7 +5,6 @@ from tabrc.tables import (
     MalformedRecord,
     ShapeRejected,
     ingest,
-    iter_raw_tables,
     raw_table_from_json,
 )
 from tabrc.values import SemanticType
@@ -98,17 +95,3 @@ class TestIngest:
         opponent = table.column_index("Opponent")
         assert table.groups(opponent)["Walsall"] == (4, 5)
 
-
-class TestIterRawTables:
-    def test_mixed_stream(self):
-        lines = [
-            json.dumps(small_table()),
-            "not json",
-            "",
-            json.dumps(small_table(id="t2")),
-        ]
-        results = list(iter_raw_tables(lines))
-        assert len(results) == 3
-        assert results[0][1].id == "t1"
-        assert isinstance(results[1][1], MalformedRecord)
-        assert results[2][1].id == "t2"
