@@ -10,7 +10,6 @@ from .facts import (
     FactPool,
     GoldSpec,
     build_context,
-    render_fact,
 )
 from .generators import (
     Answer,
@@ -45,6 +44,5 @@ __all__ = [
     "SemanticType", "ShapeRejected", "SimulationConfig", "Strategy", "TaskDistribution",
     "Template", "Triplet", "TypedTable", "build_context", "compose_batch",
     "error_sampling", "generate", "ingest", "momentum_sampling", "on_checkpoint",
-    "parse_date", "parse_number", "render_fact", "run_simulation", "two_task_report",
-    "uniform",
+    "parse_date", "parse_number", "run_simulation", "two_task_report", "uniform",
 ]

@@ -126,7 +126,6 @@ class Fact:
 
 @dataclass(frozen=True)
 class Context:
-    prefix: str
     facts: tuple[Fact, ...]
     rendered: str
 
@@ -172,14 +171,6 @@ def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
     )
     text = f"The {subject_surface} when {conditions} {verb} {_join_values(values)}"
     return Fact(text, kind, _plan_cells(plan))
-
-
-def render_fact(table: TypedTable, subject_col: int, key_col: int,
-                key_rows: tuple[int, ...]) -> Fact:
-    """Verbalize the subject column over `key_rows`, keyed by the value the
-    key column holds in those rows. Singular for one row, aggregated plural
-    for several."""
-    return _render_plan(table, FactPlan(subject_col, (key_col,), tuple(key_rows)), FactKind.GOLD)
 
 
 @dataclass(frozen=True)
@@ -303,4 +294,4 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int,
     facts = gold_facts + distractors
     rng.shuffle(facts)
     rendered = prefix + FACT_SEPARATOR.join(f.text for f in facts) + "."
-    return Context(prefix, tuple(facts), rendered)
+    return Context(tuple(facts), rendered)

@@ -8,14 +8,14 @@ question/answer/gold-spec triplets for one (table, generator) pair,
 deterministically for a fixed seed.
 
 A generator is data: an entry in `_GENERATORS` pairs a candidate enumerator
-with a realizer, and `TEMPLATES` holds its question patterns. A realizer
-takes one candidate, validates it through the generator's `_*_core` function
-(raising a `Discard` when it cannot give a sound example) and returns a
-`_Realized`: the `Answer`, the fact plans behind the gold facts, the ordered
-slot bindings, and the template index. A slot binds a column (`_Column`), a
-cell (`_Cell`) or an operator word (`_Operator`). `_instantiate` turns the
-bindings into both the question text and the binding payloads that example
-ids hash, so binding order is part of the output.
+with one function, `(table, candidate) -> _Realized`, and `TEMPLATES` holds
+its question patterns. That function validates the candidate, raising a
+`Discard` when it cannot give a sound example, and returns a `_Realized`: the
+`Answer`, the fact plans behind the gold facts, the ordered slot bindings,
+and the template index. A slot binds a column (`_Column`), a cell (`_Cell`)
+or an operator word (`_Operator`). `_instantiate` turns the bindings into
+both the question text and the binding payloads that example ids hash, so
+binding order is part of the output.
 
 Conventions shared with the rest of the toolkit:
 
@@ -289,217 +289,7 @@ def _instantiate(table: TypedTable, template: Template, slots: _Slots) -> Instan
 
 
 # ---------------------------------------------------------------------------
-# Answer cores. Each returns the answer payload plus the fact plans that make
-# the question answerable from verbalized facts alone.
-# ---------------------------------------------------------------------------
-
-
-def _composition_core(table: TypedTable, anchor_col: int, anchor_val: str,
-                      chain: tuple[int, ...], target: int) -> tuple[tuple[str, ...], list[FactPlan]]:
-    rows = table.rows_with(anchor_col, anchor_val)
-    if not rows:
-        raise EmptyResult(anchor_val)
-    if any(not table.raw(r, target) for r in rows):
-        raise AmbiguousChain("empty target cell")
-    for r in rows:
-        for hop_col in chain:
-            value = table.raw(r, hop_col)
-            if not value or len(table.rows_with(hop_col, value)) != 1:
-                raise AmbiguousChain("intermediate value does not identify its row")
-    plans = [FactPlan(chain[0], (anchor_col,), rows)]
-    for r in rows:
-        previous = chain[0]
-        for hop_col in list(chain[1:]) + [target]:
-            plans.append(FactPlan(hop_col, (previous,), (r,)))
-            previous = hop_col
-    return _dedup([table.raw(r, target) for r in rows]), plans
-
-
-def _conjunction_core(table: TypedTable, target: int, c2: int, v2: str,
-                      c3: int, v3: str) -> tuple[tuple[str, ...], list[FactPlan]]:
-    if c2 == c3:
-        raise EmptyResult("conditions must use two distinct columns")
-    rows_a = table.rows_with(c2, v2)
-    rows_b = table.rows_with(c3, v3)
-    both = tuple(r for r in rows_a if table.raw(r, c3) == v3)
-    if not both:
-        raise EmptyResult(f"{v2} & {v3}")
-    if any(not table.raw(r, target) for r in both):
-        raise EmptyResult("empty target cell")
-    answer = _dedup([table.raw(r, target) for r in both])
-
-    # Two single-key facts suffice when intersecting their value lists
-    # reproduces the answer exactly; otherwise verbalize one combined fact.
-    single_ok = all(table.raw(r, target) for r in rows_a + rows_b)
-    if single_ok:
-        b_values = {table.raw(r, target) for r in rows_b}
-        implied = _dedup([table.raw(r, target) for r in rows_a if table.raw(r, target) in b_values])
-        single_ok = implied == answer
-    if single_ok:
-        plans = [FactPlan(target, (c2,), rows_a), FactPlan(target, (c3,), rows_b)]
-    else:
-        plans = [FactPlan(target, (c2, c3), both)]
-    return answer, plans
-
-
-def _quantifier_scope(table: TypedTable, c1: int, c2: int) -> list[int]:
-    """Rows where both quantified columns are populated."""
-    return [r for r in range(table.n_rows) if table.raw(r, c1) and table.raw(r, c2)]
-
-
-def _column_scan_plans(table: TypedTable, subject: int, key: int, scope: list[int]) -> list[FactPlan]:
-    """One fact per distinct key value, covering a whole-column scan."""
-    in_scope = set(scope)
-    plans = []
-    for _value, rows in table.groups(key).items():
-        kept = tuple(r for r in rows if r in in_scope)
-        if kept:
-            plans.append(FactPlan(subject, (key,), kept))
-    return plans
-
-
-def _quantifier_core(table: TypedTable, which: str, c1: int, v1: str | None,
-                     c2: int, v2: str) -> tuple[bool, list[FactPlan]]:
-    if which == "only":
-        rows = table.rows_with(c2, v2)
-        if not rows or v1 is None:
-            raise EmptyResult(v2)
-        if any(not table.raw(r, c1) for r in rows):
-            raise UnparseableCell("empty cell under quantifier")
-        names = {table.raw(r, c1) for r in rows}
-        if v1 not in names:
-            raise EmptyResult(f"{v1} not among matches")
-        return names == {v1}, [FactPlan(c1, (c2,), rows)]
-
-    scope = _quantifier_scope(table, c1, c2)
-    if len(scope) < 2:
-        raise InsufficientValues("quantifier scope")
-    matches = sum(1 for r in scope if table.raw(r, c2) == v2)
-    if which == "every":
-        result = matches == len(scope)
-    elif which == "most":
-        result = matches * 2 > len(scope)
-    else:
-        raise ValueError(f"unknown quantifier {which}")
-    return result, _column_scan_plans(table, c2, c1, scope)
-
-
-def _number_pair_core(table: TypedTable, c1: int, c2: int, row_a: int,
-                      row_b: int) -> tuple[Decimal, Decimal, list[FactPlan]]:
-    qa = table.parsed(row_a, c2)
-    qb = table.parsed(row_b, c2)
-    if not isinstance(qa, Decimal) or not isinstance(qb, Decimal):
-        raise UnparseableCell("non-numeric cell")
-    if qa == qb:
-        raise TieDiscarded(f"{qa}")
-    plans = [FactPlan(c2, (c1,), (row_a,)), FactPlan(c2, (c1,), (row_b,))]
-    return qa, qb, plans
-
-
-def _temporal_pair_core(table: TypedTable, col_a: int, row_a: int, col_b: int,
-                        row_b: int) -> tuple[int, list[FactPlan]]:
-    date_col = table.event_date_column()
-    if date_col is None:
-        raise UnparseableCell("no date column")
-    da = table.parsed(row_a, date_col)
-    db = table.parsed(row_b, date_col)
-    if not isinstance(da, Date) or not isinstance(db, Date):
-        raise UnparseableCell("non-date cell")
-    order = compare_dates(da, db)
-    if order == 0:
-        raise TieDiscarded("dates indistinguishable")
-    plans = [FactPlan(date_col, (col_a,), (row_a,)), FactPlan(date_col, (col_b,), (row_b,))]
-    return order, plans
-
-
-def _superlative_core(table: TypedTable, c1: int, c2: int,
-                      operator: str) -> tuple[tuple[str, ...], list[FactPlan]]:
-    if c1 == c2:
-        raise ValueError("target and value columns must differ")
-    temporal = operator in ("earliest", "latest")
-    scope = [r for r in range(table.n_rows)
-             if table.parsed(r, c2) is not None and table.raw(r, c1)]
-    if len(scope) < 2:
-        raise InsufficientValues("superlative scope")
-    if temporal:
-        dates = [table.parsed(r, c2) for r in scope]
-        if len({d.precision for d in dates}) != 1:
-            raise UnparseableCell("mixed date precision")
-        keys = {r: table.parsed(r, c2).key() for r in scope}
-    else:
-        keys = {r: table.parsed(r, c2) for r in scope}
-    extreme = (max if operator in ("highest", "latest") else min)(keys.values())
-    winners = [r for r in scope if keys[r] == extreme]
-    answer = _dedup([table.raw(r, c1) for r in winners])
-    return answer, _column_scan_plans(table, c2, c1, scope)
-
-
-def _filtered_rows(table: TypedTable, value_col: int, filter_col: int,
-                   filter_val: str) -> tuple[int, ...]:
-    if value_col == filter_col:
-        raise ValueError("value and filter columns must differ")
-    rows = table.rows_with(filter_col, filter_val)
-    if len(rows) < 2:
-        raise InsufficientValues("filter must match at least two rows")
-    if any(table.parsed(r, value_col) is None for r in rows):
-        raise UnparseableCell("unparseable cell in filtered scope")
-    return rows
-
-
-def _arith_superlative_core(table: TypedTable, value_col: int, filter_col: int,
-                            filter_val: str, operator: str) -> tuple[str, AnswerKind, list[FactPlan]]:
-    rows = _filtered_rows(table, value_col, filter_col, filter_val)
-    plans = [FactPlan(value_col, (filter_col,), rows)]
-    values = [table.parsed(r, value_col) for r in rows]
-    if operator in ("earliest", "latest"):
-        if len({d.precision for d in values}) != 1:
-            raise UnparseableCell("mixed date precision")
-        chosen = (max if operator == "latest" else min)(values, key=Date.key)
-        return render_date(chosen), AnswerKind.DATE, plans
-    chosen = (max if operator == "highest" else min)(values)
-    return render_number(chosen), AnswerKind.NUMBER, plans
-
-
-def _addition_core(table: TypedTable, value_col: int, filter_col: int,
-                   filter_val: str) -> tuple[str, list[FactPlan]]:
-    rows = _filtered_rows(table, value_col, filter_col, filter_val)
-    total = sum(table.parsed(r, value_col) for r in rows)
-    return render_number(total), [FactPlan(value_col, (filter_col,), rows)]
-
-
-def _counting_core(table: TypedTable, target: int, filter_col: int,
-                   filter_val: str) -> tuple[int, list[FactPlan]]:
-    if target == filter_col:
-        raise ValueError("target and filter columns must differ")
-    rows = table.rows_with(filter_col, filter_val)
-    if not rows:
-        raise EmptyResult(filter_val)
-    raws = [table.raw(r, target) for r in rows]
-    if any(not raw for raw in raws):
-        raise UnparseableCell("empty target cell")
-    return len(set(raws)), [FactPlan(target, (filter_col,), rows)]
-
-
-def _date_difference_core(table: TypedTable, col_a: int, row_a: int, col_b: int,
-                          row_b: int) -> tuple[str, list[FactPlan]]:
-    date_col = table.event_date_column()
-    if date_col is None:
-        raise UnparseableCell("no date column")
-    da = table.parsed(row_a, date_col)
-    db = table.parsed(row_b, date_col)
-    if not isinstance(da, Date) or not isinstance(db, Date):
-        raise UnparseableCell("non-date cell")
-    if da.precision != db.precision:
-        raise IncomparablePrecision(f"{da} vs {db}")
-    if da.key() == db.key():
-        raise TieDiscarded("identical dates")
-    duration = date_difference(da, db)
-    plans = [FactPlan(date_col, (col_a,), (row_a,)), FactPlan(date_col, (col_b,), (row_b,))]
-    return render_duration(duration), plans
-
-
-# ---------------------------------------------------------------------------
-# Candidate enumeration and realization per generator.
+# Candidate enumeration per generator.
 # ---------------------------------------------------------------------------
 
 
@@ -573,16 +363,6 @@ def _cands_only(table: TypedTable) -> list:
     return out
 
 
-def _cands_every_most(table: TypedTable) -> list:
-    out = []
-    for c1 in range(table.n_cols):
-        for c2 in range(table.n_cols):
-            if c1 == c2:
-                continue
-            out.extend((c1, c2, v2) for v2 in table.groups(c2))
-    return out
-
-
 def _cands_number_pairs(table: TypedTable, operators: tuple[str, ...]) -> list:
     out = []
     for c2 in table.number_columns():
@@ -624,6 +404,11 @@ def _cands_filtered(table: TypedTable, value_cols: list[int], min_rows: int = 1)
     return out
 
 
+def _cands_any_filter(table: TypedTable) -> list:
+    """(column, filter column, filter value) over every pair of columns."""
+    return _cands_filtered(table, list(range(table.n_cols)))
+
+
 def _cands_arith_superlative(table: TypedTable) -> list:
     out = []
     for value_cols, ops in ((table.number_columns(), ("highest", "lowest")),
@@ -631,6 +416,13 @@ def _cands_arith_superlative(table: TypedTable) -> list:
         out.extend((c1, c2, v2, op) for c1, c2, v2 in _cands_filtered(table, value_cols, min_rows=2)
                    for op in ops)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Generators: each validates one candidate and realizes it. The answer comes
+# with the fact plans that make the question answerable from verbalized facts
+# alone.
+# ---------------------------------------------------------------------------
 
 
 def _yes_no(flag: bool) -> Answer:
@@ -647,36 +439,133 @@ def _plural_noun(name: str) -> str:
     return pluralize(name.lower())
 
 
+def _column_scan_plans(table: TypedTable, subject: int, key: int, scope: list[int]) -> list[FactPlan]:
+    """One fact per distinct key value, covering a whole-column scan."""
+    in_scope = set(scope)
+    plans = []
+    for _value, rows in table.groups(key).items():
+        kept = tuple(r for r in rows if r in in_scope)
+        if kept:
+            plans.append(FactPlan(subject, (key,), kept))
+    return plans
+
+
+def _filtered_rows(table: TypedTable, value_col: int, filter_col: int,
+                   filter_val: str) -> tuple[int, ...]:
+    if value_col == filter_col:
+        raise ValueError("value and filter columns must differ")
+    rows = table.rows_with(filter_col, filter_val)
+    if len(rows) < 2:
+        raise InsufficientValues("filter must match at least two rows")
+    if any(table.parsed(r, value_col) is None for r in rows):
+        raise UnparseableCell("unparseable cell in filtered scope")
+    return rows
+
+
+def _filter_slots(table: TypedTable, c1: int, c2: int, v2: str,
+                  forms: tuple[Callable[[str], str], ...] = (str, str)) -> _Slots:
+    """The column col:1, the filter column col:2 and, as val:2, its first cell
+    holding v2; `forms` are the two columns' forms in the question."""
+    return (
+        ("col:1", _Column(c1, forms[0])),
+        ("col:2", _Column(c2, forms[1])),
+        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
+    )
+
+
+def _event_dates(table: TypedTable, first, second) -> tuple[Date, Date, list[FactPlan]]:
+    """The event dates of two (column, value, row) anchors, and the facts
+    that state them."""
+    (ca, _va, ra), (cb, _vb, rb) = first, second
+    date_col = table.event_date_column()
+    if date_col is None:
+        raise UnparseableCell("no date column")
+    da = table.parsed(ra, date_col)
+    db = table.parsed(rb, date_col)
+    if not isinstance(da, Date) or not isinstance(db, Date):
+        raise UnparseableCell("non-date cell")
+    return da, db, [FactPlan(date_col, (ca,), (ra,)), FactPlan(date_col, (cb,), (rb,))]
+
+
+def _anchor_slots(first, second) -> _Slots:
+    """col:1 and val:1 name the first anchor, col:2 and val:2 the second."""
+    (ca, _va, ra), (cb, _vb, rb) = first, second
+    return (
+        ("col:1", _Column(ca)),
+        ("val:1", _Cell(ca, ra)),
+        ("col:2", _Column(cb)),
+        ("val:2", _Cell(cb, rb)),
+    )
+
+
 def _realize_composition(table: TypedTable, cand) -> _Realized:
     anchor_col, anchor_val, chain, target = cand
-    values, plans = _composition_core(table, anchor_col, anchor_val, chain, target)
-    anchor_row = table.rows_with(anchor_col, anchor_val)[0]
+    rows = table.rows_with(anchor_col, anchor_val)
+    if not rows:
+        raise EmptyResult(anchor_val)
+    if any(not table.raw(r, target) for r in rows):
+        raise AmbiguousChain("empty target cell")
+    for r in rows:
+        for hop_col in chain:
+            value = table.raw(r, hop_col)
+            if not value or len(table.rows_with(hop_col, value)) != 1:
+                raise AmbiguousChain("intermediate value does not identify its row")
+    plans = [FactPlan(chain[0], (anchor_col,), rows)]
+    plans += [FactPlan(hop_col, (previous,), (r,)) for r in rows
+              for previous, hop_col in zip(chain, (*chain[1:], target))]
+    values = _dedup([table.raw(r, target) for r in rows])
     return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
         ("col:1", _Column(target)),
         ("col:2", _Column(anchor_col)),
-        ("val:2", _Cell(anchor_col, anchor_row)),
+        ("val:2", _Cell(anchor_col, rows[0])),
     ))
 
 
 def _realize_conjunction(table: TypedTable, cand) -> _Realized:
     target, c2, c3, v2, v3 = cand
-    values, plans = _conjunction_core(table, target, c2, v2, c3, v3)
-    row = next(r for r in table.rows_with(c2, v2) if table.raw(r, c3) == v3)
+    if c2 == c3:
+        raise EmptyResult("conditions must use two distinct columns")
+    rows_a = table.rows_with(c2, v2)
+    rows_b = table.rows_with(c3, v3)
+    both = tuple(r for r in rows_a if table.raw(r, c3) == v3)
+    if not both:
+        raise EmptyResult(f"{v2} & {v3}")
+    if any(not table.raw(r, target) for r in both):
+        raise EmptyResult("empty target cell")
+    values = _dedup([table.raw(r, target) for r in both])
+
+    # Two single-key facts suffice when intersecting their value lists
+    # reproduces the answer exactly; otherwise verbalize one combined fact.
+    single_ok = all(table.raw(r, target) for r in rows_a + rows_b)
+    if single_ok:
+        b_values = {table.raw(r, target) for r in rows_b}
+        implied = _dedup([table.raw(r, target) for r in rows_a if table.raw(r, target) in b_values])
+        single_ok = implied == values
+    if single_ok:
+        plans = [FactPlan(target, (c2,), rows_a), FactPlan(target, (c3,), rows_b)]
+    else:
+        plans = [FactPlan(target, (c2, c3), both)]
     return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
         ("col:1", _Column(target)),
         ("col:2", _Column(c2)),
-        ("val:2", _Cell(c2, row)),
+        ("val:2", _Cell(c2, both[0])),
         ("col:3", _Column(c3)),
-        ("val:3", _Cell(c3, row)),
+        ("val:3", _Cell(c3, both[0])),
     ))
 
 
 def _realize_only(table: TypedTable, cand) -> _Realized:
     c1, v1, c2, v2 = cand
-    result, plans = _quantifier_core(table, "only", c1, v1, c2, v2)
     rows = table.rows_with(c2, v2)
+    if not rows:
+        raise EmptyResult(v2)
+    if any(not table.raw(r, c1) for r in rows):
+        raise UnparseableCell("empty cell under quantifier")
+    names = {table.raw(r, c1) for r in rows}
+    if v1 not in names:
+        raise EmptyResult(f"{v1} not among matches")
     v1_row = next(r for r in rows if table.raw(r, c1) == v1)
-    return _Realized(_yes_no(result), plans, (
+    return _Realized(_yes_no(names == {v1}), [FactPlan(c1, (c2,), rows)], (
         ("val:1", _Cell(c1, v1_row)),
         ("col:1", _Column(c1)),
         ("col:2", _Column(c2)),
@@ -686,13 +575,14 @@ def _realize_only(table: TypedTable, cand) -> _Realized:
 
 def _realize_every_most(which: str, table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
-    result, plans = _quantifier_core(table, which, c1, None, c2, v2)
-    return _Realized(_yes_no(result), plans, (
-        ("[OPERATOR]", _Operator(which)),
-        ("col:1", _Column(c1)),
-        ("col:2", _Column(c2)),
-        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
-    ))
+    # The quantifier ranges over rows where both columns are populated.
+    scope = [r for r in range(table.n_rows) if table.raw(r, c1) and table.raw(r, c2)]
+    if len(scope) < 2:
+        raise InsufficientValues("quantifier scope")
+    matches = sum(1 for r in scope if table.raw(r, c2) == v2)
+    result = matches == len(scope) if which == "every" else matches * 2 > len(scope)
+    return _Realized(_yes_no(result), _column_scan_plans(table, c2, c1, scope),
+                     (("[OPERATOR]", _Operator(which)),) + _filter_slots(table, c1, c2, v2))
 
 
 def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Realized:
@@ -703,8 +593,14 @@ def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Reali
         for c in range(table.n_cols):
             if c != c1 and table.rows_with(c, va) and table.rows_with(c, vb):
                 raise AmbiguousChain("anchor pair occurs in another column")
-    qa, qb, plans = _number_pair_core(table, c1, c2, ra, rb)
+    qa = table.parsed(ra, c2)
+    qb = table.parsed(rb, c2)
+    if not isinstance(qa, Decimal) or not isinstance(qb, Decimal):
+        raise UnparseableCell("non-numeric cell")
+    if qa == qb:
+        raise TieDiscarded(f"{qa}")
     a_wins = (qa > qb) == (op == "higher")
+    plans = [FactPlan(c2, (c1,), (ra,)), FactPlan(c2, (c1,), (rb,))]
     return _Realized(_comparison_answer(boolean, a_wins, va, vb), plans, (
         ("col:1", _Column(c1)),
         ("[OPERATOR]", _Operator(op)),
@@ -715,22 +611,33 @@ def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Reali
 
 
 def _realize_temporal_comparison(boolean: bool, table: TypedTable, cand) -> _Realized:
-    (ca, va, ra), (cb, vb, rb), op = cand
-    order, plans = _temporal_pair_core(table, ca, ra, cb, rb)
+    first, second, op = cand
+    da, db, plans = _event_dates(table, first, second)
+    order = compare_dates(da, db)
+    if order == 0:
+        raise TieDiscarded("dates indistinguishable")
     a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
-    return _Realized(_comparison_answer(boolean, a_wins, va, vb), plans, (
-        ("[OPERATOR]", _Operator(op)),
-        ("col:1", _Column(ca)),
-        ("val:1", _Cell(ca, ra)),
-        ("col:2", _Column(cb)),
-        ("val:2", _Cell(cb, rb)),
-    ))
+    return _Realized(_comparison_answer(boolean, a_wins, first[1], second[1]), plans,
+                     (("[OPERATOR]", _Operator(op)),) + _anchor_slots(first, second))
 
 
 def _realize_superlative(table: TypedTable, cand) -> _Realized:
     c1, c2, op, template = cand
-    values, plans = _superlative_core(table, c1, c2, op)
-    return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
+    if c1 == c2:
+        raise ValueError("target and value columns must differ")
+    scope = [r for r in range(table.n_rows)
+             if table.parsed(r, c2) is not None and table.raw(r, c1)]
+    if len(scope) < 2:
+        raise InsufficientValues("superlative scope")
+    if op in ("earliest", "latest"):
+        if len({table.parsed(r, c2).precision for r in scope}) != 1:
+            raise UnparseableCell("mixed date precision")
+        keys = {r: table.parsed(r, c2).key() for r in scope}
+    else:
+        keys = {r: table.parsed(r, c2) for r in scope}
+    extreme = (max if op in ("highest", "latest") else min)(keys.values())
+    values = _dedup([table.raw(r, c1) for r in scope if keys[r] == extreme])
+    return _Realized(Answer(AnswerKind.SPAN_LIST, values), _column_scan_plans(table, c2, c1, scope), (
         ("col:1", _Column(c1)),
         ("[OPERATOR]", _Operator(op)),
         ("col:2", _Column(c2)),
@@ -739,55 +646,62 @@ def _realize_superlative(table: TypedTable, cand) -> _Realized:
 
 def _realize_arith_superlative(table: TypedTable, cand) -> _Realized:
     c1, c2, v2, op = cand
-    rendered, answer_kind, plans = _arith_superlative_core(table, c1, c2, v2, op)
-    return _Realized(Answer(answer_kind, (rendered,)), plans, (
-        ("[OPERATOR]", _Operator(op)),
-        ("col:1", _Column(c1)),
-        ("col:2", _Column(c2)),
-        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
-    ))
+    rows = _filtered_rows(table, c1, c2, v2)
+    values = [table.parsed(r, c1) for r in rows]
+    if op in ("earliest", "latest"):
+        if len({d.precision for d in values}) != 1:
+            raise UnparseableCell("mixed date precision")
+        chosen = (max if op == "latest" else min)(values, key=Date.key)
+        answer = Answer(AnswerKind.DATE, (render_date(chosen),))
+    else:
+        chosen = (max if op == "highest" else min)(values)
+        answer = Answer(AnswerKind.NUMBER, (render_number(chosen),))
+    return _Realized(answer, [FactPlan(c1, (c2,), rows)],
+                     (("[OPERATOR]", _Operator(op)),) + _filter_slots(table, c1, c2, v2))
 
 
 def _realize_addition(table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
-    rendered, plans = _addition_core(table, c1, c2, v2)
-    return _Realized(Answer(AnswerKind.NUMBER, (rendered,)), plans, (
-        ("col:1", _Column(c1)),
-        ("col:2", _Column(c2)),
-        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
-    ))
+    rows = _filtered_rows(table, c1, c2, v2)
+    total = sum(table.parsed(r, c1) for r in rows)
+    return _Realized(Answer(AnswerKind.NUMBER, (render_number(total),)),
+                     [FactPlan(c1, (c2,), rows)], _filter_slots(table, c1, c2, v2))
 
 
 def _realize_counting(table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
-    count, plans = _counting_core(table, c1, c2, v2)
-    return _Realized(Answer(AnswerKind.NUMBER, (str(count),)), plans, (
-        ("col:1", _Column(c1, _plural_noun)),
-        ("col:2", _Column(c2, str.lower)),
-        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
-    ))
+    if c1 == c2:
+        raise ValueError("target and filter columns must differ")
+    rows = table.rows_with(c2, v2)
+    if not rows:
+        raise EmptyResult(v2)
+    raws = [table.raw(r, c1) for r in rows]
+    if any(not raw for raw in raws):
+        raise UnparseableCell("empty target cell")
+    return _Realized(Answer(AnswerKind.NUMBER, (str(len(set(raws))),)), [FactPlan(c1, (c2,), rows)],
+                     _filter_slots(table, c1, c2, v2, (_plural_noun, str.lower)))
 
 
 def _realize_date_difference(table: TypedTable, cand) -> _Realized:
-    (ca, va, ra), (cb, vb, rb), _op = cand
-    rendered, plans = _date_difference_core(table, ca, ra, cb, rb)
-    return _Realized(Answer(AnswerKind.DURATION, (rendered,)), plans, (
-        ("col:1", _Column(ca)),
-        ("val:1", _Cell(ca, ra)),
-        ("col:2", _Column(cb)),
-        ("val:2", _Cell(cb, rb)),
-    ))
+    first, second = cand
+    da, db, plans = _event_dates(table, first, second)
+    if da.precision != db.precision:
+        raise IncomparablePrecision(f"{da} vs {db}")
+    if da.key() == db.key():
+        raise TieDiscarded("identical dates")
+    return _Realized(Answer(AnswerKind.DURATION, (render_duration(date_difference(da, db)),)),
+                     plans, _anchor_slots(first, second))
 
 
-# Per generator: (candidate enumeration, realizer).
+# Per generator: (candidate enumeration, generator).
 _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], list],
                                        Callable[[TypedTable, object], _Realized]]] = {
     GeneratorKind.COMPOSITION_2HOP: (lambda t: _cands_composition(t, 2), _realize_composition),
     GeneratorKind.COMPOSITION_3HOP: (lambda t: _cands_composition(t, 3), _realize_composition),
     GeneratorKind.CONJUNCTION: (_cands_conjunction, _realize_conjunction),
     GeneratorKind.QUANTIFIER_ONLY: (_cands_only, _realize_only),
-    GeneratorKind.QUANTIFIER_MOST: (_cands_every_most, partial(_realize_every_most, "most")),
-    GeneratorKind.QUANTIFIER_EVERY: (_cands_every_most, partial(_realize_every_most, "every")),
+    GeneratorKind.QUANTIFIER_MOST: (_cands_any_filter, partial(_realize_every_most, "most")),
+    GeneratorKind.QUANTIFIER_EVERY: (_cands_any_filter, partial(_realize_every_most, "every")),
     GeneratorKind.NUMBER_COMPARISON: (
         lambda t: _cands_number_pairs(t, ("higher", "lower")),
         partial(_realize_number_comparison, False)),
@@ -807,11 +721,10 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], list],
     GeneratorKind.ARITHMETIC_SUPERLATIVE: (_cands_arith_superlative, _realize_arith_superlative),
     GeneratorKind.ARITHMETIC_ADDITION: (
         lambda t: _cands_filtered(t, t.number_columns(), min_rows=2), _realize_addition),
-    GeneratorKind.COUNTING: (
-        lambda t: _cands_filtered(t, list(range(t.n_cols)), min_rows=1), _realize_counting),
-    GeneratorKind.DATE_DIFFERENCE: (
-        lambda t: _cands_temporal_pairs(t, ("",)), _realize_date_difference),
+    GeneratorKind.COUNTING: (_cands_any_filter, _realize_counting),
+    GeneratorKind.DATE_DIFFERENCE: (_anchor_pairs, _realize_date_difference),
 }
+
 
 
 def generate(table: TypedTable, kind: GeneratorKind, seed: int,

@@ -18,12 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .facts import ContextConfig, FactKind, FactPool, build_context
+from .facts import FactKind, FactPool, build_context
 from .generators import (
     PER_TABLE_CAP,
     GeneratorKind,
@@ -60,7 +60,6 @@ class GenerationSettings:
     kinds: tuple[GeneratorKind, ...] = ALL_KINDS
     min_rows: int = MIN_ROWS
     max_rows: int = MAX_ROWS
-    context: ContextConfig = field(default_factory=ContextConfig)
     workers: int = 1
 
 
@@ -107,7 +106,7 @@ def table_examples(table: TypedTable, settings: GenerationSettings) -> Iterator[
         for triplet in generate(table, kind, settings.seed, settings.cap):
             record_id = example_id(table.meta.id, kind, triplet)
             ctx_seed = derive_seed(settings.seed, table.meta.id, kind.value, record_id, "context")
-            context = build_context(pool, triplet.gold, ctx_seed, settings.context)
+            context = build_context(pool, triplet.gold, ctx_seed)
             yield build_record(table, kind, triplet, context, record_id)
 
 

@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 REPLAY_TASK = "replay"
 
@@ -133,8 +133,14 @@ class AccuracyHistory:
     def __len__(self) -> int:
         return len(self._series[self.tasks[0]])
 
-    def series(self, task: str) -> tuple[float, ...]:
-        return tuple(self._series[task])
+    def recent(self, task: str, size: int) -> list[float]:
+        """The newest `size` entries of one task's series, oldest first."""
+        return self._series[task][len(self) - size:]
+
+    def rows(self) -> Iterator[dict[str, float]]:
+        """Every checkpoint's accuracies, oldest first."""
+        for values in zip(*(self._series[task] for task in self.tasks)):
+            yield dict(zip(self.tasks, values))
 
     def latest(self) -> dict[str, float]:
         if len(self) == 0:
@@ -156,7 +162,7 @@ def momentum_sampling(history: AccuracyHistory, config: SamplerConfig) -> TaskDi
     weights = {}
     k = config.smoothing
     for task in history.tasks:
-        window = history.series(task)[t - config.window:]
+        window = history.recent(task, config.window)
         head = sum(window[-k:]) / k
         tail = sum(window[:k]) / k
         weights[task] = max(abs(head - tail), config.eps)
@@ -177,10 +183,10 @@ def on_checkpoint(history: AccuracyHistory, config: SamplerConfig) -> TaskDistri
 
 
 def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
-                  seed: int, replay_task: str = REPLAY_TASK) -> tuple[str, ...]:
+                  seed: int) -> tuple[str, ...]:
     """Plan one batch as a list of task slots.
 
-    With probability `replay_lambda` the whole batch is the replay task
+    With probability `replay_lambda` the whole batch is `REPLAY_TASK`
     (whose content is a caller-provided stream). Otherwise every task gets
     floor(batch_size * P(s)) slots and the leftover slots are awarded by a
     seeded systematic draw on the fractional remainders, so each task's
@@ -192,7 +198,7 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
         raise ValueError("batch_size must be positive")
     rng = random.Random(seed)
     if rng.random() < replay_lambda:
-        return (replay_task,) * batch_size
+        return (REPLAY_TASK,) * batch_size
 
     quotas = [(task, batch_size * p) for task, p in dist.probs]
     counts = {task: int(quota) for task, quota in quotas}
@@ -246,9 +252,9 @@ def replay_feed(history: AccuracyHistory, config: SamplerConfig) -> list[tuple[i
     returning the distribution after each checkpoint."""
     out = []
     partial = AccuracyHistory(history.tasks)
-    for i in range(len(history)):
-        partial.append({task: history.series(task)[i] for task in history.tasks})
-        out.append((i + 1, on_checkpoint(partial, config)))
+    for checkpoint, accuracies in enumerate(history.rows(), start=1):
+        partial.append(accuracies)
+        out.append((checkpoint, on_checkpoint(partial, config)))
     return out
 
 

@@ -2,8 +2,8 @@
 
 Each task follows a closed-form saturating curve Acc = c * (1 - exp(-n/rate))
 in the number of examples consumed, which keeps accuracy monotone and below
-its ceiling. A noisy task pins the ceiling at chance level (0 by default:
-random labels are essentially never matched exactly), which is the regime
+its ceiling. A noisy task pins the ceiling at chance level, `CHANCE_LEVEL` = 0
+(random labels are essentially never matched exactly), which is the regime
 where error sampling gets stuck and momentum sampling does not.
 
 The harness feeds batch plans from the sampler into the learners, evaluates
@@ -41,10 +41,9 @@ class LearnerTask:
     rate: float
     ceiling: float = 1.0
     noisy: bool = False
-    chance: float = CHANCE_LEVEL
 
     def effective_ceiling(self) -> float:
-        return self.chance if self.noisy else self.ceiling
+        return CHANCE_LEVEL if self.noisy else self.ceiling
 
 
 class SimulatedLearner:
@@ -151,7 +150,6 @@ class StrategyOutcome:
     to_threshold: int | None
     final_accuracy: float
     final_probs: dict[str, float]
-    final_entropy: float
     trace: list[CheckpointRecord]
 
 
@@ -190,27 +188,24 @@ class TwoTaskReport:
                 and self.error_concentrates_on_noise())
 
 
-def two_task_config(strategy: Strategy, noisy: bool, *, fast_rate: float = 200.0,
-                    slow_rate: float = 2500.0, batch_size: int = 50,
-                    steps_per_checkpoint: int = 10, checkpoints: int = 60,
-                    eps: float = 0.002, window: int = 4, smoothing: int = 2) -> SimulationConfig:
+def two_task_config(strategy: Strategy, noisy: bool) -> SimulationConfig:
     tasks = (
-        LearnerTask(FAST_TASK, rate=fast_rate, noisy=noisy),
-        LearnerTask(SLOW_TASK, rate=slow_rate),
+        LearnerTask(FAST_TASK, rate=200.0, noisy=noisy),
+        LearnerTask(SLOW_TASK, rate=2500.0),
     )
-    sampler = SamplerConfig(strategy=strategy, window=window, smoothing=smoothing,
-                            eps=eps, replay_lambda=0.0)
-    return SimulationConfig(sampler=sampler, tasks=tasks, batch_size=batch_size,
-                            steps_per_checkpoint=steps_per_checkpoint, checkpoints=checkpoints)
+    sampler = SamplerConfig(strategy=strategy, window=4, smoothing=2, eps=0.002,
+                            replay_lambda=0.0)
+    return SimulationConfig(sampler=sampler, tasks=tasks, batch_size=50,
+                            steps_per_checkpoint=10, checkpoints=60)
 
 
-def two_task_report(seed: int, **config_kwargs) -> TwoTaskReport:
+def two_task_report(seed: int) -> TwoTaskReport:
     """Run the two-task benchmark for all three strategies in both the gold
     and the noisy condition."""
     results: dict[bool, dict[Strategy, StrategyOutcome]] = {False: {}, True: {}}
     for noisy in (False, True):
         for strategy in Strategy:
-            config = two_task_config(strategy, noisy, **config_kwargs)
+            config = two_task_config(strategy, noisy)
             trace = run_simulation(config, seed)
             threshold = THRESHOLD_FRACTION * config.tasks[1].effective_ceiling()
             final = trace[-1]
@@ -219,7 +214,6 @@ def two_task_report(seed: int, **config_kwargs) -> TwoTaskReport:
                 to_threshold=examples_to_threshold(trace, SLOW_TASK, threshold),
                 final_accuracy=final.accuracies[SLOW_TASK],
                 final_probs=final.distribution.as_dict(),
-                final_entropy=final.entropy,
                 trace=trace,
             )
     return TwoTaskReport(gold=results[False], noisy=results[True])

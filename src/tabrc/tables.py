@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .values import Date, NotADate, NotANumber, SemanticType, TYPE_RATIO, annotate_column, parse_date, parse_number
+from .values import Date, NotADate, NotANumber, SemanticType, annotate_column, parse_date, parse_number
 
 MIN_ROWS = 10
 MAX_ROWS = 25
@@ -198,8 +198,7 @@ def _parse_cell(raw: str, kind: SemanticType) -> CellValue:
     return CellValue(text, text)
 
 
-def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS,
-           type_threshold: float = TYPE_RATIO) -> TypedTable:
+def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS) -> TypedTable:
     """Type-annotate and shape-filter one raw table.
 
     Raises ShapeRejected for tables outside the bounds and MalformedRecord
@@ -215,7 +214,7 @@ def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS,
 
     columns = []
     for c, name in enumerate(normalized):
-        kind = annotate_column([row[c] for row in raw.rows], type_threshold)
+        kind = annotate_column([row[c] for row in raw.rows])
         columns.append((name, kind))
 
     cells = tuple(

@@ -244,10 +244,10 @@ def date_difference(a: Date, b: Date) -> Duration:
     return Duration(months // 12, months % 12, days)
 
 
-def annotate_column(cells: list[str], threshold: float = TYPE_RATIO) -> SemanticType:
+def annotate_column(cells: list[str]) -> SemanticType:
     """Annotate a column from its raw cells.
 
-    DATE wins when at least `threshold` of the non-empty cells parse as dates
+    DATE wins when at least `TYPE_RATIO` of the non-empty cells parse as dates
     and at least one of them carries a month or day; a column of bare years is
     NUMBER (years behave numerically). Empty cells are excluded from the
     ratio; an all-empty column is STRING.
@@ -270,8 +270,8 @@ def annotate_column(cells: list[str], threshold: float = TYPE_RATIO) -> Semantic
             pass
 
     total = len(non_empty)
-    dates_ok = len(dates) / total >= threshold
-    numbers_ok = numbers / total >= threshold
+    dates_ok = len(dates) / total >= TYPE_RATIO
+    numbers_ok = numbers / total >= TYPE_RATIO
     if dates_ok and any(d.precision > 1 for d in dates):
         return SemanticType.DATE
     if numbers_ok:

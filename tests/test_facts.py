@@ -8,11 +8,11 @@ from tabrc.facts import (
     FactKind,
     FactPlan,
     FactPool,
+    _render_plan,
     _sampled,
     build_context,
     gold_spec,
     pluralize,
-    render_fact,
 )
 from tabrc.generators import GeneratorKind, generate
 from tabrc.tables import ingest, raw_table_from_json
@@ -20,6 +20,12 @@ from tabrc.tables import ingest, raw_table_from_json
 
 def table():
     return chelsea()
+
+
+def render_fact(t, subject_col, key_col, key_rows):
+    """The gold fact stating the subject column over `key_rows`, keyed by the
+    key column."""
+    return _render_plan(t, FactPlan(subject_col, (key_col,), tuple(key_rows)), FactKind.GOLD)
 
 
 class CountingRandom(random.Random):

@@ -12,14 +12,7 @@ from tabrc.generators import (
     GeneratorKind,
     InsufficientValues,
     TieDiscarded,
-    _arith_superlative_core,
-    _addition_core,
-    _composition_core,
-    _conjunction_core,
-    _counting_core,
-    _date_difference_core,
-    _number_pair_core,
-    _superlative_core,
+    _GENERATORS,
     generate,
 )
 from tabrc.tables import ingest, raw_table_from_json
@@ -95,6 +88,12 @@ def col(table, name):
     return table.column_index(name)
 
 
+def run_generator(table, kind, cand):
+    """Validate and realize one candidate with the generator of `kind`."""
+    _candidates, realize = _GENERATORS[kind]
+    return realize(table, cand)
+
+
 class TestComposition:
     def test_two_hop_round_to_result(self):
         triplet = realized(typed(CHELSEA), K.COMPOSITION_2HOP,
@@ -107,8 +106,8 @@ class TestComposition:
                         {"col:1": "Result", "val:2": ("Round", "R9")}) is None
         for hop in ("Date", "Opponent", "Attendance"):
             with pytest.raises(Discard):
-                _composition_core(table, col(table, "Round"), "R9", (col(table, hop),),
-                                  col(table, "Result"))
+                run_generator(table, K.COMPOSITION_2HOP, (col(table, "Round"), "R9",
+                                                          (col(table, hop),), col(table, "Result")))
 
     def test_three_hop_unique_join(self):
         table = mk_table(
@@ -128,7 +127,7 @@ class TestComposition:
         table = mk_table(["A", "B", "C"], rows)
         assert realized(table, K.COMPOSITION_2HOP, {"col:1": "C", "val:2": ("A", "a0")}) is None
         with pytest.raises(AmbiguousChain):
-            _composition_core(table, 0, "a0", (1,), 2)
+            run_generator(table, K.COMPOSITION_2HOP, (0, "a0", (1,), 2))
 
     def test_multi_row_anchor_lists_all_targets(self):
         rows = [
@@ -164,8 +163,8 @@ class TestConjunction:
         }) is None
         family = col(table, "Family")
         with pytest.raises(Discard):
-            _conjunction_core(table, col(table, "Common name"), family, "Picidae",
-                              family, "Picidae")
+            run_generator(table, K.CONJUNCTION, (col(table, "Common name"), family, family,
+                                                 "Picidae", "Picidae"))
 
     def test_empty_intersection_discarded(self):
         table = typed(BIRDS)
@@ -174,8 +173,8 @@ class TestConjunction:
             "val:3": ("Distribution", "Amami"),
         }) is None
         with pytest.raises(EmptyResult):
-            _conjunction_core(table, col(table, "Common name"), col(table, "Family"), "Picidae",
-                              col(table, "Distribution"), "Amami")
+            run_generator(table, K.CONJUNCTION, (col(table, "Common name"), col(table, "Family"),
+                                                 col(table, "Distribution"), "Picidae", "Amami"))
 
 
 class TestQuantifiers:
@@ -226,7 +225,7 @@ class TestComparisons:
             "[OPERATOR]": "higher", "val:1": [("Name", "a"), ("Name", "b")],
         }) is None
         with pytest.raises(TieDiscarded):
-            _number_pair_core(table, 0, 1, 0, 1)
+            run_generator(table, K.NUMBER_COMPARISON, (0, 1, ("a", 0), ("b", 1), "higher"))
 
     def test_earlier_picks_1990_anchor(self):
         assert values_of(typed(CHELSEA), K.TEMPORAL_COMPARISON, {
@@ -287,8 +286,9 @@ class TestSuperlatives:
             "[OPERATOR]": "highest", "col:1": "Successes", "val:2": ("Remarks", "Crewed flights"),
         }) is None
         with pytest.raises(InsufficientValues):
-            _arith_superlative_core(table, col(table, "Successes"), col(table, "Remarks"),
-                                    "Crewed flights", "highest")
+            run_generator(table, K.ARITHMETIC_SUPERLATIVE, (col(table, "Successes"),
+                                                            col(table, "Remarks"),
+                                                            "Crewed flights", "highest"))
 
 
 class TestAddition:
@@ -309,8 +309,8 @@ class TestAddition:
             "col:1": "Attendance", "val:2": ("Opponent", "Oxford United"),
         }) is None
         with pytest.raises(InsufficientValues):
-            _addition_core(table, col(table, "Attendance"), col(table, "Opponent"),
-                           "Oxford United")
+            run_generator(table, K.ARITHMETIC_ADDITION, (col(table, "Attendance"),
+                                                         col(table, "Opponent"), "Oxford United"))
 
 
 class TestCounting:
@@ -335,11 +335,11 @@ class TestCounting:
         table = typed(ELECTIONS)
         candidate = col(table, "Candidate")
         with pytest.raises(ValueError):
-            _counting_core(table, candidate, candidate, "John Kufuor")
+            run_generator(table, K.COUNTING, (candidate, candidate, "John Kufuor"))
         chelsea = typed(CHELSEA)
         attendance = col(chelsea, "Attendance")
         with pytest.raises(ValueError):
-            _superlative_core(chelsea, attendance, attendance, "highest")
+            run_generator(chelsea, K.NUMBER_SUPERLATIVE, (attendance, attendance, "highest", 0))
 
 
 class TestDateDifference:
@@ -370,7 +370,7 @@ class TestDateDifference:
         assert realized(table, K.DATE_DIFFERENCE,
                         {"val:1": ("Name", "a"), "val:2": ("Name", "b")}) is None
         with pytest.raises(TieDiscarded):
-            _date_difference_core(table, 0, 0, 0, 1)
+            run_generator(table, K.DATE_DIFFERENCE, ((0, "a", 0), (0, "b", 1)))
 
     def test_mixed_precision_discarded(self):
         rows = [["a", "1990"], ["b", "May 1992"], ["c", "1991"], ["d", "June 1993"]]
@@ -378,7 +378,7 @@ class TestDateDifference:
         assert realized(table, K.DATE_DIFFERENCE,
                         {"val:1": ("Name", "a"), "val:2": ("Name", "b")}) is None
         with pytest.raises(IncomparablePrecision):
-            _date_difference_core(table, 0, 0, 0, 1)
+            run_generator(table, K.DATE_DIFFERENCE, ((0, "a", 0), (0, "b", 1)))
 
 
 ALL_FIXTURES = [CHELSEA, BIRDS, LAUNCHES, ELECTIONS, CONCERTS, EMPLOYERS, EUROVISION, MINES]

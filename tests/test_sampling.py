@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -209,7 +211,7 @@ class TestFeedInterfaces:
     def test_read_feed(self):
         history = read_accuracy_feed(self.FEED.splitlines())
         assert len(history) == 4
-        assert history.series("a") == (0.8, 0.8, 0.8, 0.8)
+        assert [row["a"] for row in history.rows()] == [0.8, 0.8, 0.8, 0.8]
 
     def test_plateaued_error_feed_gives_uniform_trace(self):
         history = read_accuracy_feed(self.FEED.splitlines())
@@ -222,6 +224,34 @@ class TestFeedInterfaces:
     def test_trace_format(self):
         lines = format_distribution_trace(3, uniform(["a", "b"]))
         assert lines == ["3\ta\t0.5", "3\tb\t0.5"]
+
+    @staticmethod
+    def _pinned_feed() -> list[str]:
+        """120 checkpoints x 5 tasks: four noisy rising curves and one task
+        stuck at 0, with a plateau where every momentum weight sits at the
+        floor."""
+        rng = random.Random(11)
+        lines = []
+        for i in range(1, 121):
+            for t in range(5):
+                acc = 0.0 if t == 4 else min(1.0, 0.9 * (1 - 0.97 ** (i * (t + 1)))
+                                             + rng.random() * 0.05)
+                if 60 <= i < 80:
+                    acc = 0.5
+                lines.append(f"{i}\ttask{t}\t{acc:.4f}")
+        return lines
+
+    def test_replay_output_is_pinned(self):
+        # The digest of every strategy's replayed trace; replay speed-ups
+        # must leave these bytes unchanged.
+        history = read_accuracy_feed(self._pinned_feed())
+        digest = hashlib.sha256()
+        for strategy in Strategy:
+            for checkpoint, dist in replay_feed(history, SamplerConfig(strategy=strategy)):
+                digest.update("\n".join(format_distribution_trace(checkpoint, dist)).encode()
+                              + b"\n")
+        assert digest.hexdigest() == (
+            "f7c2055e856a6f2bbc74dfc3eb41a910b0c211a2ab700c4f2b39c4950aeed918")
 
 
 class TestEntropy:
