@@ -18,6 +18,8 @@ from .simulation import (
 )
 
 SEED_ENV_VAR = "TABRC_SEED"
+# `simulate` spreads its tasks' learning rates evenly over this range.
+RATE_RANGE = (100.0, 400.0)
 
 
 def _default_seed() -> int:
@@ -119,7 +121,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spread_rates(num_tasks: int, low: float = 100.0, high: float = 400.0) -> list[float]:
+def _spread_rates(num_tasks: int) -> list[float]:
+    low, high = RATE_RANGE
     if num_tasks == 1:
         return [low]
     step = (high - low) / (num_tasks - 1)
@@ -135,15 +138,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             eps=args.eps,
             replay_lambda=args.lam,
         )
-    except ValueError as exc:
+        seeds = _parse_seeds(args.seeds)
+        if args.history is not None:
+            with open(args.history, "r", encoding="utf-8") as handle:
+                history = read_accuracy_feed(handle)
+        elif args.preset is None:
+            rates = _spread_rates(args.num_tasks)
+            config = SimulationConfig(
+                sampler=sampler,
+                tasks=tuple(LearnerTask(f"task{i:02d}", rate=rate) for i, rate in enumerate(rates)),
+                batch_size=args.batch_size,
+                steps_per_checkpoint=args.steps,
+                checkpoints=args.checkpoints,
+            )
+        os.makedirs(args.output, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    seeds = _parse_seeds(args.seeds)
-    os.makedirs(args.output, exist_ok=True)
 
     if args.history is not None:
-        with open(args.history, "r", encoding="utf-8") as handle:
-            history = read_accuracy_feed(handle)
         path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
         with open(path, "w", encoding="utf-8") as out:
             out.write("checkpoint\ttask\tprobability\n")
@@ -166,15 +179,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 failures += 1
         return 1 if failures else 0
 
-    rates = _spread_rates(args.num_tasks)
-    tasks = tuple(LearnerTask(f"task{i:02d}", rate=rate) for i, rate in enumerate(rates))
-    config = SimulationConfig(
-        sampler=sampler,
-        tasks=tasks,
-        batch_size=args.batch_size,
-        steps_per_checkpoint=args.steps,
-        checkpoints=args.checkpoints,
-    )
     for seed in seeds:
         trace = run_simulation(config, seed)
         path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")

@@ -17,9 +17,9 @@ and distractor facts drawn from cells the question does not touch, prefixed
 with the table and page titles.
 
 Distractors come from a `FactPool`: each pool fact is rendered once per
-table, and a cell index finds the facts a question's gold cells rule out.
-They are sampled with `_sampled`, a lazy partial Fisher–Yates shuffle that
-draws once per fact tried (seed-stream v2).
+table, and a fact is a candidate when its cells are disjoint from the
+question's gold cells. Candidates are sampled with `_sampled`, a lazy partial
+Fisher–Yates shuffle that draws once per fact tried (seed-stream v2).
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ class PoolFact:
 
 
 class FactPool:
-    """Every complete single-key fact one table can express, rendered once,
-    with an index from each cell to the facts that touch it. Facts whose text
-    contains `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out,
-    since as distractors they would make the context split back wrongly.
-    Each part is built on first use; make one per table and pass it to every
+    """Every complete single-key fact one table can express, rendered once
+    and grouped by (subject, key) column pair. Facts whose text contains
+    `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out, since as
+    distractors they would make the context split back wrongly. Each part is
+    built on first use; make one per table and pass it to every
     `build_context` call on that table."""
 
     def __init__(self, table: TypedTable):
@@ -231,15 +231,6 @@ class FactPool:
             start = end
         return spans
 
-    @cached_property
-    def by_cell(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Each cell to the positions in `entries` of the facts touching it."""
-        index: dict[tuple[int, int], list[int]] = {}
-        for i, entry in enumerate(self.entries):
-            for cell in entry.fact.cells:
-                index.setdefault(cell, []).append(i)
-        return {cell: tuple(positions) for cell, positions in index.items()}
-
 
 def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[int]:
     """Positions in the pool of candidate distractor facts, in the order to
@@ -250,12 +241,12 @@ def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Ite
     disjoint from the gold cells."""
     gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
                                if len(plan.keys) == 1)
-    excluded = {i for cell in gold.cells for i in pool.by_cell.get(cell, ())}
-    spans = pool.spans
-    preferred = [i for pair in gold_pairs for i in spans.get(pair, ()) if i not in excluded]
+    entries, spans, cells = pool.entries, pool.spans, gold.cells
+    preferred = [i for pair in gold_pairs for i in spans.get(pair, ())
+                 if cells.isdisjoint(entries[i].fact.cells)]
     yield from _sampled(rng, preferred)
     fallback = [i for pair, span in spans.items() if pair not in gold_pairs
-                for i in span if i not in excluded]
+                for i in span if cells.isdisjoint(entries[i].fact.cells)]
     yield from _sampled(rng, fallback)
 
 

@@ -685,8 +685,6 @@ def _realize_counting(table: TypedTable, cand) -> _Realized:
 def _realize_date_difference(table: TypedTable, cand) -> _Realized:
     first, second = cand
     da, db, plans = _event_dates(table, first, second)
-    if da.precision != db.precision:
-        raise IncomparablePrecision(f"{da} vs {db}")
     if da.key() == db.key():
         raise TieDiscarded("identical dates")
     return _Realized(Answer(AnswerKind.DURATION, (render_duration(date_difference(da, db)),)),

@@ -146,8 +146,9 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     """Stream a dump file through the generators into an example file.
 
     Rejections are logged as tab-separated (table id, reason) lines, with
-    tab, CR and LF in the id escaped as \\t, \\r and \\n. Records are written
-    in input-table order regardless of worker count.
+    tab, CR and LF in the id escaped as \\t, \\r and \\n and a lone
+    surrogate as \\udXXXX. Records are written in input-table order
+    regardless of worker count.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
@@ -157,7 +158,7 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
 
     with open(input_path, "r", encoding="utf-8") as src, \
             open(output_path, "w", encoding="utf-8") as out, \
-            open(rejects_path, "w", encoding="utf-8") as rejects:
+            open(rejects_path, "w", encoding="utf-8", errors="backslashreplace") as rejects:
         items = enumerate(src, start=1)
         if settings.workers > 1:
             pool = Pool(settings.workers)
@@ -263,13 +264,10 @@ class CorpusStats:
 def corpus_stats(lines: Iterable[str]) -> CorpusStats:
     """Single-pass statistics over an example file. Malformed lines are
     counted and skipped."""
-    def digest(text: str) -> int:
-        return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:12], "big")
-
-    question_hashes: set[int] = set()
+    questions: set[str] = set()
     tables: set[str] = set()
     pages: set[str] = set()
-    words: set[int] = set()
+    words: set[str] = set()
     buckets: dict[str, int] = {}
     eg_counts: dict[str, int] = {}
     categories: dict[str, int] = {}
@@ -304,15 +302,15 @@ def corpus_stats(lines: Iterable[str]) -> CorpusStats:
             malformed += 1
             continue
         examples += 1
-        question_hashes.add(digest(question))
+        questions.add(question)
         tables.add(table_id)
         pages.add(page)
         q_tokens = question.split()
         c_tokens = context.split()
         q_words.add(len(q_tokens))
         c_words.add(len(c_tokens))
-        words.update(digest(token) for token in q_tokens)
-        words.update(digest(token) for token in c_tokens)
+        words.update(q_tokens)
+        words.update(c_tokens)
         gold.add(gold_count)
         distractors.add(distractor_count)
         bucket = ANSWER_BUCKETS.get(answer_kind, answer_kind)
@@ -324,7 +322,7 @@ def corpus_stats(lines: Iterable[str]) -> CorpusStats:
     pcts = {bucket: 100.0 * count / examples for bucket, count in buckets.items()} if examples else {}
     return CorpusStats(
         examples=examples,
-        distinct_questions=len(question_hashes),
+        distinct_questions=len(questions),
         distinct_tables=len(tables),
         distinct_pages=len(pages),
         question_words=(q_words.mean, q_words.sd),

@@ -4,8 +4,8 @@ A TaskDistribution assigns each task its share of every training batch.
 Three strategies are provided:
 
 - uniform: every task equally likely;
-- error: probability proportional to (ceiling - latest accuracy), so tasks
-  with high error are over-sampled;
+- error: probability proportional to the error (1 - latest accuracy), so
+  tasks with high error are over-sampled;
 - momentum: probability proportional to the absolute accuracy change across
   a sliding window of checkpoints, floored at eps, with uniform sampling
   during the first `window` checkpoints.
@@ -39,7 +39,6 @@ class SamplerConfig:
     smoothing: int = 2
     eps: float = 0.002
     replay_lambda: float = 0.5
-    ceiling: float | Mapping[str, float] = 1.0
 
     def __post_init__(self) -> None:
         if self.smoothing > self.window:
@@ -95,18 +94,14 @@ def uniform(tasks: Sequence[str]) -> TaskDistribution:
     return TaskDistribution(tuple((task, share) for task in tasks))
 
 
-def error_sampling(latest_acc: Mapping[str, float],
-                   ceiling: float | Mapping[str, float] = 1.0) -> TaskDistribution:
-    """P(s) proportional to Ceil(s) - Acc(s); uniform when no task has any
-    headroom left."""
+def error_sampling(latest_acc: Mapping[str, float]) -> TaskDistribution:
+    """P(s) proportional to the error 1 - Acc(s); uniform when every task is
+    at accuracy 1."""
     deltas = {}
     for task, acc in latest_acc.items():
-        ceil = ceiling[task] if isinstance(ceiling, Mapping) else ceiling
         if not 0.0 <= acc <= 1.0:
             raise ValueError(f"accuracy out of range for {task}: {acc}")
-        deltas[task] = ceil - acc
-    if any(d < 0 for d in deltas.values()):
-        raise ValueError("accuracy above ceiling")
+        deltas[task] = 1.0 - acc
     if sum(deltas.values()) == 0:
         return uniform(list(latest_acc))
     return _normalized(deltas)
@@ -178,27 +173,28 @@ def on_checkpoint(history: AccuracyHistory, config: SamplerConfig) -> TaskDistri
     if config.strategy is Strategy.UNIFORM:
         return uniform(history.tasks)
     if config.strategy is Strategy.ERROR:
-        return error_sampling(history.latest(), config.ceiling)
+        return error_sampling(history.latest())
     return momentum_sampling(history, config)
 
 
 def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
-                  seed: int) -> tuple[str, ...]:
-    """Plan one batch as a list of task slots.
+                  seed: int) -> dict[str, int]:
+    """Plan one batch as the number of slots per task; a batch has no slot
+    order.
 
     With probability `replay_lambda` the whole batch is `REPLAY_TASK`
-    (whose content is a caller-provided stream). Otherwise every task gets
-    floor(batch_size * P(s)) slots and the leftover slots are awarded by a
-    seeded systematic draw on the fractional remainders, so each task's
-    chance of an extra slot equals its remainder and expected slot counts
-    stay exactly batch_size * P(s). Ties between equal remainders are
-    thereby broken by the seed. The final slot order is shuffled.
+    (whose content is a caller-provided stream): `{REPLAY_TASK: batch_size}`.
+    Otherwise every task of `dist` gets floor(batch_size * P(s)) slots and
+    the leftover slots are awarded by a seeded systematic draw on the
+    fractional remainders, so each task's chance of an extra slot equals its
+    remainder and expected slot counts stay exactly batch_size * P(s). Ties
+    between equal remainders are thereby broken by the seed.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     rng = random.Random(seed)
     if rng.random() < replay_lambda:
-        return (REPLAY_TASK,) * batch_size
+        return {REPLAY_TASK: batch_size}
 
     quotas = [(task, batch_size * p) for task, p in dist.probs]
     counts = {task: int(quota) for task, quota in quotas}
@@ -220,9 +216,7 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
         if leftover:
             for task, _r in sorted(remainders, key=lambda item: -item[1])[:leftover]:
                 counts[task] += 1
-    slots = [task for task, n in counts.items() for _ in range(n)]
-    rng.shuffle(slots)
-    return tuple(slots)
+    return counts
 
 
 def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:

@@ -14,7 +14,6 @@ its entropy. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,6 +66,12 @@ class SimulationConfig:
     steps_per_checkpoint: int = 10
     checkpoints: int = 40
 
+    def __post_init__(self) -> None:
+        if not self.tasks:
+            raise ValueError("at least one task required")
+        if self.batch_size < 1 or self.checkpoints < 1:
+            raise ValueError("batch size and checkpoints must be positive")
+
 
 @dataclass(frozen=True)
 class CheckpointRecord:
@@ -94,9 +99,9 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
     for index in range(1, config.checkpoints + 1):
         for _ in range(config.steps_per_checkpoint):
             step += 1
-            slots = compose_batch(dist, config.batch_size, config.sampler.replay_lambda,
-                                  derive_seed(seed, "batch", step))
-            for task, count in Counter(slots).items():
+            counts = compose_batch(dist, config.batch_size, config.sampler.replay_lambda,
+                                   derive_seed(seed, "batch", step))
+            for task, count in counts.items():
                 if task != REPLAY_TASK:
                     learner.train(task, count)
         accuracies = {name: learner.accuracy(name) for name in names}
@@ -142,6 +147,8 @@ def trace_lines(trace: list[CheckpointRecord]) -> list[str]:
 FAST_TASK = "composition_2hop"
 SLOW_TASK = "arithmetic_addition"
 THRESHOLD_FRACTION = 0.9
+# Error sampling counts as stuck on the noisy task above this final share.
+CONCENTRATION_FLOOR = 0.8
 
 
 @dataclass(frozen=True)
@@ -178,10 +185,10 @@ class TwoTaskReport:
         uni = self._rank(self.noisy[Strategy.UNIFORM])
         return mom < uni < err
 
-    def error_concentrates_on_noise(self, floor: float = 0.8) -> bool:
+    def error_concentrates_on_noise(self) -> bool:
         """Error sampling ends up spending most probability on the
         unlearnable task."""
-        return self.noisy[Strategy.ERROR].final_probs[FAST_TASK] > floor
+        return self.noisy[Strategy.ERROR].final_probs[FAST_TASK] > CONCENTRATION_FLOOR
 
     def all_hold(self) -> bool:
         return (self.gold_ordering_holds() and self.noisy_ordering_holds()
@@ -234,6 +241,6 @@ def report_lines(report: TwoTaskReport) -> list[str]:
                  f"{'pass' if report.gold_ordering_holds() else 'fail'}")
     lines.append(f"verdict noisy ordering (momentum < uniform < error): "
                  f"{'pass' if report.noisy_ordering_holds() else 'fail'}")
-    lines.append(f"verdict error concentrates on noisy task (> 0.8): "
+    lines.append(f"verdict error concentrates on noisy task (> {CONCENTRATION_FLOOR}): "
                  f"{'pass' if report.error_concentrates_on_noise() else 'fail'}")
     return lines

@@ -105,6 +105,12 @@ def raw_table_from_json(obj: object) -> RawTable:
         if len(row) != width:
             raise MalformedRecord("ragged", f"row has {len(row)} cells, header has {width}")
         checked_rows.append(tuple(row))
+    # JSON can escape a lone surrogate (\ud800), which UTF-8 output cannot encode.
+    try:
+        "".join([table_id, page_title, table_title, category or "", *header,
+                 *(cell for row in checked_rows for cell in row)]).encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedRecord("malformed", "text holds a lone surrogate") from None
     return RawTable(
         id=table_id,
         page_title=page_title,

@@ -125,6 +125,30 @@ class TestGenerateCorpus:
         with open(out + ".rejects", "rb") as handle:
             assert handle.read() == b"x\\ny\tragged\na\\tb\tshape\nc\\rd\tshape\n"
 
+    @pytest.mark.parametrize("field", ["cell", "header", "page_title", "id"])
+    def test_lone_surrogate_rejected_as_malformed(self, tmp_path, field):
+        # JSON can escape a lone surrogate, which UTF-8 cannot encode: the
+        # record is rejected, its id written escaped, and the run goes on.
+        bad, good = make_table(0, seed=1), make_table(1, seed=1)
+        bad["id"] = "bad"
+        if field == "cell":
+            bad["rows"][0][0] = "\ud800bad"
+        elif field == "header":
+            bad["header"][1] = "\ud800"
+        else:
+            bad[field] = "\ud800"
+        path, only_good = tmp_path / "tables.jsonl", tmp_path / "good.jsonl"
+        write_lines(path, [json.dumps(bad), json.dumps(good)])
+        write_lines(only_good, [json.dumps(good)])
+        out, expected = str(tmp_path / "examples.jsonl"), str(tmp_path / "expected.jsonl")
+        summary = generate_corpus(str(path), out, GenerationSettings(seed=1))
+        generate_corpus(str(only_good), expected, GenerationSettings(seed=1))
+        assert (summary.tables_accepted, summary.tables_rejected) == (1, 1)
+        assert open(out, "rb").read() == open(expected, "rb").read()
+        with open(out + ".rejects", "rb") as handle:
+            reject_id = b"\\ud800" if field == "id" else b"bad"
+            assert handle.read() == reject_id + b"\tmalformed\n"
+
     def test_per_table_cap_respected(self, dump, tmp_path):
         out = str(tmp_path / "examples.jsonl")
         generate_corpus(dump, out, GenerationSettings(seed=7))
@@ -178,6 +202,8 @@ class TestGenerateCorpus:
 # version change.
 GOLDEN_SHA256 = "e4ceed7ffcb2a63f2fbe0c39327a28dbe0e875d345738a5edeab59e7931a1a65"
 GOLDEN_EXAMPLES = 4694
+# sha256 of the `stats` report over that corpus.
+GOLDEN_STATS_SHA256 = "31e1625bfead6b995e8eb7256537d22fbb6762ebb96d89fc3f920e7fea99c98f"
 
 
 class TestGoldenDigest:
@@ -198,6 +224,13 @@ class TestGoldenDigest:
             digest = hashlib.sha256(handle.read()).hexdigest()
         assert summary.examples == GOLDEN_EXAMPLES
         assert digest == GOLDEN_SHA256
+
+    def test_stats_report_pinned(self, golden_dump, tmp_path):
+        out, report = str(tmp_path / "examples.jsonl"), str(tmp_path / "stats.txt")
+        generate_corpus(golden_dump, out, GenerationSettings(seed=7))
+        assert main(["stats", "--input", out, "--output", report]) == 0
+        with open(report, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == GOLDEN_STATS_SHA256
 
 
 class TestCorpusStats:
@@ -230,13 +263,15 @@ class TestCorpusStats:
         assert stats.examples == 0
         assert stats.malformed_lines == 2
 
+    GOOD = {
+        "id": "0", "eg": "counting", "template_id": "counting-1", "question": "How many?",
+        "context": "A fact.", "answer": {"kind": "number", "values": ["1"]},
+        "gold_fact_count": 1, "distractor_count": 0,
+        "source": {"page_title": "Page", "table_id": "t"},
+    }
+
     def test_fields_of_the_wrong_type_counted_as_malformed(self):
-        good = {
-            "id": "0", "eg": "counting", "template_id": "counting-1", "question": "How many?",
-            "context": "A fact.", "answer": {"kind": "number", "values": ["1"]},
-            "gold_fact_count": 1, "distractor_count": 0,
-            "source": {"page_title": "Page", "table_id": "t"},
-        }
+        good = self.GOOD
         bad_records = [
             dict(good, source={"page_title": "Page"}),
             dict(good, question=["How", "many?"]),
@@ -246,6 +281,15 @@ class TestCorpusStats:
         for bad in bad_records:
             stats = corpus_stats([json.dumps(good), json.dumps(bad)])
             assert (stats.examples, stats.malformed_lines) == (1, 1), bad
+
+    def test_lone_surrogate_in_question_counted(self):
+        # JSON can escape a lone surrogate; such a question is still text.
+        odd = dict(self.GOOD, question="How many \ud800?")
+        stats = corpus_stats([json.dumps(self.GOOD), json.dumps(odd), json.dumps(odd)])
+        assert (stats.examples, stats.malformed_lines) == (3, 0)
+        assert stats.distinct_questions == 2
+        # How, many?, A, fact., many, \ud800?
+        assert stats.distinct_words == 6
 
     def test_category_counts(self, tmp_path):
         path = tmp_path / "tables.jsonl"
@@ -328,3 +372,21 @@ class TestCli:
     def test_invalid_config_usage_error(self, tmp_path):
         code = main(["simulate", "--w", "2", "--k", "3", "--output", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("feed, args", [
+        pytest.param(None, ["--history", "missing.tsv"], id="missing-history"),
+        pytest.param("1\ta\tnotanumber\n", ["--history", "feed.tsv"], id="bad-accuracy"),
+        pytest.param("1\ta\t0.5\n1\tb\t0.5\n2\ta\t0.6\n", ["--history", "feed.tsv"],
+                     id="checkpoint-lacks-task"),
+        pytest.param(None, ["--seeds", "0,x"], id="bad-seed"),
+        pytest.param(None, ["--num-tasks", "0"], id="no-tasks"),
+        pytest.param(None, ["--checkpoints", "0"], id="no-checkpoints"),
+        pytest.param(None, ["--batch-size", "0"], id="empty-batch"),
+    ])
+    def test_simulate_bad_input_usage_error(self, tmp_path, capsys, feed, args):
+        if feed is not None:
+            (tmp_path / "feed.tsv").write_text(feed)
+        args = [str(tmp_path / arg) if arg.endswith(".tsv") else arg for arg in args]
+        code = main(["simulate", "--checkpoints", "3", "--output", str(tmp_path / "sim"), *args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -92,6 +93,24 @@ class TestTwoTaskReport:
         verdicts = [line for line in lines if line.startswith("verdict")]
         assert len(verdicts) == 3
         assert all(line.endswith("pass") for line in verdicts)
+
+
+class TestPinnedOutput:
+    # sha256 of outputs that batch composition and the two-task verdicts feed
+    # into; code changes that keep behaviour must keep these bytes.
+    @staticmethod
+    def _sha256(lines):
+        return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+    def test_two_task_report_pinned(self):
+        assert self._sha256(report_lines(two_task_report(0))) == (
+            "971d26c412ea3092817d9c24bbf507566f2ea5c9c6706971dd78a38585cce66d")
+
+    def test_momentum_trace_with_replay_pinned(self):
+        tasks = [LearnerTask(f"task{i:02d}", rate=100.0 + 20.0 * i) for i in range(16)]
+        config = config_for(Strategy.MOMENTUM, tasks, replay_lambda=0.5)
+        assert self._sha256(trace_lines(run_simulation(config, 5))) == (
+            "53e90774179a8d93cb5c62935b1deceaaf52152613d78e19f0f13df9fa1b3176")
 
 
 class TestEntropyBehavior:
