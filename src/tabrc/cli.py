@@ -107,12 +107,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        # A byte that is not UTF-8 becomes a lone surrogate: inside a JSON
+        # string it is kept, elsewhere its line counts as malformed.
+        with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
             stats = corpus_stats(handle)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = "\n".join(stats.lines()) + "\n"
+    # A category can hold a lone surrogate; the report shows it as \udXXXX,
+    # as the rejects file of `generate` does.
+    report = ("\n".join(stats.lines()) + "\n").encode("utf-8", "backslashreplace").decode("utf-8")
     if args.output == "-":
         sys.stdout.write(report)
     else:

@@ -18,8 +18,10 @@ with the table and page titles.
 
 Distractors come from a `FactPool`: each pool fact is rendered once per
 table, and a fact is a candidate when its cells are disjoint from the
-question's gold cells. Candidates are sampled with `_sampled`, a lazy partial
-Fisher–Yates shuffle that draws once per fact tried (seed-stream v2).
+question's gold cells. The pool also renders each gold fact once per table,
+however many questions need it. Candidates are sampled with `_sampled`, a
+lazy partial Fisher–Yates shuffle that draws once per fact tried and only
+reads the sequence it samples (seed-stream v2).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .tables import TypedTable
 
@@ -55,16 +57,20 @@ _IRREGULAR_PLURALS = {
 T = TypeVar("T")
 
 
-def _sampled(rng: random.Random, items: list[T]) -> Iterator[T]:
+def _sampled(rng: random.Random, items: Sequence[T]) -> Iterator[T]:
     """Yield `items` in a seeded random order, one draw per item taken: a
     lazy partial Fisher–Yates shuffle. Step i draws `rng.randrange(i, n)` and
-    swaps, so a consumer that stops after k items has made k draws. Reorders
-    `items` in place."""
+    swaps, so a consumer that stops after k items has made k draws. `items`
+    is only read, so any sequence with a length and random access will do:
+    the swaps go into `moved`, which maps a position to the index of the item
+    the shuffle has moved there."""
     n = len(items)
+    moved: dict[int, int] = {}
     for i in range(n):
         j = rng.randrange(i, n)
-        items[i], items[j] = items[j], items[i]
-        yield items[i]
+        pick = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        yield items[pick]
 
 
 def pluralize(word: str) -> str:
@@ -173,26 +179,45 @@ def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
     return Fact(text, kind, _plan_cells(plan))
 
 
+def _cell_mask(table: TypedTable, cells: frozenset[tuple[int, int]]) -> int:
+    """The cells as an int with bit `r * n_cols + c` set for each cell (r, c):
+    two facts share a cell exactly when their masks share a bit."""
+    return sum(1 << (r * table.n_cols + c) for r, c in cells)
+
+
 @dataclass(frozen=True)
 class PoolFact:
     """One pool fact: its (subject, key) column pair, the fact rendered as a
-    distractor, and its word count."""
+    distractor, its word count and its `_cell_mask`."""
 
     pair: tuple[int, int]
     fact: Fact
     words: int
+    mask: int
 
 
 class FactPool:
     """Every complete single-key fact one table can express, rendered once
     and grouped by (subject, key) column pair. Facts whose text contains
     `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out, since as
-    distractors they would make the context split back wrongly. Each part is
-    built on first use; make one per table and pass it to every
-    `build_context` call on that table."""
+    distractors they would make the context split back wrongly. The pool
+    also keeps each gold fact it has rendered (`gold`). Each part is built on
+    first use; make one per table and pass it to every `build_context` call
+    on that table."""
 
     def __init__(self, table: TypedTable):
         self.table = table
+        self._gold: dict[FactPlan, tuple[Fact, int, int]] = {}
+
+    def gold(self, plan: FactPlan) -> tuple[Fact, int, int]:
+        """The gold fact of `plan`, its word count and its `_cell_mask`,
+        rendered on the first request for that plan."""
+        known = self._gold.get(plan)
+        if known is None:
+            fact = _render_plan(self.table, plan, FactKind.GOLD)
+            known = (fact, len(fact.text.split()), _cell_mask(self.table, fact.cells))
+            self._gold[plan] = known
+        return known
 
     @cached_property
     def entries(self) -> tuple[PoolFact, ...]:
@@ -211,7 +236,8 @@ class FactPool:
                     fact = _render_plan(table, plan, FactKind.DISTRACTOR)
                     if FACT_SEPARATOR in fact.text:
                         continue
-                    out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split())))
+                    out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split()),
+                                        _cell_mask(table, fact.cells)))
         return tuple(out)
 
     @cached_property
@@ -232,21 +258,22 @@ class FactPool:
         return spans
 
 
-def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[int]:
+def _distractor_order(pool: FactPool, gold: GoldSpec, gold_mask: int,
+                      rng: random.Random) -> Iterator[int]:
     """Positions in the pool of candidate distractor facts, in the order to
     try them. First, in a seeded random order, the preferred tier: facts
     reusing the gold facts' column pairs (other rows). Then, likewise, the
     fallback tier over the other column pairs, built only if the preferred
     tier runs out. Every candidate is a complete, true fact whose cells are
-    disjoint from the gold cells."""
+    disjoint from the gold cells, which `gold_mask` holds as a `_cell_mask`."""
     gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
                                if len(plan.keys) == 1)
-    entries, spans, cells = pool.entries, pool.spans, gold.cells
+    entries, spans = pool.entries, pool.spans
     preferred = [i for pair in gold_pairs for i in spans.get(pair, ())
-                 if cells.isdisjoint(entries[i].fact.cells)]
+                 if not entries[i].mask & gold_mask]
     yield from _sampled(rng, preferred)
     fallback = [i for pair, span in spans.items() if pair not in gold_pairs
-                for i in span if cells.isdisjoint(entries[i].fact.cells)]
+                for i in span if not entries[i].mask & gold_mask]
     yield from _sampled(rng, fallback)
 
 
@@ -263,15 +290,21 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int,
     """
     table = pool.table
     rng = random.Random(seed)
-    gold_facts = [_render_plan(table, plan, FactKind.GOLD) for plan in gold.plans]
+    gold_facts: list[Fact] = []
+    prefix = f"In {table.meta.table_title} of {table.meta.page_title}: "
+    words = len(prefix.split())
+    gold_mask = 0
+    for plan in gold.plans:
+        fact, fact_words, mask = pool.gold(plan)
+        gold_facts.append(fact)
+        words += fact_words
+        gold_mask |= mask
 
     wanted = rng.randint(config.distractors_min, config.distractors_max)
-    prefix = f"In {table.meta.table_title} of {table.meta.page_title}: "
-    words = len(prefix.split()) + sum(len(f.text.split()) for f in gold_facts)
     distractors: list[Fact] = []
     entries = pool.entries
     if wanted > 0:
-        for i in _distractor_order(pool, gold, rng):
+        for i in _distractor_order(pool, gold, gold_mask, rng):
             entry = entries[i]
             if words + entry.words > config.word_cap:
                 if words + pool.shortest > config.word_cap:

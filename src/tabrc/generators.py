@@ -33,14 +33,17 @@ Conventions shared with the rest of the toolkit:
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .facts import FactPlan, GoldSpec, _sampled, gold_spec, pluralize
 from .tables import TypedTable
@@ -289,65 +292,84 @@ def _instantiate(table: TypedTable, template: Template, slots: _Slots) -> Instan
 
 
 # ---------------------------------------------------------------------------
-# Candidate enumeration per generator.
+# Candidates per generator. `generate` draws only the candidates it tries,
+# through `_sampled`, which needs just a length and random access. The
+# generators with many candidates per table therefore return a `_Blocks`,
+# which decodes each candidate from its index; the small enumerations stay
+# lists.
 # ---------------------------------------------------------------------------
 
 
-def _anchor_pairs(table: TypedTable) -> list:
-    """Pairs of unique-valued anchors on distinct rows, with parseable event
-    dates. The three temporal pair generators each build it; it is cheap
-    next to their realization."""
-    date_col = table.event_date_column()
-    pairs: list = []
-    if date_col is not None:
-        anchors = []
-        for c in range(table.n_cols):
-            if c == date_col:
-                continue
-            for value, row in table.unique_values(c):
-                if isinstance(table.parsed(row, date_col), Date):
-                    anchors.append((c, value, row))
-        for i, first in enumerate(anchors):
-            for second in anchors[i + 1:]:
-                if first[2] == second[2]:
-                    continue
-                if first[0] != second[0] and first[1] == second[1]:
-                    continue
-                pairs.append((first, second))
-    return pairs
+class _Product(Sequence):
+    """`itertools.product(*factors)` as a read-only sequence: item k is
+    decoded from k by mixed radix, the last factor varying fastest."""
+
+    def __init__(self, *factors: Sequence):
+        self._factors = factors
+        self._len = math.prod(map(len, factors))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple:
+        if not 0 <= k < self._len:
+            raise IndexError(k)
+        digits = []
+        for factor in reversed(self._factors):
+            k, digit = divmod(k, len(factor))
+            digits.append(factor[digit])
+        return tuple(reversed(digits))
 
 
-def _cands_composition(table: TypedTable, hops: int) -> list:
-    out = []
-    all_cols = range(table.n_cols)
-    for a in all_cols:
-        for value in table.groups(a):
-            for t in all_cols:
-                if t == a:
-                    continue
-                pool = [c for c in all_cols if c not in (a, t)]
-                if hops == 2:
-                    out.extend((a, value, (x,), t) for x in pool)
-                else:
-                    out.extend((a, value, (x1, x2), t)
-                               for x1 in pool for x2 in pool if x1 != x2)
-    return out
+class _Blocks(Sequence):
+    """A read-only sequence of candidate tuples, built from blocks: block
+    `(head, tail)` holds `head + t` for each t in the sequence `tail`, and
+    the blocks follow each other in the given order. Item i is decoded on
+    demand from the prefix sums of the tail lengths."""
+
+    def __init__(self, blocks: Iterable[tuple[tuple, Sequence[tuple]]]):
+        self._heads: list[tuple] = []
+        self._tails: list[Sequence[tuple]] = []
+        self._starts = [0]
+        for head, tail in blocks:
+            if len(tail):
+                self._heads.append(head)
+                self._tails.append(tail)
+                self._starts.append(self._starts[-1] + len(tail))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> tuple:
+        if not 0 <= i < self._starts[-1]:
+            raise IndexError(i)
+        b = bisect.bisect_right(self._starts, i) - 1
+        return self._heads[b] + self._tails[b][i - self._starts[b]]
 
 
-def _cands_conjunction(table: TypedTable) -> list:
-    out: dict[tuple, None] = {}
-    for t in range(table.n_cols):
-        for c2 in range(table.n_cols):
-            if c2 == t:
-                continue
-            for c3 in range(table.n_cols):
-                if c3 in (t, c2):
-                    continue
-                for r in range(table.n_rows):
-                    v2, v3 = table.raw(r, c2), table.raw(r, c3)
-                    if v2 and v3:
-                        out[(t, c2, c3, v2, v3)] = None
-    return list(out)
+def _cands_composition(table: TypedTable, hops: int) -> _Blocks:
+    """(anchor column, anchor value, chain, target) for every anchor value,
+    target column and chain of hops - 1 distinct other columns; targets vary
+    slower than chains."""
+    cols = range(table.n_cols)
+    blocks = []
+    for a in cols:
+        tail = [(chain, t) for t in cols if t != a
+                for chain in itertools.permutations([c for c in cols if c not in (a, t)], hops - 1)]
+        blocks.extend(((a, value), tail) for value in table.groups(a))
+    return _Blocks(blocks)
+
+
+def _cands_conjunction(table: TypedTable) -> _Blocks:
+    """(target, c2, c3, v2, v3) for three distinct columns and each distinct
+    pair of non-empty values that c2 and c3 hold in one row, in row order."""
+    cols = range(table.n_cols)
+    texts = [[table.raw(r, c) for r in range(table.n_rows)] for c in cols]
+    values = {(c2, c3): list(dict.fromkeys((v2, v3) for v2, v3 in zip(texts[c2], texts[c3])
+                                           if v2 and v3))
+              for c2 in cols for c3 in cols if c2 != c3}
+    return _Blocks(((t, c2, c3), values[c2, c3]) for t in cols for c2 in cols if c2 != t
+                   for c3 in cols if c3 not in (t, c2))
 
 
 def _cands_only(table: TypedTable) -> list:
@@ -363,22 +385,49 @@ def _cands_only(table: TypedTable) -> list:
     return out
 
 
-def _cands_number_pairs(table: TypedTable, operators: tuple[str, ...]) -> list:
-    out = []
+def _cands_number_pairs(table: TypedTable, operators: tuple[str, ...]) -> _Blocks:
+    """(anchor column, number column, first, second, operator): first and
+    second are (value, row) anchors, unique in the anchor column and numeric
+    in the number column, with first before second."""
+    blocks = []
     for c2 in table.number_columns():
         for c1 in range(table.n_cols):
             if c1 == c2:
                 continue
             anchors = [(v, r) for v, r in table.unique_values(c1)
                        if isinstance(table.parsed(r, c2), Decimal)]
-            for i, first in enumerate(anchors):
-                for second in anchors[i + 1:]:
-                    out.extend((c1, c2, first, second, op) for op in operators)
-    return out
+            blocks.extend(((c1, c2, first), _Product(anchors[i + 1:], operators))
+                          for i, first in enumerate(anchors))
+    return _Blocks(blocks)
 
 
-def _cands_temporal_pairs(table: TypedTable, operators: tuple[str, ...]) -> list:
-    return [(first, second, op) for first, second in _anchor_pairs(table) for op in operators]
+def _cands_temporal_pairs(table: TypedTable, *operators: tuple[str, ...]) -> _Blocks:
+    """(first, second), followed by an operator when `operators` are given.
+    First and second are (column, value, row) anchors: unique in their
+    column, with a parseable event date, on distinct rows, and not the same
+    value under two columns; first comes before second."""
+    date_col = table.event_date_column()
+    if date_col is None:
+        return _Blocks(())
+    anchors = [(c, value, row) for c in range(table.n_cols) if c != date_col
+               for value, row in table.unique_values(c)
+               if isinstance(table.parsed(row, date_col), Date)]
+    on_row: dict[int, list[int]] = {}
+    with_value: dict[str, list[int]] = {}
+    for p, (_c, value, row) in enumerate(anchors):
+        on_row.setdefault(row, []).append(p)
+        with_value.setdefault(value, []).append(p)
+    blocks = []
+    for i, first in enumerate(anchors):
+        _c, value, row = first
+        seconds = anchors[i + 1:]
+        # Drop the seconds on first's row, and those holding its value
+        # (under another column, as values are unique within one).
+        dropped = {p for p in on_row[row] + with_value[value] if p > i}
+        for p in sorted(dropped, reverse=True):
+            del seconds[p - i - 1]
+        blocks.append(((first,), _Product(seconds, *operators)))
+    return _Blocks(blocks)
 
 
 def _cands_superlative(table: TypedTable, temporal: bool) -> list:
@@ -692,7 +741,7 @@ def _realize_date_difference(table: TypedTable, cand) -> _Realized:
 
 
 # Per generator: (candidate enumeration, generator).
-_GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], list],
+_GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], Sequence],
                                        Callable[[TypedTable, object], _Realized]]] = {
     GeneratorKind.COMPOSITION_2HOP: (lambda t: _cands_composition(t, 2), _realize_composition),
     GeneratorKind.COMPOSITION_3HOP: (lambda t: _cands_composition(t, 3), _realize_composition),
@@ -720,7 +769,7 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], list],
     GeneratorKind.ARITHMETIC_ADDITION: (
         lambda t: _cands_filtered(t, t.number_columns(), min_rows=2), _realize_addition),
     GeneratorKind.COUNTING: (_cands_any_filter, _realize_counting),
-    GeneratorKind.DATE_DIFFERENCE: (_anchor_pairs, _realize_date_difference),
+    GeneratorKind.DATE_DIFFERENCE: (_cands_temporal_pairs, _realize_date_difference),
 }
 
 
@@ -729,11 +778,12 @@ def generate(table: TypedTable, kind: GeneratorKind, seed: int,
              cap: int | None = PER_TABLE_CAP) -> list[Triplet]:
     """Sample up to `cap` valid triplets for one (table, generator) pair.
 
-    Candidates are enumerated exhaustively, then drawn one at a time in a
-    random order seeded from (seed, table id, generator) and validated as
-    drawn; discards and repeated slot bindings do not count against the cap.
-    Each draw is one step of a lazy partial Fisher–Yates shuffle, so the cost
-    follows the candidates tried, not the number enumerated (seed-stream v2).
+    Candidates are drawn one at a time in a random order seeded from (seed,
+    table id, generator) and validated as drawn; discards and repeated slot
+    bindings do not count against the cap. Each draw is one step of a lazy
+    partial Fisher–Yates shuffle over a read-only candidate sequence, and the
+    large sequences decode each candidate from its index, so the cost follows
+    the candidates tried, not the number there are (seed-stream v2).
     Pass cap=None to realize every valid candidate. Returns an empty list
     when the generator's requirements cannot be met.
     """

@@ -72,10 +72,15 @@ class GenerateSummary:
     duplicates: int = 0
 
 
+# One encoder each for the bindings that example ids hash and for record
+# lines: `json.dumps` with non-default arguments builds a new encoder per call.
+_BINDINGS_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+_RECORD_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def example_id(table_id: str, kind: GeneratorKind, triplet: Triplet) -> str:
     """Content hash over (table, generator, bindings) used for global dedup."""
-    bindings = json.dumps([[slot, payload] for slot, payload in triplet.instantiation.bindings],
-                          sort_keys=True, ensure_ascii=False)
+    bindings = _BINDINGS_JSON([[slot, payload] for slot, payload in triplet.instantiation.bindings])
     digest = hashlib.sha256(f"{table_id}\x1f{kind.value}\x1f{bindings}".encode("utf-8"))
     return digest.hexdigest()[:16]
 
@@ -115,10 +120,6 @@ def table_examples(table: TypedTable, settings: GenerationSettings) -> Iterator[
 _ID_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
-def _record_json(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-
-
 def _process_line(settings: GenerationSettings, item: tuple[int, str]
                   ) -> tuple[str, list[tuple[str, str]], tuple[str, str] | None]:
     """Worker body: one input line to (status, (record id, record json)
@@ -138,7 +139,7 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str]
         table = ingest(raw, settings.min_rows, settings.max_rows)
     except IngestError as exc:
         return "rejected", [], (raw.id, exc.reason)
-    return "accepted", [(r["id"], _record_json(r)) for r in table_examples(table, settings)], None
+    return "accepted", [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
 
 
 def generate_corpus(input_path: str, output_path: str, settings: GenerationSettings,
@@ -147,8 +148,11 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
 
     Rejections are logged as tab-separated (table id, reason) lines, with
     tab, CR and LF in the id escaped as \\t, \\r and \\n and a lone
-    surrogate as \\udXXXX. Records are written in input-table order
-    regardless of worker count.
+    surrogate as \\udXXXX. A byte of the input that is not UTF-8 is read
+    as a lone surrogate, so its line is rejected as malformed. Records are
+    written in input-table order regardless of worker count; with workers,
+    each table is its own task, so the heaviest tables do not queue behind
+    each other in one worker's chunk.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
@@ -156,13 +160,13 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     seen_ids: set[int] = set()
     worker = partial(_process_line, settings)
 
-    with open(input_path, "r", encoding="utf-8") as src, \
+    with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
             open(output_path, "w", encoding="utf-8") as out, \
             open(rejects_path, "w", encoding="utf-8", errors="backslashreplace") as rejects:
         items = enumerate(src, start=1)
         if settings.workers > 1:
             pool = Pool(settings.workers)
-            results = pool.imap(worker, items, chunksize=8)
+            results = pool.imap(worker, items, chunksize=1)
         else:
             pool = None
             results = map(worker, items)

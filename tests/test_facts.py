@@ -58,6 +58,26 @@ class TestSampled:
         orders = {tuple(_sampled(random.Random(seed), [1, 2, 3])) for seed in range(200)}
         assert len(orders) == 6
 
+    def test_read_only_draws_match_in_place_fisher_yates(self):
+        # The reference: swap within a list, take the item swapped to i.
+        def in_place(rng, items, k):
+            items, taken = list(items), []
+            for i in range(min(k, len(items))):
+                j = rng.randrange(i, len(items))
+                items[i], items[j] = items[j], items[i]
+                taken.append(items[i])
+            return taken
+
+        for n in (0, 1, 2, 3, 7, 40):
+            items = tuple(range(100, 100 + n))
+            for k in sorted({0, 1, 3, n // 2, n}):
+                for seed in range(25):
+                    rng, reference = random.Random(seed), random.Random(seed)
+                    taken = [x for _, x in zip(range(k), _sampled(rng, items))]
+                    assert taken == in_place(reference, items, k)
+                    assert rng.getstate() == reference.getstate()
+                    assert items == tuple(range(100, 100 + n))
+
 
 class TestPluralize:
     def test_naive(self):

@@ -1,8 +1,14 @@
+import hashlib
+import itertools
+import json
 from decimal import Decimal
 
 import pytest
 
 from fixtures import BIRDS, CHELSEA, CONCERTS, ELECTIONS, EMPLOYERS, EUROVISION, LAUNCHES, MINES, typed
+from roughgen import rough_table
+from tablegen import make_table
+from tabrc.facts import FactPool, build_context
 from tabrc.generators import (
     AmbiguousChain,
     Answer,
@@ -10,9 +16,12 @@ from tabrc.generators import (
     Discard,
     EmptyResult,
     GeneratorKind,
+    PER_TABLE_CAP,
     InsufficientValues,
     TieDiscarded,
     _GENERATORS,
+    _Blocks,
+    _Product,
     generate,
 )
 from tabrc.tables import ingest, raw_table_from_json
@@ -384,6 +393,36 @@ class TestDateDifference:
 ALL_FIXTURES = [CHELSEA, BIRDS, LAUNCHES, ELECTIONS, CONCERTS, EMPLOYERS, EUROVISION, MINES]
 
 
+class TestCandidateSequences:
+    def test_product_decodes_like_itertools_product(self):
+        for factors in [("ab",), ("ab", (1, 2, 3)), ("xyz", "", "pq"), ((), ), ((0,), "ab", (5, 6))]:
+            product = _Product(*factors)
+            expected = list(itertools.product(*factors))
+            assert len(product) == len(expected)
+            assert [product[k] for k in range(len(product))] == expected
+
+    def test_blocks_match_their_materialized_list(self):
+        block_lists = [
+            [],
+            [((1,), [])],
+            [((1,), [(2,), (3,)]), ((4,), []), ((), [(0,)]), ((5, 6), _Product("ab", (7, 8, 9))),
+             ((9,), ()), ((8,), _Product("", "ab")), ((7,), [(1, 2)])],
+        ]
+        for blocks in block_lists:
+            sequence = _Blocks(blocks)
+            expected = [head + t for head, tail in blocks for t in tail]
+            assert len(sequence) == len(expected)
+            assert [sequence[i] for i in range(len(sequence))] == expected
+            for outside in (-1, len(expected)):
+                with pytest.raises(IndexError):
+                    sequence[outside]
+
+    def test_no_date_column_gives_no_temporal_candidates(self):
+        table = mk_table(["Name", "Group"], [[f"n{i}", f"g{i % 3}"] for i in range(10)])
+        for kind in (K.TEMPORAL_COMPARISON, K.TEMPORAL_BOOLEAN_COMPARISON, K.DATE_DIFFERENCE):
+            assert len(_GENERATORS[kind][0](table)) == 0
+
+
 class TestGenerate:
     def test_deterministic(self):
         table = typed(CHELSEA)
@@ -450,3 +489,45 @@ class TestGenerate:
                 for triplet in generate(table, kind, seed=6):
                     if triplet.answer.kind is AnswerKind.SPAN_LIST:
                         assert len(set(triplet.answer.values)) == len(triplet.answer.values)
+
+
+def _pinned_tables():
+    records = (ALL_FIXTURES
+               + [make_table(0, seed=5)]
+               + [rough_table(i, seed=2) for i in (1, 4, 9)])
+    return [typed(record) for record in records]
+
+
+def _triplet_digest(cap, with_context):
+    """sha256 over every triplet `generate` gives on the pinned tables: its
+    template, question, bindings, answer and gold plans, and optionally the
+    context `build_context` assembles for it."""
+    digest = hashlib.sha256()
+    for table in _pinned_tables():
+        pool = FactPool(table)
+        for kind in GeneratorKind:
+            for n, triplet in enumerate(generate(table, kind, seed=3, cap=cap)):
+                line = [table.meta.id, kind.value, triplet.instantiation.template.id,
+                        triplet.instantiation.question,
+                        [list(binding) for binding in triplet.instantiation.bindings],
+                        triplet.answer.kind.value, list(triplet.answer.values),
+                        [[p.subject, list(p.keys), list(p.rows)] for p in triplet.gold.plans],
+                        sorted(triplet.gold.cells)]
+                if with_context:
+                    line.append(build_context(pool, triplet.gold, seed=n).rendered)
+                digest.update(json.dumps(line, sort_keys=True).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedTriplets:
+    """Candidate order, draws, realizations and contexts are pinned: a change
+    to how candidates are enumerated or contexts assembled must leave these
+    digests unchanged."""
+
+    def test_every_valid_candidate(self):
+        assert _triplet_digest(cap=None, with_context=False) == (
+            "1807620b3d679752f94a0653ac3b29857a887c0d68c2267e72cc95516da1d26d")
+
+    def test_default_cap_with_contexts(self):
+        assert _triplet_digest(cap=PER_TABLE_CAP, with_context=True) == (
+            "6bf9514ba4bb6b531d5be0842edcda7665e1026e3c0f0aac9da68151fb2df9e3")

@@ -390,3 +390,36 @@ class TestCli:
         code = main(["simulate", "--checkpoints", "3", "--output", str(tmp_path / "sim"), *args])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("bad_line, reject_id", [
+        pytest.param(b'{"id": "t\xff"}', b"t\\udcff", id="in-a-string"),
+        pytest.param(b'\xff{"id": "t"}', b"line:1", id="outside-strings"),
+    ])
+    def test_non_utf8_byte_rejected_and_counted(self, tmp_path, bad_line, reject_id):
+        # A byte that is not UTF-8 costs its own line only, in both commands.
+        good = json.dumps(make_table(1, seed=1)).encode("utf-8")
+        path, only_good = tmp_path / "tables.jsonl", tmp_path / "good.jsonl"
+        path.write_bytes(bad_line + b"\n" + good + b"\n")
+        only_good.write_bytes(good + b"\n")
+        out, expected = tmp_path / "examples.jsonl", tmp_path / "expected.jsonl"
+        assert main(["generate", "--input", str(path), "--output", str(out)]) == 0
+        assert main(["generate", "--input", str(only_good), "--output", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert (tmp_path / "examples.jsonl.rejects").read_bytes() == reject_id + b"\tmalformed\n"
+        corpus, report = tmp_path / "corpus.jsonl", tmp_path / "stats.txt"
+        corpus.write_bytes(bad_line + b"\n" + json.dumps(TestCorpusStats.GOOD).encode() + b"\n")
+        assert main(["stats", "--input", str(corpus), "--output", str(report)]) == 0
+        text = report.read_text(encoding="utf-8")
+        assert "examples: 1\n" in text and "malformed_lines: 1\n" in text
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_stats_lone_surrogate_category_escaped(self, tmp_path, capsys, to_stdout):
+        record = dict(TestCorpusStats.GOOD, source={"page_title": "Page", "table_id": "t",
+                                                    "category": "\ud800"})
+        corpus, report = tmp_path / "examples.jsonl", tmp_path / "stats.txt"
+        write_lines(corpus, [json.dumps(record)])
+        output = "-" if to_stdout else str(report)
+        assert main(["stats", "--input", str(corpus), "--output", output]) == 0
+        text = capsys.readouterr().out if to_stdout else report.read_text(encoding="utf-8")
+        assert "category_count.\\ud800: 1\n" in text
+        assert "examples: 1\n" in text
