@@ -93,7 +93,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     try:
         summary = generate_corpus(args.input, args.output, settings, args.rejects)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(

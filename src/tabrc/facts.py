@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence, TypeVar
 
 from .tables import TypedTable
 
@@ -95,8 +94,7 @@ class FactKind(Enum):
     DISTRACTOR = "distractor"
 
 
-@dataclass(frozen=True)
-class FactPlan:
+class FactPlan(NamedTuple):
     """One fact to verbalize: subject column, one or two key columns, and the
     rows whose subject values the fact lists. Key values are read from the
     first row. Two key columns produce the combined conjunctive form."""
@@ -106,8 +104,7 @@ class FactPlan:
     rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GoldSpec:
+class GoldSpec(NamedTuple):
     """The cells a question needs and the plan for verbalizing them.
 
     The verbalized plan facts alone suffice to answer the question; `cells`
@@ -123,21 +120,18 @@ def gold_spec(plans: list[FactPlan] | tuple[FactPlan, ...]) -> GoldSpec:
     return GoldSpec(frozenset().union(*map(_plan_cells, plans)), tuple(plans))
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     text: str
     kind: FactKind
     cells: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     facts: tuple[Fact, ...]
     rendered: str
 
 
-@dataclass(frozen=True)
-class ContextConfig:
+class ContextConfig(NamedTuple):
     distractors_min: int = DISTRACTORS_MIN
     distractors_max: int = DISTRACTORS_MAX
     word_cap: int = CONTEXT_WORD_CAP
@@ -179,16 +173,23 @@ def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
     return Fact(text, kind, _plan_cells(plan))
 
 
-def _cell_mask(table: TypedTable, cells: frozenset[tuple[int, int]]) -> int:
-    """The cells as an int with bit `r * n_cols + c` set for each cell (r, c):
-    two facts share a cell exactly when their masks share a bit."""
-    return sum(1 << (r * table.n_cols + c) for r, c in cells)
+def _plan_mask(plan: FactPlan, n_cols: int) -> int:
+    """The plan's cells as an int with bit `r * n_cols + c` set for each cell
+    (r, c): two facts share a cell exactly when their masks share a bit. The
+    plan's columns are the same in every row, so their bits are set once and
+    shifted to each row."""
+    columns = 1 << plan.subject
+    for key in plan.keys:
+        columns |= 1 << key
+    mask = 0
+    for r in plan.rows:
+        mask |= columns << (r * n_cols)
+    return mask
 
 
-@dataclass(frozen=True)
-class PoolFact:
+class PoolFact(NamedTuple):
     """One pool fact: its (subject, key) column pair, the fact rendered as a
-    distractor, its word count and its `_cell_mask`."""
+    distractor, its word count and its `_plan_mask`."""
 
     pair: tuple[int, int]
     fact: Fact
@@ -210,12 +211,12 @@ class FactPool:
         self._gold: dict[FactPlan, tuple[Fact, int, int]] = {}
 
     def gold(self, plan: FactPlan) -> tuple[Fact, int, int]:
-        """The gold fact of `plan`, its word count and its `_cell_mask`,
+        """The gold fact of `plan`, its word count and its `_plan_mask`,
         rendered on the first request for that plan."""
         known = self._gold.get(plan)
         if known is None:
             fact = _render_plan(self.table, plan, FactKind.GOLD)
-            known = (fact, len(fact.text.split()), _cell_mask(self.table, fact.cells))
+            known = (fact, len(fact.text.split()), _plan_mask(plan, self.table.n_cols))
             self._gold[plan] = known
         return known
 
@@ -237,7 +238,7 @@ class FactPool:
                     if FACT_SEPARATOR in fact.text:
                         continue
                     out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split()),
-                                        _cell_mask(table, fact.cells)))
+                                        _plan_mask(plan, table.n_cols)))
         return tuple(out)
 
     @cached_property
@@ -265,7 +266,7 @@ def _distractor_order(pool: FactPool, gold: GoldSpec, gold_mask: int,
     reusing the gold facts' column pairs (other rows). Then, likewise, the
     fallback tier over the other column pairs, built only if the preferred
     tier runs out. Every candidate is a complete, true fact whose cells are
-    disjoint from the gold cells, which `gold_mask` holds as a `_cell_mask`."""
+    disjoint from the gold cells, which `gold_mask` holds as a `_plan_mask`."""
     gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
                                if len(plan.keys) == 1)
     entries, spans = pool.entries, pool.spans

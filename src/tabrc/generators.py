@@ -39,7 +39,6 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import partial
@@ -87,28 +86,24 @@ class AnswerKind(Enum):
     DURATION = "duration"
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     kind: AnswerKind
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     kind: GeneratorKind
     id: str
     pattern: str
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(NamedTuple):
     template: Template
     bindings: tuple[tuple[str, dict], ...]
     question: str
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     instantiation: Instantiation
     answer: Answer
     gold: GoldSpec

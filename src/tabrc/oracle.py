@@ -26,8 +26,8 @@ import calendar
 import datetime
 import functools
 import re
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .facts import pluralize
 from .generators import AnswerKind, GeneratorKind
@@ -45,8 +45,7 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """A question reduced to its generator kind, operator, and the column
     names / values it binds."""
 
@@ -435,8 +434,7 @@ def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedFact:
+class ParsedFact(NamedTuple):
     subject: str
     conditions: tuple[tuple[str, str], ...]
     values: tuple[str, ...]

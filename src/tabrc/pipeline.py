@@ -18,10 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import os
 from functools import partial
-from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .facts import FactKind, FactPool, build_context
 from .generators import (
@@ -53,8 +52,7 @@ ANSWER_BUCKETS = {
 }
 
 
-@dataclass(frozen=True)
-class GenerationSettings:
+class GenerationSettings(NamedTuple):
     seed: int = 0
     cap: int | None = PER_TABLE_CAP
     kinds: tuple[GeneratorKind, ...] = ALL_KINDS
@@ -63,13 +61,17 @@ class GenerationSettings:
     workers: int = 1
 
 
-@dataclass
 class GenerateSummary:
-    tables_read: int = 0
-    tables_accepted: int = 0
-    tables_rejected: int = 0
-    examples: int = 0
-    duplicates: int = 0
+    """The counts of one `generate_corpus` run."""
+
+    __slots__ = ("tables_read", "tables_accepted", "tables_rejected", "examples", "duplicates")
+
+    def __init__(self) -> None:
+        self.tables_read = 0
+        self.tables_accepted = 0
+        self.tables_rejected = 0
+        self.examples = 0
+        self.duplicates = 0
 
 
 # One encoder each for the bindings that example ids hash and for record
@@ -153,24 +155,35 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     written in input-table order regardless of worker count; with workers,
     each table is its own task, so the heaviest tables do not queue behind
     each other in one worker's chunk.
+
+    Both files are written to temporary files beside them and renamed into
+    place after the last record, so a run that fails leaves any earlier
+    output as it was and no temporary file behind.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
+    if os.path.realpath(rejects_path) == os.path.realpath(output_path):
+        raise ValueError(f"rejects path is the output path: {output_path}")
     summary = GenerateSummary()
     seen_ids: set[int] = set()
     worker = partial(_process_line, settings)
+    temp_out, temp_rejects = (f"{path}.tmp{os.getpid()}" for path in (output_path, rejects_path))
+    pool = None
 
-    with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
-            open(output_path, "w", encoding="utf-8") as out, \
-            open(rejects_path, "w", encoding="utf-8", errors="backslashreplace") as rejects:
-        items = enumerate(src, start=1)
-        if settings.workers > 1:
-            pool = Pool(settings.workers)
-            results = pool.imap(worker, items, chunksize=1)
-        else:
-            pool = None
-            results = map(worker, items)
-        try:
+    try:
+        with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
+                open(temp_out, "w", encoding="utf-8") as out, \
+                open(temp_rejects, "w", encoding="utf-8", errors="backslashreplace") as rejects:
+            items = enumerate(src, start=1)
+            if settings.workers > 1:
+                # Imported here: one worker never needs it, and every command
+                # would pay for the import otherwise.
+                from multiprocessing import Pool
+
+                pool = Pool(settings.workers)
+                results = pool.imap(worker, items, chunksize=1)
+            else:
+                results = map(worker, items)
             for status, records, rejection in results:
                 if status == "blank":
                     continue
@@ -188,10 +201,17 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                     seen_ids.add(key)
                     out.write(record_json + "\n")
                     summary.examples += 1
-        finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
+        os.replace(temp_out, output_path)
+        os.replace(temp_rejects, rejects_path)
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
+        for temp in (temp_out, temp_rejects):
+            try:
+                os.remove(temp)
+            except FileNotFoundError:
+                pass
     return summary
 
 
@@ -224,8 +244,7 @@ class _Running:
         return math.sqrt(max(0.0, self.sq / self.n - self.mean ** 2))
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     examples: int
     distinct_questions: int
     distinct_tables: int

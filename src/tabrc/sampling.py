@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 REPLAY_TASK = "replay"
 
@@ -32,15 +31,19 @@ class Strategy(Enum):
     MOMENTUM = "momentum"
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class _SamplerFields(NamedTuple):
     strategy: Strategy = Strategy.UNIFORM
     window: int = 4
     smoothing: int = 2
     eps: float = 0.002
     replay_lambda: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class SamplerConfig(_SamplerFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SamplerConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.smoothing > self.window:
             raise ValueError("smoothing must not exceed the window")
         if self.smoothing < 1 or self.window < 1:
@@ -49,20 +52,26 @@ class SamplerConfig:
             raise ValueError("eps must be non-negative")
         if not 0.0 <= self.replay_lambda <= 1.0:
             raise ValueError("replay probability must be in [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class TaskDistribution:
-    """Probability over tasks; entries non-negative and summing to one."""
-
+class _DistributionFields(NamedTuple):
     probs: tuple[tuple[str, float], ...]
 
-    def __post_init__(self) -> None:
+
+class TaskDistribution(_DistributionFields):
+    """Probability over tasks; entries non-negative and summing to one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> TaskDistribution:
+        self = super().__new__(cls, *args, **kwargs)
         if any(p < 0 for _, p in self.probs):
             raise ValueError("negative probability")
         total = sum(p for _, p in self.probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}")
+        return self
 
     @property
     def tasks(self) -> tuple[str, ...]:

@@ -14,8 +14,7 @@ its entropy. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .generators import derive_seed
 from .sampling import (
@@ -32,8 +31,7 @@ from .sampling import (
 CHANCE_LEVEL = 0.0
 
 
-@dataclass(frozen=True)
-class LearnerTask:
+class LearnerTask(NamedTuple):
     """One simulated skill: how fast it is learned and how high it can go."""
 
     name: str
@@ -58,23 +56,27 @@ class SimulatedLearner:
         return spec.effective_ceiling() * (1.0 - math.exp(-self.examples[task] / spec.rate))
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class _SimulationFields(NamedTuple):
     sampler: SamplerConfig
     tasks: tuple[LearnerTask, ...]
     batch_size: int = 64
     steps_per_checkpoint: int = 10
     checkpoints: int = 40
 
-    def __post_init__(self) -> None:
+
+class SimulationConfig(_SimulationFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimulationConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.tasks:
             raise ValueError("at least one task required")
         if self.batch_size < 1 or self.checkpoints < 1:
             raise ValueError("batch size and checkpoints must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     index: int
     accuracies: dict[str, float]
     distribution: TaskDistribution
@@ -151,8 +153,7 @@ THRESHOLD_FRACTION = 0.9
 CONCENTRATION_FLOOR = 0.8
 
 
-@dataclass(frozen=True)
-class StrategyOutcome:
+class StrategyOutcome(NamedTuple):
     strategy: Strategy
     to_threshold: int | None
     final_accuracy: float
@@ -160,8 +161,7 @@ class StrategyOutcome:
     trace: list[CheckpointRecord]
 
 
-@dataclass(frozen=True)
-class TwoTaskReport:
+class TwoTaskReport(NamedTuple):
     gold: dict[Strategy, StrategyOutcome]
     noisy: dict[Strategy, StrategyOutcome]
 

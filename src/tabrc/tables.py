@@ -12,8 +12,8 @@ record, so records may be processed concurrently without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .values import Date, NotADate, NotANumber, SemanticType, annotate_column, parse_date, parse_number
 
@@ -39,8 +39,7 @@ class ShapeRejected(IngestError):
     """Table outside the row/column bounds."""
 
 
-@dataclass(frozen=True)
-class RawTable:
+class RawTable(NamedTuple):
     id: str
     page_title: str
     table_title: str
@@ -49,16 +48,14 @@ class RawTable:
     category: str | None = None
 
 
-@dataclass(frozen=True)
-class TableMeta:
+class TableMeta(NamedTuple):
     id: str
     page_title: str
     table_title: str
     category: str | None = None
 
 
-@dataclass(frozen=True)
-class CellValue:
+class CellValue(NamedTuple):
     """Cell text plus its parse under the owning column's type.
 
     `raw` is the cell text with surrounding whitespace stripped at ingest.

@@ -12,9 +12,9 @@ from __future__ import annotations
 import calendar
 import datetime
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from typing import NamedTuple
 
 
 class SemanticType(Enum):
@@ -58,15 +58,19 @@ _ISO_RE = re.compile(r"^(\d{4})-(\d{1,2})-(\d{1,2})$")
 _YEAR_RE = re.compile(r"^(\d{4})$")
 
 
-@dataclass(frozen=True, order=False)
-class Date:
-    """A calendar date with optional month and day (coarse dates allowed)."""
-
+class _DateFields(NamedTuple):
     year: int
     month: int | None = None
     day: int | None = None
 
-    def __post_init__(self) -> None:
+
+class Date(_DateFields):
+    """A calendar date with optional month and day (coarse dates allowed)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Date:
+        self = super().__new__(cls, *args, **kwargs)
         if self.day is not None and self.month is None:
             raise ValueError("day requires month")
         if self.month is not None and not 1 <= self.month <= 12:
@@ -75,6 +79,7 @@ class Date:
             last = calendar.monthrange(self.year, self.month)[1]
             if not 1 <= self.day <= last:
                 raise ValueError(f"day out of range: {self.day}")
+        return self
 
     @property
     def precision(self) -> int:
@@ -90,8 +95,7 @@ class Date:
         return (self.year, self.month or 0, self.day or 0)
 
 
-@dataclass(frozen=True)
-class Duration:
+class Duration(NamedTuple):
     """Elapsed time between two dates, in calendar units."""
 
     years: int

@@ -306,3 +306,12 @@ class TestFactPool:
                 for triplet in generate(t, kind, 5, cap=2):
                     build_context(pool, triplet.gold, seed=1)
             assert vars(t) == before
+
+    def test_equal_plans_share_one_gold_entry(self):
+        t = table()
+        att, rnd = t.column_index("Attendance"), t.column_index("Round")
+        first, second = FactPlan(att, (rnd,), (9,)), FactPlan(att, (rnd,), (9,))
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        pool = FactPool(t)
+        assert pool.gold(first) is pool.gold(second)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ from fixtures import CHELSEA, HAND_TABLES
 from roughgen import rough_table
 from tablegen import make_table
 from tabrc.cli import main
+from tabrc import pipeline
 from tabrc.generators import GeneratorKind
 from tabrc.pipeline import (
     GenerationSettings,
@@ -195,6 +197,36 @@ class TestGenerateCorpus:
         assert os.path.exists(out)
         assert read_lines(out) == []
 
+    def test_settings_survive_pickling(self):
+        # The worker pool pickles the settings into every task.
+        settings = GenerationSettings(seed=5, cap=None, kinds=(GeneratorKind.COUNTING,),
+                                      min_rows=3, max_rows=30, workers=2)
+        assert pickle.loads(pickle.dumps(settings)) == settings
+        assert pickle.loads(pickle.dumps(GenerationSettings())) == GenerationSettings()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_leaves_earlier_output_in_place(self, tmp_path, monkeypatch, workers):
+        tables = [make_table(i, seed=1) for i in range(3)]
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, [json.dumps(t) for t in tables])
+        out = str(tmp_path / "examples.jsonl")
+        generate_corpus(str(path), out, GenerationSettings(seed=1))
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+        real = pipeline.table_examples
+
+        def failing(table, settings):
+            if table.meta.id == tables[1]["id"]:
+                raise RuntimeError("injected fault")
+            return real(table, settings)
+
+        # Forked pool workers inherit the patched module.
+        monkeypatch.setattr(pipeline, "table_examples", failing)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            generate_corpus(str(path), out, GenerationSettings(seed=2, workers=workers))
+        after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        assert after == before
+
 
 # sha256 of the golden corpus below, under seed-stream v2 (lazy partial
 # Fisher–Yates sampling of candidates and distractors). Any change to it
@@ -328,6 +360,13 @@ class TestCli:
         code = main(["generate", "--input", str(tmp_path / "nope.jsonl"),
                      "--output", str(tmp_path / "out.jsonl")])
         assert code == 2
+
+    def test_generate_rejects_path_equal_to_output_fails(self, dump, tmp_path, capsys):
+        out = str(tmp_path / "o.jsonl")
+        code = main(["generate", "--input", dump, "--output", out, "--rejects", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == [os.path.basename(dump)]
 
     def test_generate_bad_eg_fails(self, dump, tmp_path):
         code = main(["generate", "--input", dump, "--output", str(tmp_path / "o.jsonl"),

@@ -141,6 +141,15 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(replay_lambda=1.5)
 
+    def test_positional_and_keyword_build_the_same_config(self):
+        by_position = SamplerConfig(Strategy.MOMENTUM, 6, 3, 0.01, 0.25)
+        by_keyword = SamplerConfig(strategy=Strategy.MOMENTUM, window=6, smoothing=3,
+                                   eps=0.01, replay_lambda=0.25)
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+        assert SamplerConfig() == SamplerConfig(Strategy.UNIFORM, 4, 2, 0.002, 0.5)
+        assert (SamplerConfig().window, SamplerConfig().smoothing) == (4, 2)
+
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ValueError):
             TaskDistribution((("a", 0.7), ("b", 0.7)))

@@ -22,6 +22,30 @@ def config_for(strategy, tasks, **kwargs):
     return SimulationConfig(sampler=sampler, tasks=tuple(tasks), **kwargs)
 
 
+class TestSimulationConfig:
+    TASKS = (LearnerTask("a", rate=100.0),)
+
+    @pytest.mark.parametrize("tasks, kwargs", [
+        pytest.param((), {}, id="no-tasks"),
+        pytest.param(TASKS, {"batch_size": 0}, id="empty-batch"),
+        pytest.param(TASKS, {"checkpoints": 0}, id="no-checkpoints"),
+    ])
+    def test_invalid_config_raises(self, tasks, kwargs):
+        with pytest.raises(ValueError):
+            SimulationConfig(SamplerConfig(), tasks, **kwargs)
+
+    def test_positional_and_keyword_build_the_same_config(self):
+        sampler = SamplerConfig(Strategy.ERROR)
+        by_position = SimulationConfig(sampler, self.TASKS, 32, 5, 7)
+        by_keyword = SimulationConfig(sampler=sampler, tasks=self.TASKS, batch_size=32,
+                                      steps_per_checkpoint=5, checkpoints=7)
+        assert by_position == by_keyword
+        defaults = SimulationConfig(sampler, self.TASKS)
+        assert defaults == SimulationConfig(sampler, self.TASKS, 64, 10, 40)
+        assert (defaults.batch_size, defaults.steps_per_checkpoint, defaults.checkpoints) == (
+            64, 10, 40)
+
+
 class TestRunSimulation:
     def test_single_task_gets_everything_and_follows_curve(self):
         task = LearnerTask("solo", rate=500.0)

@@ -80,6 +80,19 @@ class TestParseDate:
             parse_date("34178")
 
 
+class TestDateValidation:
+    @pytest.mark.parametrize("args", [(1991, None, 5), (1991, 0), (1991, 13), (1991, 2, 30)],
+                             ids=["day-without-month", "month-0", "month-13", "30-february"])
+    def test_invalid_fields_raise(self, args):
+        with pytest.raises(ValueError):
+            Date(*args)
+
+    def test_leap_day_accepted(self):
+        date = Date(2000, 2, 29)
+        assert (date.year, date.month, date.day) == (2000, 2, 29)
+        assert Date(year=2000, month=2, day=29) == date
+
+
 class TestRendering:
     def test_number_no_separators(self):
         assert render_number(Decimal("15703")) == "15703"
