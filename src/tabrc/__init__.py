@@ -1,48 +1,40 @@
 """tabrc: synthetic reading-comprehension corpora from semi-structured
-tables, plus accuracy-driven multi-task sampling schedules."""
+tables, plus accuracy-driven multi-task sampling schedules.
 
-from .facts import (
-    Context,
-    ContextConfig,
-    Fact,
-    FactKind,
-    FactPlan,
-    FactPool,
-    GoldSpec,
-    build_context,
-)
-from .generators import (
-    Answer,
-    AnswerKind,
-    GeneratorKind,
-    Instantiation,
-    Template,
-    Triplet,
-    generate,
-)
-from .sampling import (
-    AccuracyHistory,
-    SamplerConfig,
-    Strategy,
-    TaskDistribution,
-    compose_batch,
-    error_sampling,
-    momentum_sampling,
-    on_checkpoint,
-    uniform,
-)
-from .simulation import LearnerTask, SimulationConfig, run_simulation, two_task_report
-from .tables import CellValue, MalformedRecord, RawTable, ShapeRejected, TypedTable, ingest
-from .values import Date, Duration, SemanticType, parse_date, parse_number
+The public names load on first use (PEP 562), so `import tabrc` loads no
+submodule, and each CLI command loads only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Answer", "AnswerKind", "AccuracyHistory", "CellValue", "Context", "ContextConfig",
-    "Date", "Duration", "Fact", "FactKind", "FactPlan", "FactPool", "GeneratorKind", "GoldSpec",
-    "Instantiation", "LearnerTask", "MalformedRecord", "RawTable", "SamplerConfig",
-    "SemanticType", "ShapeRejected", "SimulationConfig", "Strategy", "TaskDistribution",
-    "Template", "Triplet", "TypedTable", "build_context", "compose_batch",
-    "error_sampling", "generate", "ingest", "momentum_sampling", "on_checkpoint",
-    "parse_date", "parse_number", "run_simulation", "two_task_report", "uniform",
-]
+# Submodule -> the public names it provides.
+_SOURCES = {
+    "facts": ("Context", "ContextConfig", "Fact", "FactKind", "FactPlan", "FactPool", "GoldSpec",
+              "build_context"),
+    "generators": ("Answer", "AnswerKind", "Instantiation", "Template", "Triplet", "generate"),
+    "sampling": ("AccuracyHistory", "SamplerConfig", "TaskDistribution", "compose_batch",
+                 "error_sampling", "momentum_sampling", "on_checkpoint", "uniform"),
+    "shared": ("GeneratorKind", "Strategy"),
+    "simulation": ("LearnerTask", "SimulationConfig", "run_simulation", "two_task_report"),
+    "tables": ("CellValue", "MalformedRecord", "RawTable", "ShapeRejected", "TypedTable",
+               "ingest"),
+    "values": ("Date", "Duration", "SemanticType", "parse_date", "parse_number"),
+}
+_ORIGIN = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORIGIN))

@@ -1,21 +1,44 @@
-"""Command line entry points: generate | stats | simulate."""
+"""Command line entry points: generate | stats | simulate.
+
+Each command imports only the modules it runs. The functions a command
+hands its work to are attributes of this module, resolved on first access,
+and each command calls its function through that attribute, so a wrapper
+set on this module (as the benchmark's tracer does) is the one that runs.
+"""
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from .pipeline import GenerationSettings, corpus_stats, generate_corpus, parse_kinds
-from .sampling import SamplerConfig, Strategy, format_distribution_trace, read_accuracy_feed, replay_feed
-from .simulation import (
-    LearnerTask,
-    SimulationConfig,
-    report_lines,
-    run_simulation,
-    trace_lines,
-    two_task_report,
-)
+from .shared import Strategy
+
+# Entry point -> the submodule that defines it.
+_ENTRY_POINTS = {
+    "generate_corpus": "pipeline",
+    "corpus_stats": "stats",
+    "two_task_report": "simulation",
+    "run_simulation": "simulation",
+    "read_accuracy_feed": "sampling",
+    "replay_feed": "sampling",
+}
+
+
+def __getattr__(name: str):
+    module = _ENTRY_POINTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"tabrc.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def _entry(name: str):
+    """The entry point as this module's attribute, a wrapper if one is set."""
+    return getattr(sys.modules[__name__], name)
+
 
 SEED_ENV_VAR = "TABRC_SEED"
 # `simulate` spreads its tasks' learning rates evenly over this range.
@@ -77,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .pipeline import GenerationSettings, parse_kinds
+
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         kinds = parse_kinds(args.egs)
@@ -92,7 +117,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     try:
-        summary = generate_corpus(args.input, args.output, settings, args.rejects)
+        summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -110,7 +135,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # A byte that is not UTF-8 becomes a lone surrogate: inside a JSON
         # string it is kept, elsewhere its line counts as malformed.
         with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            stats = corpus_stats(handle)
+            stats = _entry("corpus_stats")(handle)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -134,6 +159,8 @@ def _spread_rates(num_tasks: int) -> list[float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sampling import SamplerConfig, check_eps, format_distribution_trace
+
     try:
         sampler = SamplerConfig(
             strategy=Strategy(args.strategy),
@@ -143,10 +170,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             replay_lambda=args.lam,
         )
         seeds = _parse_seeds(args.seeds)
+        tasks = ()  # the preset configures its own samplers
         if args.history is not None:
             with open(args.history, "r", encoding="utf-8") as handle:
-                history = read_accuracy_feed(handle)
+                history = _entry("read_accuracy_feed")(handle)
+            tasks = history.tasks
         elif args.preset is None:
+            from .simulation import LearnerTask, SimulationConfig
+
             rates = _spread_rates(args.num_tasks)
             config = SimulationConfig(
                 sampler=sampler,
@@ -155,6 +186,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 steps_per_checkpoint=args.steps,
                 checkpoints=args.checkpoints,
             )
+            tasks = config.tasks
+        if tasks and sampler.strategy is Strategy.MOMENTUM:
+            check_eps(sampler.eps, len(tasks))
         os.makedirs(args.output, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -164,15 +198,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
         with open(path, "w", encoding="utf-8") as out:
             out.write("checkpoint\ttask\tprobability\n")
-            for checkpoint, dist in replay_feed(history, sampler):
+            for checkpoint, dist in _entry("replay_feed")(history, sampler):
                 out.write("\n".join(format_distribution_trace(checkpoint, dist)) + "\n")
         print(f"wrote {path}", file=sys.stderr)
         return 0
 
+    from .simulation import report_lines, trace_lines
+
     if args.preset == "two-task":
         failures = 0
         for seed in seeds:
-            report = two_task_report(seed)
+            report = _entry("two_task_report")(seed)
             path = os.path.join(args.output, f"two_task_seed{seed}.txt")
             with open(path, "w", encoding="utf-8") as out:
                 out.write("\n".join(report_lines(report)) + "\n")
@@ -184,7 +220,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 1 if failures else 0
 
     for seed in seeds:
-        trace = run_simulation(config, seed)
+        trace = _entry("run_simulation")(config, seed)
         path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")
         with open(path, "w", encoding="utf-8") as out:
             out.write("\n".join(trace_lines(trace)) + "\n")

@@ -34,7 +34,6 @@ Conventions shared with the rest of the toolkit:
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import math
 import random
@@ -45,6 +44,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .facts import FactPlan, GoldSpec, _sampled, gold_spec, pluralize
+from .shared import GeneratorKind, derive_seed
 from .tables import TypedTable
 from .values import (
     Date,
@@ -57,25 +57,6 @@ from .values import (
 )
 
 PER_TABLE_CAP = 10
-
-
-class GeneratorKind(Enum):
-    COMPOSITION_2HOP = "composition_2hop"
-    COMPOSITION_3HOP = "composition_3hop"
-    CONJUNCTION = "conjunction"
-    QUANTIFIER_ONLY = "quantifier_only"
-    QUANTIFIER_MOST = "quantifier_most"
-    QUANTIFIER_EVERY = "quantifier_every"
-    NUMBER_COMPARISON = "number_comparison"
-    TEMPORAL_COMPARISON = "temporal_comparison"
-    NUMBER_BOOLEAN_COMPARISON = "number_boolean_comparison"
-    TEMPORAL_BOOLEAN_COMPARISON = "temporal_boolean_comparison"
-    NUMBER_SUPERLATIVE = "number_superlative"
-    TEMPORAL_SUPERLATIVE = "temporal_superlative"
-    ARITHMETIC_SUPERLATIVE = "arithmetic_superlative"
-    ARITHMETIC_ADDITION = "arithmetic_addition"
-    COUNTING = "counting"
-    DATE_DIFFERENCE = "date_difference"
 
 
 class AnswerKind(Enum):
@@ -131,14 +112,6 @@ class UnparseableCell(Discard):
 
 class InsufficientValues(Discard):
     pass
-
-
-def derive_seed(*parts: object) -> int:
-    """Stable seed derivation so concurrency and call order never change
-    output: hash of the joined parts, independent of PYTHONHASHSEED."""
-    text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 _SLOT_RE = re.compile(r"col:\d+|val:\d+|table-title|page-title|\[OPERATOR\]")

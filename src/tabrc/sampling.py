@@ -19,16 +19,11 @@ from __future__ import annotations
 
 import math
 import random
-from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .shared import Strategy
+
 REPLAY_TASK = "replay"
-
-
-class Strategy(Enum):
-    UNIFORM = "uniform"
-    ERROR = "error"
-    MOMENTUM = "momentum"
 
 
 class _SamplerFields(NamedTuple):
@@ -152,6 +147,13 @@ class AccuracyHistory:
         return {task: self._series[task][-1] for task in self.tasks}
 
 
+def check_eps(eps: float, num_tasks: int) -> None:
+    """Momentum floors every task's weight at eps, so eps must stay below
+    the uniform share."""
+    if eps >= 1.0 / num_tasks:
+        raise ValueError("eps must stay below 1/num_tasks")
+
+
 def momentum_sampling(history: AccuracyHistory, config: SamplerConfig) -> TaskDistribution:
     """Sample in proportion to the absolute accuracy change over the last
     `window` checkpoints, comparing the mean of the `smoothing` newest
@@ -159,8 +161,7 @@ def momentum_sampling(history: AccuracyHistory, config: SamplerConfig) -> TaskDi
     window. Uniform during the first `window` checkpoints; every task keeps
     at least the eps floor, so plateaued runs return exactly uniform."""
     t = len(history)
-    if config.eps >= 1.0 / len(history.tasks):
-        raise ValueError("eps must stay below 1/num_tasks")
+    check_eps(config.eps, len(history.tasks))
     if t < config.window:
         return uniform(history.tasks)
     weights = {}

@@ -1,0 +1,48 @@
+"""Names that more than one command needs: the generator kinds, the sampling
+strategies and seed derivation.
+
+This module imports nothing else from `tabrc`, so `stats` can list the
+sixteen kinds and `simulate` can derive seeds without loading the generators.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+
+
+class GeneratorKind(Enum):
+    COMPOSITION_2HOP = "composition_2hop"
+    COMPOSITION_3HOP = "composition_3hop"
+    CONJUNCTION = "conjunction"
+    QUANTIFIER_ONLY = "quantifier_only"
+    QUANTIFIER_MOST = "quantifier_most"
+    QUANTIFIER_EVERY = "quantifier_every"
+    NUMBER_COMPARISON = "number_comparison"
+    TEMPORAL_COMPARISON = "temporal_comparison"
+    NUMBER_BOOLEAN_COMPARISON = "number_boolean_comparison"
+    TEMPORAL_BOOLEAN_COMPARISON = "temporal_boolean_comparison"
+    NUMBER_SUPERLATIVE = "number_superlative"
+    TEMPORAL_SUPERLATIVE = "temporal_superlative"
+    ARITHMETIC_SUPERLATIVE = "arithmetic_superlative"
+    ARITHMETIC_ADDITION = "arithmetic_addition"
+    COUNTING = "counting"
+    DATE_DIFFERENCE = "date_difference"
+
+
+class Strategy(Enum):
+    UNIFORM = "uniform"
+    ERROR = "error"
+    MOMENTUM = "momentum"
+
+
+def derive_seed(*parts: object) -> int:
+    """Stable seed derivation so concurrency and call order never change
+    output: hash of the joined parts, independent of PYTHONHASHSEED."""
+    # Imported here, not by the module: `stats` loads this module and
+    # derives no seed. (A plain `import` of a loaded module is cheap; `from
+    # hashlib import sha256` would cost about a microsecond per call.)
+    import hashlib
+
+    text = "\x1f".join(str(p) for p in parts)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")

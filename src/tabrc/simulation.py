@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .generators import derive_seed
 from .sampling import (
     REPLAY_TASK,
     AccuracyHistory,
@@ -27,6 +26,7 @@ from .sampling import (
     on_checkpoint,
     uniform,
 )
+from .shared import derive_seed
 
 CHANCE_LEVEL = 0.0
 

@@ -11,6 +11,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,3 +76,46 @@ def test_traced_commands_record_every_required_span(tmp_path):
     replay = {i for i, span in enumerate(tracer.spans) if span.name == "sampling.replay_feed"}
     assert sum(1 for span in tracer.named("sampling.on_checkpoint")
                if span.parent in replay) == 8
+
+
+# Loads bench/tracing.py, installs its targets while no `tabrc` module but
+# the package is loaded, runs `generate` and `stats`, and prints the calls
+# recorded per span.
+_FRESH_PROBE = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracing
+spec.loader.exec_module(tracing)
+preloaded = sorted(m for m in sys.modules if m.startswith("tabrc."))
+tracer = tracing.Tracer()
+with tracing.installed(tracer, tracing.TARGETS):
+    from tabrc import cli
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = [cli.main(["generate", "--input", sys.argv[2], "--output", sys.argv[3]]),
+                 cli.main(["stats", "--input", sys.argv[3], "--output", sys.argv[4]])]
+print(json.dumps([preloaded, codes, {name: tracer.calls(name) for name in sys.argv[5:]}]))
+"""
+
+
+def test_targets_installed_before_the_modules_load_record_calls(tmp_path):
+    # The CLI resolves the traced names on first access; a wrapper installed
+    # by a fresh process, before anything imported the generation modules,
+    # must still be the function that runs.
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps(CHELSEA) + "\n", encoding="utf-8")
+    spans = ["pipeline.generate_corpus", "pipeline.corpus_stats", "tables.ingest",
+             "facts.build_context"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROBE, str(BENCH / "tracing.py"), str(dump),
+         str(tmp_path / "corpus.jsonl"), str(tmp_path / "stats.txt"), *spans],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    preloaded, codes, calls = json.loads(probe.stdout.splitlines()[-1])
+    assert preloaded == []
+    assert codes == [0, 0]
+    assert calls["pipeline.generate_corpus"] == calls["pipeline.corpus_stats"] == 1
+    assert calls["tables.ingest"] == 1
+    assert calls["facts.build_context"] > 0

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pickle
+import time
 
 import pytest
 
@@ -228,6 +229,32 @@ class TestGenerateCorpus:
         assert after == before
 
 
+    def test_failing_table_stops_the_worker_pool(self, tmp_path, monkeypatch):
+        # The error ends the run at once: the workers do not work through
+        # the rest of the queued dump first.
+        tables = [make_table(i, seed=1) for i in range(30)]
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, [json.dumps(t) for t in tables])
+        log = tmp_path / "processed.log"
+        real = pipeline.table_examples
+
+        def slow_or_failing(table, settings):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(table.meta.id + "\n")
+            if table.meta.id == tables[1]["id"]:
+                raise RuntimeError("injected fault")
+            time.sleep(0.1)
+            return real(table, settings)
+
+        monkeypatch.setattr(pipeline, "table_examples", slow_or_failing)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            generate_corpus(str(path), str(tmp_path / "examples.jsonl"),
+                            GenerationSettings(seed=1, workers=2))
+        processed = log.read_text(encoding="utf-8").splitlines()
+        assert tables[1]["id"] in processed
+        assert len(processed) < 15
+
+
 # sha256 of the golden corpus below, under seed-stream v2 (lazy partial
 # Fisher–Yates sampling of candidates and distractors). Any change to it
 # changes output bytes, which is allowed only as a declared seed-stream
@@ -366,6 +393,7 @@ class TestCli:
         code = main(["generate", "--input", dump, "--output", out, "--rejects", out])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sim").exists()
         assert os.listdir(tmp_path) == [os.path.basename(dump)]
 
     def test_generate_bad_eg_fails(self, dump, tmp_path):
@@ -421,6 +449,9 @@ class TestCli:
         pytest.param(None, ["--num-tasks", "0"], id="no-tasks"),
         pytest.param(None, ["--checkpoints", "0"], id="no-checkpoints"),
         pytest.param(None, ["--batch-size", "0"], id="empty-batch"),
+        pytest.param(None, ["--eps", "0.1"], id="momentum-eps-above-uniform-share"),
+        pytest.param("1\ta\t0.5\n1\tb\t0.5\n", ["--eps", "0.5", "--history", "feed.tsv"],
+                     id="momentum-eps-above-uniform-share-of-feed"),
     ])
     def test_simulate_bad_input_usage_error(self, tmp_path, capsys, feed, args):
         if feed is not None:
