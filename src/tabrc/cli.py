@@ -136,17 +136,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # string it is kept, elsewhere its line counts as malformed.
         with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
             stats = _entry("corpus_stats")(handle)
+        # A category can hold a lone surrogate; the report shows it as
+        # \udXXXX, as the rejects file of `generate` does.
+        report = "\n".join(stats.lines()) + "\n"
+        report = report.encode("utf-8", "backslashreplace").decode("utf-8")
+        if args.output == "-":
+            sys.stdout.write(report)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(report)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # A category can hold a lone surrogate; the report shows it as \udXXXX,
-    # as the rejects file of `generate` does.
-    report = ("\n".join(stats.lines()) + "\n").encode("utf-8", "backslashreplace").decode("utf-8")
-    if args.output == "-":
-        sys.stdout.write(report)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
     return 0
 
 

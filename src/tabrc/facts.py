@@ -104,26 +104,49 @@ class FactPlan(NamedTuple):
     rows: tuple[int, ...]
 
 
+def cell_mask(plan: FactPlan, n_cols: int) -> int:
+    """The plan's cells as an int with bit `r * n_cols + c` set for each cell
+    (r, c): two facts share a cell exactly when their masks share a bit. The
+    plan's columns are the same in every row, so their bits are set once and
+    shifted to each row."""
+    columns = 1 << plan.subject
+    for key in plan.keys:
+        columns |= 1 << key
+    mask = 0
+    for r in plan.rows:
+        mask |= columns << (r * n_cols)
+    return mask
+
+
 class GoldSpec(NamedTuple):
     """The cells a question needs and the plan for verbalizing them.
 
     The verbalized plan facts alone suffice to answer the question; `cells`
-    is the union of every (row, column) the plans touch, and distractors must
-    avoid all of them.
+    is the union of the plans' `cell_mask`s, every (row, column) they touch,
+    and distractors must avoid all of them. Like every cell mask, it only
+    makes sense with the table it was built for.
     """
 
-    cells: frozenset[tuple[int, int]]
+    cells: int
     plans: tuple[FactPlan, ...]
 
 
-def gold_spec(plans: list[FactPlan] | tuple[FactPlan, ...]) -> GoldSpec:
-    return GoldSpec(frozenset().union(*map(_plan_cells, plans)), tuple(plans))
+def gold_spec(plans: list[FactPlan] | tuple[FactPlan, ...], n_cols: int) -> GoldSpec:
+    """The gold spec of `plans` on a table with `n_cols` columns."""
+    cells = 0
+    for plan in plans:
+        cells |= cell_mask(plan, n_cols)
+    return GoldSpec(cells, tuple(plans))
 
 
 class Fact(NamedTuple):
+    """One rendered fact. `cells` is its plan's `cell_mask` (bit
+    `r * n_cols + c` for each cell (r, c) it states), so it only makes sense
+    with the table the fact was rendered from."""
+
     text: str
     kind: FactKind
-    cells: frozenset[tuple[int, int]]
+    cells: int
 
 
 class Context(NamedTuple):
@@ -141,15 +164,6 @@ def _join_values(values: list[str]) -> str:
     if len(values) == 1:
         return values[0]
     return ", ".join(values[:-1]) + " and " + values[-1]
-
-
-def _plan_cells(plan: FactPlan) -> frozenset[tuple[int, int]]:
-    cells = set()
-    for r in plan.rows:
-        cells.add((r, plan.subject))
-        for key in plan.keys:
-            cells.add((r, key))
-    return frozenset(cells)
 
 
 def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
@@ -170,31 +184,17 @@ def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
         for surface, key in zip(key_surfaces, plan.keys)
     )
     text = f"The {subject_surface} when {conditions} {verb} {_join_values(values)}"
-    return Fact(text, kind, _plan_cells(plan))
-
-
-def _plan_mask(plan: FactPlan, n_cols: int) -> int:
-    """The plan's cells as an int with bit `r * n_cols + c` set for each cell
-    (r, c): two facts share a cell exactly when their masks share a bit. The
-    plan's columns are the same in every row, so their bits are set once and
-    shifted to each row."""
-    columns = 1 << plan.subject
-    for key in plan.keys:
-        columns |= 1 << key
-    mask = 0
-    for r in plan.rows:
-        mask |= columns << (r * n_cols)
-    return mask
+    return Fact(text, kind, cell_mask(plan, table.n_cols))
 
 
 class PoolFact(NamedTuple):
     """One pool fact: its (subject, key) column pair, the fact rendered as a
-    distractor, its word count and its `_plan_mask`."""
+    distractor and its word count. The fact's `cells` mask is only comparable
+    with masks of the pool's own table."""
 
     pair: tuple[int, int]
     fact: Fact
     words: int
-    mask: int
 
 
 class FactPool:
@@ -208,15 +208,15 @@ class FactPool:
 
     def __init__(self, table: TypedTable):
         self.table = table
-        self._gold: dict[FactPlan, tuple[Fact, int, int]] = {}
+        self._gold: dict[FactPlan, tuple[Fact, int]] = {}
 
-    def gold(self, plan: FactPlan) -> tuple[Fact, int, int]:
-        """The gold fact of `plan`, its word count and its `_plan_mask`,
-        rendered on the first request for that plan."""
+    def gold(self, plan: FactPlan) -> tuple[Fact, int]:
+        """The gold fact of `plan` and its word count, rendered on the first
+        request for that plan."""
         known = self._gold.get(plan)
         if known is None:
             fact = _render_plan(self.table, plan, FactKind.GOLD)
-            known = (fact, len(fact.text.split()), _plan_mask(plan, self.table.n_cols))
+            known = (fact, len(fact.text.split()))
             self._gold[plan] = known
         return known
 
@@ -237,8 +237,7 @@ class FactPool:
                     fact = _render_plan(table, plan, FactKind.DISTRACTOR)
                     if FACT_SEPARATOR in fact.text:
                         continue
-                    out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split()),
-                                        _plan_mask(plan, table.n_cols)))
+                    out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split())))
         return tuple(out)
 
     @cached_property
@@ -259,22 +258,21 @@ class FactPool:
         return spans
 
 
-def _distractor_order(pool: FactPool, gold: GoldSpec, gold_mask: int,
-                      rng: random.Random) -> Iterator[int]:
+def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[int]:
     """Positions in the pool of candidate distractor facts, in the order to
     try them. First, in a seeded random order, the preferred tier: facts
     reusing the gold facts' column pairs (other rows). Then, likewise, the
     fallback tier over the other column pairs, built only if the preferred
     tier runs out. Every candidate is a complete, true fact whose cells are
-    disjoint from the gold cells, which `gold_mask` holds as a `_plan_mask`."""
+    disjoint from the gold cells."""
     gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
                                if len(plan.keys) == 1)
-    entries, spans = pool.entries, pool.spans
+    entries, spans, gold_cells = pool.entries, pool.spans, gold.cells
     preferred = [i for pair in gold_pairs for i in spans.get(pair, ())
-                 if not entries[i].mask & gold_mask]
+                 if not entries[i].fact.cells & gold_cells]
     yield from _sampled(rng, preferred)
     fallback = [i for pair, span in spans.items() if pair not in gold_pairs
-                for i in span if not entries[i].mask & gold_mask]
+                for i in span if not entries[i].fact.cells & gold_cells]
     yield from _sampled(rng, fallback)
 
 
@@ -294,18 +292,16 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int,
     gold_facts: list[Fact] = []
     prefix = f"In {table.meta.table_title} of {table.meta.page_title}: "
     words = len(prefix.split())
-    gold_mask = 0
     for plan in gold.plans:
-        fact, fact_words, mask = pool.gold(plan)
+        fact, fact_words = pool.gold(plan)
         gold_facts.append(fact)
         words += fact_words
-        gold_mask |= mask
 
     wanted = rng.randint(config.distractors_min, config.distractors_max)
     distractors: list[Fact] = []
     entries = pool.entries
     if wanted > 0:
-        for i in _distractor_order(pool, gold, gold_mask, rng):
+        for i in _distractor_order(pool, gold, rng):
             entry = entries[i]
             if words + entry.words > config.word_cap:
                 if words + pool.shortest > config.word_cap:

@@ -772,5 +772,5 @@ def generate(table: TypedTable, kind: GeneratorKind, seed: int,
             continue
         seen_slots.add(slots)
         instantiation = _instantiate(table, TEMPLATES[kind][template], slots)
-        out.append(Triplet(instantiation, answer, gold_spec(plans)))
+        out.append(Triplet(instantiation, answer, gold_spec(plans, table.n_cols)))
     return out

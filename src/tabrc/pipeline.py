@@ -22,15 +22,8 @@ from functools import partial
 from typing import Iterator, NamedTuple
 
 from .facts import FactKind, FactPool, build_context
-from .generators import (
-    PER_TABLE_CAP,
-    GeneratorKind,
-    Triplet,
-    derive_seed,
-    generate,
-)
-# Corpus statistics moved to `tabrc.stats`; the names stay importable here.
-from .stats import ANSWER_BUCKETS, CorpusStats, _Running, corpus_stats  # noqa: F401
+from .generators import PER_TABLE_CAP, Triplet, generate
+from .shared import GeneratorKind, derive_seed
 from .tables import (
     MAX_ROWS,
     MIN_ROWS,

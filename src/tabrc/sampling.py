@@ -43,7 +43,7 @@ class SamplerConfig(_SamplerFields):
             raise ValueError("smoothing must not exceed the window")
         if self.smoothing < 1 or self.window < 1:
             raise ValueError("window and smoothing must be positive")
-        if self.eps < 0:
+        if not self.eps >= 0:  # NaN fails every comparison
             raise ValueError("eps must be non-negative")
         if not 0.0 <= self.replay_lambda <= 1.0:
             raise ValueError("replay probability must be in [0, 1]")

@@ -24,9 +24,10 @@ from tablegen import make_table, write_dump
 from tabrc import oracle
 from tabrc.facts import FactKind, FactPool, build_context
 from tabrc.generators import GeneratorKind, derive_seed, generate
-from tabrc.pipeline import GenerationSettings, build_record, corpus_stats, example_id, generate_corpus
+from tabrc.pipeline import GenerationSettings, build_record, example_id, generate_corpus
 from tabrc.sampling import SamplerConfig, Strategy, error_sampling, momentum_sampling, uniform
 from tabrc.sampling import AccuracyHistory
+from tabrc.stats import corpus_stats
 from tabrc.simulation import LearnerTask, SimulationConfig, run_simulation, two_task_report
 from tabrc.tables import ingest, raw_table_from_json
 

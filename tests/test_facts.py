@@ -113,19 +113,20 @@ class TestRenderFact:
         t = table()
         fact = render_fact(t, t.column_index("Attendance"), t.column_index("Opponent"), (4, 5))
         opp, att = t.column_index("Opponent"), t.column_index("Attendance")
-        assert fact.cells == frozenset({(4, att), (5, att), (4, opp), (5, opp)})
+        assert fact.cells == sum(1 << (r * t.n_cols + c) for r, c in
+                                 {(4, att), (5, att), (4, opp), (5, opp)})
 
 
 def _gold():
     t = table()
     att, rnd = t.column_index("Attendance"), t.column_index("Round")
-    return t, gold_spec([FactPlan(att, (rnd,), (9,)), FactPlan(att, (rnd,), (10,))])
+    return t, gold_spec([FactPlan(att, (rnd,), (9,)), FactPlan(att, (rnd,), (10,))], t.n_cols)
 
 
 def _conjunction_gold():
     t = table()
     att, opp, result = (t.column_index(name) for name in ("Attendance", "Opponent", "Result"))
-    return t, gold_spec([FactPlan(att, (opp, result), (4,))])
+    return t, gold_spec([FactPlan(att, (opp, result), (4,))], t.n_cols)
 
 
 def _rough_table_with_blank_and_na():
@@ -263,7 +264,7 @@ class TestSeparatorText:
         assert pool.entries
         assert not any(FACT_SEPARATOR in entry.fact.text for entry in pool.entries)
         # A gold fact naming St. Louis keeps its place.
-        gold = gold_spec([FactPlan(city, (team,), (0,)), FactPlan(wins, (city,), (1,))])
+        gold = gold_spec([FactPlan(city, (team,), (0,)), FactPlan(wins, (city,), (1,))], t.n_cols)
         gold_texts = sorted(render_fact(t, plan.subject, plan.keys[0], plan.rows).text
                             for plan in gold.plans)
         assert any(FACT_SEPARATOR in text for text in gold_texts)

@@ -8,7 +8,7 @@ import pytest
 from fixtures import BIRDS, CHELSEA, CONCERTS, ELECTIONS, EMPLOYERS, EUROVISION, LAUNCHES, MINES, typed
 from roughgen import rough_table
 from tablegen import make_table
-from tabrc.facts import FactPool, build_context
+from tabrc.facts import FactKind, FactPlan, FactPool, _render_plan, build_context
 from tabrc.generators import (
     AmbiguousChain,
     Answer,
@@ -498,6 +498,18 @@ def _pinned_tables():
     return [typed(record) for record in records]
 
 
+def _mask_cells(mask, n_cols):
+    """The (row, col) cells a cell mask holds, sorted: bit `r * n_cols + c`
+    is cell (r, c)."""
+    return [divmod(bit, n_cols) for bit in range(mask.bit_length()) if mask >> bit & 1]
+
+
+def _plan_cells(plan):
+    """The (row, col) cells a fact plan states, computed from its rows,
+    subject and keys: the reference the cell masks are checked against."""
+    return {(r, c) for r in plan.rows for c in (plan.subject, *plan.keys)}
+
+
 def _triplet_digest(cap, with_context):
     """sha256 over every triplet `generate` gives on the pinned tables: its
     template, question, bindings, answer and gold plans, and optionally the
@@ -512,7 +524,7 @@ def _triplet_digest(cap, with_context):
                         [list(binding) for binding in triplet.instantiation.bindings],
                         triplet.answer.kind.value, list(triplet.answer.values),
                         [[p.subject, list(p.keys), list(p.rows)] for p in triplet.gold.plans],
-                        sorted(triplet.gold.cells)]
+                        _mask_cells(triplet.gold.cells, table.n_cols)]
                 if with_context:
                     line.append(build_context(pool, triplet.gold, seed=n).rendered)
                 digest.update(json.dumps(line, sort_keys=True).encode("utf-8") + b"\n")
@@ -531,3 +543,28 @@ class TestPinnedTriplets:
     def test_default_cap_with_contexts(self):
         assert _triplet_digest(cap=PER_TABLE_CAP, with_context=True) == (
             "6bf9514ba4bb6b531d5be0842edcda7665e1026e3c0f0aac9da68151fb2df9e3")
+
+    def test_cell_masks_match_plan_cells(self):
+        # Every pool fact's and every gold spec's mask, decoded, is the cell
+        # set of its plan(s), on the same tables as the digests above.
+        for table in _pinned_tables():
+            pool = FactPool(table)
+            assert pool.entries
+            for (subject, key), span in pool.spans.items():
+                # A pool fact lists the subject over the rows of one key value.
+                plans = {}
+                for rows in table.groups(key).values():
+                    plan = FactPlan(subject, (key,), rows)
+                    plans[_render_plan(table, plan, FactKind.DISTRACTOR).text] = plan
+                for i in span:
+                    fact = pool.entries[i].fact
+                    expected = _plan_cells(plans[fact.text])
+                    assert set(_mask_cells(fact.cells, table.n_cols)) == expected
+            for kind in GeneratorKind:
+                for triplet in generate(table, kind, seed=3, cap=None):
+                    gold = triplet.gold
+                    expected = set().union(*map(_plan_cells, gold.plans))
+                    assert set(_mask_cells(gold.cells, table.n_cols)) == expected
+                    for plan in gold.plans:
+                        fact, _ = pool.gold(plan)
+                        assert set(_mask_cells(fact.cells, table.n_cols)) == _plan_cells(plan)

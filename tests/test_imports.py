@@ -104,6 +104,7 @@ def test_generate_loads_no_schedule_module(tmp_path):
     _, loaded = _generate(tmp_path)
     assert "tabrc.generators" in loaded
     assert not loaded & SCHEDULE_MODULES
+    assert "tabrc.stats" not in loaded
     assert "multiprocessing" not in loaded
 
 

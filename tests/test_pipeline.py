@@ -14,10 +14,10 @@ from tabrc import pipeline
 from tabrc.generators import GeneratorKind
 from tabrc.pipeline import (
     GenerationSettings,
-    corpus_stats,
     generate_corpus,
     parse_kinds,
 )
+from tabrc.stats import corpus_stats
 
 
 def write_lines(path, lines):
@@ -383,6 +383,34 @@ class TestCli:
         assert main(["stats", "--input", out, "--output", report]) == 0
         assert "pct_span_answers" in open(report).read()
 
+    def test_stats_output_in_missing_directory_fails(self, dump, tmp_path, capsys):
+        corpus = str(tmp_path / "examples.jsonl")
+        assert main(["generate", "--input", dump, "--output", corpus]) == 0
+        capsys.readouterr()
+        code = main(["stats", "--input", corpus, "--output", str(tmp_path / "nodir" / "x.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "nodir").exists()
+
+    def test_parser_defaults_match_library_defaults(self):
+        # The parser repeats the library defaults so that parsing loads no
+        # library module; `--strategy` differs on purpose (momentum vs uniform).
+        from tabrc.cli import build_parser
+        from tabrc.sampling import SamplerConfig
+        from tabrc.simulation import SimulationConfig
+
+        gen = build_parser().parse_args(["generate", "--input", "i", "--output", "o"])
+        settings = GenerationSettings._field_defaults
+        assert (gen.per_table_cap, gen.min_rows, gen.max_rows, gen.workers) == (
+            settings["cap"], settings["min_rows"], settings["max_rows"], settings["workers"])
+        sim = build_parser().parse_args(["simulate"])
+        sampler = SamplerConfig._field_defaults
+        assert (sim.w, sim.k, sim.eps, sim.lam) == (
+            sampler["window"], sampler["smoothing"], sampler["eps"], sampler["replay_lambda"])
+        config = SimulationConfig._field_defaults
+        assert (sim.checkpoints, sim.batch_size, sim.steps) == (
+            config["checkpoints"], config["batch_size"], config["steps_per_checkpoint"])
+
     def test_generate_missing_input_fails(self, tmp_path):
         code = main(["generate", "--input", str(tmp_path / "nope.jsonl"),
                      "--output", str(tmp_path / "out.jsonl")])
@@ -450,6 +478,7 @@ class TestCli:
         pytest.param(None, ["--checkpoints", "0"], id="no-checkpoints"),
         pytest.param(None, ["--batch-size", "0"], id="empty-batch"),
         pytest.param(None, ["--eps", "0.1"], id="momentum-eps-above-uniform-share"),
+        pytest.param(None, ["--eps", "nan"], id="momentum-eps-nan"),
         pytest.param("1\ta\t0.5\n1\tb\t0.5\n", ["--eps", "0.5", "--history", "feed.tsv"],
                      id="momentum-eps-above-uniform-share-of-feed"),
     ])
@@ -460,6 +489,7 @@ class TestCli:
         code = main(["simulate", "--checkpoints", "3", "--output", str(tmp_path / "sim"), *args])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("bad_line, reject_id", [
         pytest.param(b'{"id": "t\xff"}', b"t\\udcff", id="in-a-string"),
