@@ -99,7 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
     from .pipeline import GenerationSettings, parse_kinds
 
     seed = args.seed if args.seed is not None else _default_seed()
@@ -116,11 +123,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         max_rows=args.max_rows,
         workers=args.workers,
     )
+    # SIGTERM exits with 143 through `generate_corpus`'s cleanup, which stops
+    # the workers and removes the temporary files. Only the main thread can
+    # set a handler, and the caller's comes back on return.
+    in_main = threading.current_thread() is threading.main_thread()
+    if in_main:
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if in_main:
+            signal.signal(signal.SIGTERM, previous)
     print(
         f"tables: {summary.tables_read} read, {summary.tables_accepted} accepted, "
         f"{summary.tables_rejected} rejected; examples: {summary.examples} "

@@ -11,11 +11,13 @@ A generator is data: an entry in `_GENERATORS` pairs a candidate enumerator
 with one function, `(table, candidate) -> _Realized`, and `TEMPLATES` holds
 its question patterns. That function validates the candidate, raising a
 `Discard` when it cannot give a sound example, and returns a `_Realized`: the
-`Answer`, the fact plans behind the gold facts, the ordered slot bindings,
-and the template index. A slot binds a column (`_Column`), a cell (`_Cell`)
-or an operator word (`_Operator`). `_instantiate` turns the bindings into
-both the question text and the binding payloads that example ids hash, so
-binding order is part of the output.
+`Answer`, the fact plans behind the gold facts, the ordered slots and the
+template index. A slot is a plain `(name, value)` pair: "col:N" binds a
+column index, "val:N" a `(column, row)` cell and "[OPERATOR]" an operator
+word. `_instantiate` is the one place that turns slot values into the
+question text and the binding payloads that example ids hash, so slot order
+is part of the output. `_COLUMN_FORMS` names the column slots whose question
+shows the column other than by its name.
 
 Conventions shared with the rest of the toolkit:
 
@@ -41,7 +43,7 @@ import re
 from decimal import Decimal
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .facts import FactPlan, GoldSpec, _sampled, gold_spec, pluralize
 from .shared import GeneratorKind, derive_seed
@@ -176,6 +178,12 @@ _PATTERNS: dict[GeneratorKind, tuple[str, ...]] = {
     ),
 }
 
+# How a column slot shows its column in the question, where that is not the
+# column name itself.
+_COLUMN_FORMS: dict[GeneratorKind, dict[str, Callable[[str], str]]] = {
+    GeneratorKind.COUNTING: {"col:1": lambda name: pluralize(name.lower()), "col:2": str.lower},
+}
+
 TEMPLATES: dict[GeneratorKind, tuple[Template, ...]] = {
     kind: tuple(Template(kind, f"{kind.value}-{i}", pattern)
                 for i, pattern in enumerate(patterns, start=1))
@@ -201,38 +209,8 @@ def _dedup(values: list[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
-class _Column(NamedTuple):
-    """A slot bound to a column. The binding records the column name; the
-    question shows `form(name)`, which is the name itself by default. `form`
-    must be one function object per generator, not made per call, because
-    `generate` compares slots to drop repeated bindings."""
-    c: int
-    form: Callable[[str], str] = str
-
-    def bind(self, table: TypedTable) -> tuple[str, dict]:
-        name = table.column_name(self.c)
-        return self.form(name), {"column": name}
-
-
-class _Cell(NamedTuple):
-    """A slot bound to the cell (column c, row r); the question shows its text."""
-    c: int
-    r: int
-
-    def bind(self, table: TypedTable) -> tuple[str, dict]:
-        value = table.raw(self.r, self.c)
-        return value, {"column": table.column_name(self.c), "row": self.r, "value": value}
-
-
-class _Operator(NamedTuple):
-    """A slot bound to an operator word, shown as is."""
-    op: str
-
-    def bind(self, table: TypedTable) -> tuple[str, dict]:
-        return self.op, {"operator": self.op}
-
-
-_Slots = tuple[tuple[str, "_Column | _Cell | _Operator"], ...]
+# (name, value) pairs; the name says what the value is (see the module doc).
+_Slots = tuple[tuple[str, object], ...]
 
 
 class _Realized(NamedTuple):
@@ -244,16 +222,25 @@ class _Realized(NamedTuple):
 
 
 def _instantiate(table: TypedTable, template: Template, slots: _Slots) -> Instantiation:
-    """Fill the template from the ordered slot bindings. A slot bound more
-    than once fills its occurrences in binding order; the titles are filled
-    from the table."""
+    """Fill the template from the ordered slots, and give each slot the
+    binding payload that example ids hash. A slot bound more than once fills
+    its occurrences in binding order; the titles are filled from the table."""
+    forms = _COLUMN_FORMS.get(template.kind, {})
     shown: dict[str, list[str]] = {
         "table-title": [table.meta.table_title],
         "page-title": [table.meta.page_title],
     }
     bindings = []
-    for slot, binding in slots:
-        text, payload = binding.bind(table)
+    for slot, value in slots:
+        if slot == "[OPERATOR]":
+            text, payload = value, {"operator": value}
+        elif slot.startswith("col:"):
+            name = table.column_name(value)
+            text, payload = forms.get(slot, str)(name), {"column": name}
+        else:
+            c, r = value
+            text = table.raw(r, c)
+            payload = {"column": table.column_name(c), "row": r, "value": text}
         shown.setdefault(slot, []).append(text)
         bindings.append((slot, payload))
     return Instantiation(template, tuple(bindings), _fill(template, shown))
@@ -262,9 +249,8 @@ def _instantiate(table: TypedTable, template: Template, slots: _Slots) -> Instan
 # ---------------------------------------------------------------------------
 # Candidates per generator. `generate` draws only the candidates it tries,
 # through `_sampled`, which needs just a length and random access. The
-# generators with many candidates per table therefore return a `_Blocks`,
-# which decodes each candidate from its index; the small enumerations stay
-# lists.
+# enumerations therefore return a `_Blocks`, which decodes each candidate
+# from its index. `_cands_only` stays a list: decoding measured slower there.
 # ---------------------------------------------------------------------------
 
 
@@ -398,41 +384,23 @@ def _cands_temporal_pairs(table: TypedTable, *operators: tuple[str, ...]) -> _Bl
     return _Blocks(blocks)
 
 
-def _cands_superlative(table: TypedTable, temporal: bool) -> list:
+def _cands_superlative(table: TypedTable, temporal: bool) -> _Blocks:
+    """(target column, value column, operator, template index)."""
     value_cols = table.date_columns() if temporal else table.number_columns()
     ops = ("earliest", "latest") if temporal else ("highest", "lowest")
-    out = []
-    for c2 in value_cols:
-        for c1 in range(table.n_cols):
-            if c1 == c2:
-                continue
-            out.extend((c1, c2, op, tmpl) for op in ops for tmpl in (0, 1))
-    return out
+    return _Blocks(((c1, c2), _Product(ops, (0, 1)))
+                   for c2 in value_cols for c1 in range(table.n_cols) if c1 != c2)
 
 
-def _cands_filtered(table: TypedTable, value_cols: list[int], min_rows: int = 1) -> list:
-    out = []
-    for c1 in value_cols:
-        for c2 in range(table.n_cols):
-            if c1 == c2:
-                continue
-            out.extend((c1, c2, v2) for v2, rows in table.groups(c2).items()
-                       if len(rows) >= min_rows)
-    return out
-
-
-def _cands_any_filter(table: TypedTable) -> list:
-    """(column, filter column, filter value) over every pair of columns."""
-    return _cands_filtered(table, list(range(table.n_cols)))
-
-
-def _cands_arith_superlative(table: TypedTable) -> list:
-    out = []
-    for value_cols, ops in ((table.number_columns(), ("highest", "lowest")),
-                            (table.date_columns(), ("earliest", "latest"))):
-        out.extend((c1, c2, v2, op) for c1, c2, v2 in _cands_filtered(table, value_cols, min_rows=2)
-                   for op in ops)
-    return out
+def _filter_blocks(table: TypedTable, value_cols: Iterable[int], min_rows: int = 1,
+                   *operators: tuple[str, ...]) -> Iterator[tuple[tuple, _Product]]:
+    """The blocks of (value column, filter column, filter value), followed by
+    an operator when `operators` are given: the filter column is any other
+    column, and the filter value one it holds in at least `min_rows` rows."""
+    values = [[v for v, rows in table.groups(c2).items() if len(rows) >= min_rows]
+              for c2 in range(table.n_cols)]
+    return (((c1, c2), _Product(values[c2], *operators))
+            for c1 in value_cols for c2 in range(table.n_cols) if c1 != c2)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +418,6 @@ def _comparison_answer(boolean: bool, a_wins: bool, va: str, vb: str) -> Answer:
     if boolean:
         return _yes_no(a_wins)
     return Answer(AnswerKind.SPAN_LIST, (va if a_wins else vb,))
-
-
-def _plural_noun(name: str) -> str:
-    return pluralize(name.lower())
 
 
 def _column_scan_plans(table: TypedTable, subject: int, key: int, scope: list[int]) -> list[FactPlan]:
@@ -479,15 +443,10 @@ def _filtered_rows(table: TypedTable, value_col: int, filter_col: int,
     return rows
 
 
-def _filter_slots(table: TypedTable, c1: int, c2: int, v2: str,
-                  forms: tuple[Callable[[str], str], ...] = (str, str)) -> _Slots:
+def _filter_slots(table: TypedTable, c1: int, c2: int, v2: str) -> _Slots:
     """The column col:1, the filter column col:2 and, as val:2, its first cell
-    holding v2; `forms` are the two columns' forms in the question."""
-    return (
-        ("col:1", _Column(c1, forms[0])),
-        ("col:2", _Column(c2, forms[1])),
-        ("val:2", _Cell(c2, table.rows_with(c2, v2)[0])),
-    )
+    holding v2."""
+    return ("col:1", c1), ("col:2", c2), ("val:2", (c2, table.rows_with(c2, v2)[0]))
 
 
 def _event_dates(table: TypedTable, first, second) -> tuple[Date, Date, list[FactPlan]]:
@@ -507,12 +466,7 @@ def _event_dates(table: TypedTable, first, second) -> tuple[Date, Date, list[Fac
 def _anchor_slots(first, second) -> _Slots:
     """col:1 and val:1 name the first anchor, col:2 and val:2 the second."""
     (ca, _va, ra), (cb, _vb, rb) = first, second
-    return (
-        ("col:1", _Column(ca)),
-        ("val:1", _Cell(ca, ra)),
-        ("col:2", _Column(cb)),
-        ("val:2", _Cell(cb, rb)),
-    )
+    return ("col:1", ca), ("val:1", (ca, ra)), ("col:2", cb), ("val:2", (cb, rb))
 
 
 def _realize_composition(table: TypedTable, cand) -> _Realized:
@@ -531,11 +485,8 @@ def _realize_composition(table: TypedTable, cand) -> _Realized:
     plans += [FactPlan(hop_col, (previous,), (r,)) for r in rows
               for previous, hop_col in zip(chain, (*chain[1:], target))]
     values = _dedup([table.raw(r, target) for r in rows])
-    return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
-        ("col:1", _Column(target)),
-        ("col:2", _Column(anchor_col)),
-        ("val:2", _Cell(anchor_col, rows[0])),
-    ))
+    return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans,
+                     _filter_slots(table, target, anchor_col, anchor_val))
 
 
 def _realize_conjunction(table: TypedTable, cand) -> _Realized:
@@ -563,11 +514,8 @@ def _realize_conjunction(table: TypedTable, cand) -> _Realized:
     else:
         plans = [FactPlan(target, (c2, c3), both)]
     return _Realized(Answer(AnswerKind.SPAN_LIST, values), plans, (
-        ("col:1", _Column(target)),
-        ("col:2", _Column(c2)),
-        ("val:2", _Cell(c2, both[0])),
-        ("col:3", _Column(c3)),
-        ("val:3", _Cell(c3, both[0])),
+        ("col:1", target), ("col:2", c2), ("val:2", (c2, both[0])),
+        ("col:3", c3), ("val:3", (c3, both[0])),
     ))
 
 
@@ -582,12 +530,8 @@ def _realize_only(table: TypedTable, cand) -> _Realized:
     if v1 not in names:
         raise EmptyResult(f"{v1} not among matches")
     v1_row = next(r for r in rows if table.raw(r, c1) == v1)
-    return _Realized(_yes_no(names == {v1}), [FactPlan(c1, (c2,), rows)], (
-        ("val:1", _Cell(c1, v1_row)),
-        ("col:1", _Column(c1)),
-        ("col:2", _Column(c2)),
-        ("val:2", _Cell(c2, rows[0])),
-    ))
+    return _Realized(_yes_no(names == {v1}), [FactPlan(c1, (c2,), rows)],
+                     (("val:1", (c1, v1_row)),) + _filter_slots(table, c1, c2, v2))
 
 
 def _realize_every_most(which: str, table: TypedTable, cand) -> _Realized:
@@ -599,7 +543,7 @@ def _realize_every_most(which: str, table: TypedTable, cand) -> _Realized:
     matches = sum(1 for r in scope if table.raw(r, c2) == v2)
     result = matches == len(scope) if which == "every" else matches * 2 > len(scope)
     return _Realized(_yes_no(result), _column_scan_plans(table, c2, c1, scope),
-                     (("[OPERATOR]", _Operator(which)),) + _filter_slots(table, c1, c2, v2))
+                     (("[OPERATOR]", which),) + _filter_slots(table, c1, c2, v2))
 
 
 def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Realized:
@@ -619,11 +563,7 @@ def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Reali
     a_wins = (qa > qb) == (op == "higher")
     plans = [FactPlan(c2, (c1,), (ra,)), FactPlan(c2, (c1,), (rb,))]
     return _Realized(_comparison_answer(boolean, a_wins, va, vb), plans, (
-        ("col:1", _Column(c1)),
-        ("[OPERATOR]", _Operator(op)),
-        ("col:2", _Column(c2)),
-        ("val:1", _Cell(c1, ra)),
-        ("val:1", _Cell(c1, rb)),
+        ("col:1", c1), ("[OPERATOR]", op), ("col:2", c2), ("val:1", (c1, ra)), ("val:1", (c1, rb)),
     ))
 
 
@@ -635,7 +575,7 @@ def _realize_temporal_comparison(boolean: bool, table: TypedTable, cand) -> _Rea
         raise TieDiscarded("dates indistinguishable")
     a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
     return _Realized(_comparison_answer(boolean, a_wins, first[1], second[1]), plans,
-                     (("[OPERATOR]", _Operator(op)),) + _anchor_slots(first, second))
+                     (("[OPERATOR]", op),) + _anchor_slots(first, second))
 
 
 def _realize_superlative(table: TypedTable, cand) -> _Realized:
@@ -654,11 +594,8 @@ def _realize_superlative(table: TypedTable, cand) -> _Realized:
         keys = {r: table.parsed(r, c2) for r in scope}
     extreme = (max if op in ("highest", "latest") else min)(keys.values())
     values = _dedup([table.raw(r, c1) for r in scope if keys[r] == extreme])
-    return _Realized(Answer(AnswerKind.SPAN_LIST, values), _column_scan_plans(table, c2, c1, scope), (
-        ("col:1", _Column(c1)),
-        ("[OPERATOR]", _Operator(op)),
-        ("col:2", _Column(c2)),
-    ), template)
+    return _Realized(Answer(AnswerKind.SPAN_LIST, values), _column_scan_plans(table, c2, c1, scope),
+                     (("col:1", c1), ("[OPERATOR]", op), ("col:2", c2)), template)
 
 
 def _realize_arith_superlative(table: TypedTable, cand) -> _Realized:
@@ -674,7 +611,7 @@ def _realize_arith_superlative(table: TypedTable, cand) -> _Realized:
         chosen = (max if op == "highest" else min)(values)
         answer = Answer(AnswerKind.NUMBER, (render_number(chosen),))
     return _Realized(answer, [FactPlan(c1, (c2,), rows)],
-                     (("[OPERATOR]", _Operator(op)),) + _filter_slots(table, c1, c2, v2))
+                     (("[OPERATOR]", op),) + _filter_slots(table, c1, c2, v2))
 
 
 def _realize_addition(table: TypedTable, cand) -> _Realized:
@@ -696,7 +633,7 @@ def _realize_counting(table: TypedTable, cand) -> _Realized:
     if any(not raw for raw in raws):
         raise UnparseableCell("empty target cell")
     return _Realized(Answer(AnswerKind.NUMBER, (str(len(set(raws))),)), [FactPlan(c1, (c2,), rows)],
-                     _filter_slots(table, c1, c2, v2, (_plural_noun, str.lower)))
+                     _filter_slots(table, c1, c2, v2))
 
 
 def _realize_date_difference(table: TypedTable, cand) -> _Realized:
@@ -715,8 +652,10 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], Sequence],
     GeneratorKind.COMPOSITION_3HOP: (lambda t: _cands_composition(t, 3), _realize_composition),
     GeneratorKind.CONJUNCTION: (_cands_conjunction, _realize_conjunction),
     GeneratorKind.QUANTIFIER_ONLY: (_cands_only, _realize_only),
-    GeneratorKind.QUANTIFIER_MOST: (_cands_any_filter, partial(_realize_every_most, "most")),
-    GeneratorKind.QUANTIFIER_EVERY: (_cands_any_filter, partial(_realize_every_most, "every")),
+    GeneratorKind.QUANTIFIER_MOST: (lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
+                                    partial(_realize_every_most, "most")),
+    GeneratorKind.QUANTIFIER_EVERY: (lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
+                                     partial(_realize_every_most, "every")),
     GeneratorKind.NUMBER_COMPARISON: (
         lambda t: _cands_number_pairs(t, ("higher", "lower")),
         partial(_realize_number_comparison, False)),
@@ -733,10 +672,15 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], Sequence],
         lambda t: _cands_superlative(t, temporal=False), _realize_superlative),
     GeneratorKind.TEMPORAL_SUPERLATIVE: (
         lambda t: _cands_superlative(t, temporal=True), _realize_superlative),
-    GeneratorKind.ARITHMETIC_SUPERLATIVE: (_cands_arith_superlative, _realize_arith_superlative),
+    GeneratorKind.ARITHMETIC_SUPERLATIVE: (
+        lambda t: _Blocks(itertools.chain(
+            _filter_blocks(t, t.number_columns(), 2, ("highest", "lowest")),
+            _filter_blocks(t, t.date_columns(), 2, ("earliest", "latest")))),
+        _realize_arith_superlative),
     GeneratorKind.ARITHMETIC_ADDITION: (
-        lambda t: _cands_filtered(t, t.number_columns(), min_rows=2), _realize_addition),
-    GeneratorKind.COUNTING: (_cands_any_filter, _realize_counting),
+        lambda t: _Blocks(_filter_blocks(t, t.number_columns(), 2)), _realize_addition),
+    GeneratorKind.COUNTING: (lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
+                             _realize_counting),
     GeneratorKind.DATE_DIFFERENCE: (_cands_temporal_pairs, _realize_date_difference),
 }
 

@@ -128,6 +128,14 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str]
     return "accepted", [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
 
 
+def _default_sigterm() -> None:
+    """Pool initializer: SIGTERM kills the worker, whatever the parent set."""
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
 def generate_corpus(input_path: str, output_path: str, settings: GenerationSettings,
                     rejects_path: str | None = None) -> GenerateSummary:
     """Stream a dump file through the generators into an example file.
@@ -148,6 +156,10 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
         rejects_path = output_path + ".rejects"
     if os.path.realpath(rejects_path) == os.path.realpath(output_path):
         raise ValueError(f"rejects path is the output path: {output_path}")
+    if settings.cap is not None and settings.cap < 1:
+        raise ValueError(f"per-table cap must be at least 1, got {settings.cap}")
+    if settings.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {settings.workers}")
     summary = GenerateSummary()
     seen_ids: set[int] = set()
     worker = partial(_process_line, settings)
@@ -162,9 +174,17 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
             if settings.workers > 1:
                 # Imported here: one worker never needs it, and every command
                 # would pay for the import otherwise.
+                import signal
                 from multiprocessing import Pool
 
-                pool = Pool(settings.workers)
+                # SIGTERM waits until `pool` is set, so a handler that raises
+                # cannot strand workers, and each worker takes back the
+                # default action, which `pool.terminate` relies on.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+                try:
+                    pool = Pool(settings.workers, _default_sigterm)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 results = pool.imap(worker, items, chunksize=1)
             else:
                 results = map(worker, items)
@@ -206,7 +226,8 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
 
 
 def parse_kinds(spec: str | None) -> tuple[GeneratorKind, ...]:
-    """Parse a comma-separated generator filter; None or empty keeps all."""
+    """Parse a comma-separated generator filter; None or empty keeps all,
+    and a repeated name counts once, where it first appears."""
     if not spec:
         return ALL_KINDS
     kinds = []
@@ -219,4 +240,4 @@ def parse_kinds(spec: str | None) -> tuple[GeneratorKind, ...]:
         except ValueError:
             valid = ", ".join(k.value for k in ALL_KINDS)
             raise ValueError(f"unknown generator {name!r}; valid: {valid}") from None
-    return tuple(kinds) or ALL_KINDS
+    return tuple(dict.fromkeys(kinds)) or ALL_KINDS

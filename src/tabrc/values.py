@@ -40,7 +40,6 @@ class IncomparablePrecision(ValueError):
 # simply excluded from instantiation later on.
 TYPE_RATIO = 0.85
 
-_CURRENCY = "$€£"
 _NUMBER_RE = re.compile(r"^([+-]?)[$€£]?\s?(\d[\d.]*(?:[eE][+-]?\d+)?)%?$")
 
 MONTH_NAMES = [

@@ -2,7 +2,11 @@ import hashlib
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +378,21 @@ class TestParseKinds:
         with pytest.raises(ValueError):
             parse_kinds("quantum_flux")
 
+    def test_repeated_name_runs_once(self, tmp_path, capsys):
+        assert parse_kinds("counting, counting,date_difference,counting") == (
+            GeneratorKind.COUNTING, GeneratorKind.DATE_DIFFERENCE)
+        dump = tmp_path / "chelsea.jsonl"
+        write_lines(dump, [json.dumps(CHELSEA)])
+        once, repeated = tmp_path / "once.jsonl", tmp_path / "repeated.jsonl"
+        assert main(["generate", "--input", str(dump), "--output", str(once),
+                     "--egs", "counting"]) == 0
+        summary = capsys.readouterr().err
+        assert main(["generate", "--input", str(dump), "--output", str(repeated),
+                     "--egs", "counting,counting"]) == 0
+        assert capsys.readouterr().err == summary
+        assert summary.endswith("(0 duplicates dropped)\n")
+        assert repeated.read_bytes() == once.read_bytes() != b""
+
 
 class TestCli:
     def test_generate_and_stats(self, dump, tmp_path, capsys):
@@ -490,6 +509,55 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--per-table-cap", "0"], id="cap-zero"),
+        pytest.param(["--per-table-cap", "-1"], id="cap-negative"),
+        pytest.param(["--workers", "0"], id="workers-zero"),
+        pytest.param(["--workers", "-2"], id="workers-negative"),
+    ])
+    def test_generate_bad_flag_usage_error(self, dump, tmp_path, capsys, args):
+        code = main(["generate", "--input", dump, "--output", str(tmp_path / "o.jsonl"), *args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == [os.path.basename(dump)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_exits_143_and_cleans_up(self, tmp_path, workers):
+        # Long enough a dump that the run is still going when SIGTERM comes.
+        dump = tmp_path / "tables.jsonl"
+        write_lines(dump, [json.dumps(make_table(i, seed=4)) for i in range(600)])
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # Its own session, so that the process group also names its workers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tabrc.cli", "generate", "--input", str(dump),
+             "--output", str(out), "--workers", str(workers)],
+            env=env, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            # Records reach the temporary file once the run (and its pool) is
+            # under way.
+            deadline = time.monotonic() + 30
+            while not any(p.name.startswith("out.jsonl.tmp") and p.stat().st_size
+                          for p in tmp_path.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 143, err
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "tables.jsonl"]
+        assert out.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("bad_line, reject_id", [
         pytest.param(b'{"id": "t\xff"}', b"t\\udcff", id="in-a-string"),
