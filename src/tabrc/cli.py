@@ -50,7 +50,9 @@ def _default_seed() -> int:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    return [int(s) for s in spec.split(",") if s.strip()]
+    """The comma-separated seeds; a repeated seed counts once, where it first
+    appears. An empty list runs nothing, which times start-up alone."""
+    return list(dict.fromkeys(int(s) for s in spec.split(",") if s.strip()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,6 +181,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .sampling import SamplerConfig, check_eps, format_distribution_trace
 
     try:
+        if args.history is not None and args.preset is not None:
+            raise ValueError("--history replays a feed and takes no --preset")
         sampler = SamplerConfig(
             strategy=Strategy(args.strategy),
             window=args.w,

@@ -16,17 +16,16 @@ A context is a seed-shuffled mix of the gold facts required by one question
 and distractor facts drawn from cells the question does not touch, prefixed
 with the table and page titles.
 
-Distractors come from a `FactPool`: each pool fact is rendered once per
-table, and a fact is a candidate when its cells are disjoint from the
-question's gold cells. The pool also renders each gold fact once per table,
-however many questions need it. Candidates are sampled with `_sampled`, a
-lazy partial Fisher–Yates shuffle that draws once per fact tried and only
-reads the sequence it samples (seed-stream v2).
+Distractors come from a `FactPool`, which renders each fact once per table
+into `runs`, by (subject, key) column pair; a fact is a candidate when its
+cells are disjoint from the question's gold cells. The pool also renders
+each gold fact once per table, however many questions need it. Candidates
+are sampled with `_sampled`, a lazy partial Fisher–Yates shuffle that draws
+once per fact tried and only reads the sequence it samples (seed-stream v2).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from enum import Enum
 from functools import cached_property
@@ -188,23 +187,20 @@ def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
 
 
 class PoolFact(NamedTuple):
-    """One pool fact: its (subject, key) column pair, the fact rendered as a
-    distractor and its word count. The fact's `cells` mask is only comparable
-    with masks of the pool's own table."""
+    """A fact rendered as a distractor and its word count. Its `cells` mask
+    is only comparable with masks of the pool's own table."""
 
-    pair: tuple[int, int]
     fact: Fact
     words: int
 
 
 class FactPool:
     """Every complete single-key fact one table can express, rendered once
-    and grouped by (subject, key) column pair. Facts whose text contains
-    `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out, since as
-    distractors they would make the context split back wrongly. The pool
-    also keeps each gold fact it has rendered (`gold`). Each part is built on
-    first use; make one per table and pass it to every `build_context` call
-    on that table."""
+    and kept in `runs`. Facts whose text contains `FACT_SEPARATOR` (say, a
+    cell reading "St. Louis") are left out, since as distractors they would
+    make the context split back wrongly. The pool also keeps each gold fact
+    it has rendered (`gold`). Each part is built on first use; make one per
+    table and pass it to every `build_context` call on that table."""
 
     def __init__(self, table: TypedTable):
         self.table = table
@@ -221,15 +217,16 @@ class FactPool:
         return known
 
     @cached_property
-    def entries(self) -> tuple[PoolFact, ...]:
-        """The facts in a fixed order; the facts of one (subject, key) column
-        pair form one contiguous run."""
+    def runs(self) -> dict[tuple[int, int], tuple[PoolFact, ...]]:
+        """Each (subject, key) column pair, by key and then subject column, to
+        its facts in key-value order. Pairs with no fact are left out."""
         table = self.table
-        out = []
+        runs = {}
         for key_col in range(table.n_cols):
             for subject_col in range(table.n_cols):
                 if subject_col == key_col:
                     continue
+                run = []
                 for rows in table.groups(key_col).values():
                     if any(not table.raw(r, subject_col) for r in rows):
                         continue
@@ -237,42 +234,32 @@ class FactPool:
                     fact = _render_plan(table, plan, FactKind.DISTRACTOR)
                     if FACT_SEPARATOR in fact.text:
                         continue
-                    out.append(PoolFact((subject_col, key_col), fact, len(fact.text.split())))
-        return tuple(out)
+                    run.append(PoolFact(fact, len(fact.text.split())))
+                if run:
+                    runs[(subject_col, key_col)] = tuple(run)
+        return runs
 
     @cached_property
     def shortest(self) -> int:
         """The word count of the shortest fact."""
-        return min((entry.words for entry in self.entries), default=0)
-
-    @cached_property
-    def spans(self) -> dict[tuple[int, int], range]:
-        """Each (subject, key) column pair to the positions of its run in
-        `entries`."""
-        spans = {}
-        start = 0
-        for pair, run in itertools.groupby(self.entries, key=lambda entry: entry.pair):
-            end = start + sum(1 for _ in run)
-            spans[pair] = range(start, end)
-            start = end
-        return spans
+        return min((entry.words for run in self.runs.values() for entry in run), default=0)
 
 
-def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[int]:
-    """Positions in the pool of candidate distractor facts, in the order to
-    try them. First, in a seeded random order, the preferred tier: facts
-    reusing the gold facts' column pairs (other rows). Then, likewise, the
-    fallback tier over the other column pairs, built only if the preferred
+def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[PoolFact]:
+    """The candidate distractor facts of the pool, in the order to try them.
+    First, in a seeded random order, the preferred tier: facts reusing the
+    gold facts' column pairs (other rows). Then, likewise, the fallback tier
+    over the other column pairs in pool order, built only if the preferred
     tier runs out. Every candidate is a complete, true fact whose cells are
     disjoint from the gold cells."""
     gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
                                if len(plan.keys) == 1)
-    entries, spans, gold_cells = pool.entries, pool.spans, gold.cells
-    preferred = [i for pair in gold_pairs for i in spans.get(pair, ())
-                 if not entries[i].fact.cells & gold_cells]
+    runs, gold_cells = pool.runs, gold.cells
+    preferred = [entry for pair in gold_pairs for entry in runs.get(pair, ())
+                 if not entry.fact.cells & gold_cells]
     yield from _sampled(rng, preferred)
-    fallback = [i for pair, span in spans.items() if pair not in gold_pairs
-                for i in span if not entries[i].fact.cells & gold_cells]
+    fallback = [entry for pair, run in runs.items() if pair not in gold_pairs
+                for entry in run if not entry.fact.cells & gold_cells]
     yield from _sampled(rng, fallback)
 
 
@@ -299,10 +286,8 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int,
 
     wanted = rng.randint(config.distractors_min, config.distractors_max)
     distractors: list[Fact] = []
-    entries = pool.entries
     if wanted > 0:
-        for i in _distractor_order(pool, gold, rng):
-            entry = entries[i]
+        for entry in _distractor_order(pool, gold, rng):
             if words + entry.words > config.word_cap:
                 if words + pool.shortest > config.word_cap:
                     break  # no candidate left can fit

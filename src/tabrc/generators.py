@@ -578,6 +578,17 @@ def _realize_temporal_comparison(boolean: bool, table: TypedTable, cand) -> _Rea
                      (("[OPERATOR]", op),) + _anchor_slots(first, second))
 
 
+def _extreme(values: list, op: str):
+    """The highest or lowest of numbers, or the latest or earliest of dates,
+    which must share one precision."""
+    pick = max if op in ("highest", "latest") else min
+    if op in ("earliest", "latest"):
+        if len({d.precision for d in values}) != 1:
+            raise UnparseableCell("mixed date precision")
+        return pick(values, key=Date.key)
+    return pick(values)
+
+
 def _realize_superlative(table: TypedTable, cand) -> _Realized:
     c1, c2, op, template = cand
     if c1 == c2:
@@ -586,14 +597,9 @@ def _realize_superlative(table: TypedTable, cand) -> _Realized:
              if table.parsed(r, c2) is not None and table.raw(r, c1)]
     if len(scope) < 2:
         raise InsufficientValues("superlative scope")
-    if op in ("earliest", "latest"):
-        if len({table.parsed(r, c2).precision for r in scope}) != 1:
-            raise UnparseableCell("mixed date precision")
-        keys = {r: table.parsed(r, c2).key() for r in scope}
-    else:
-        keys = {r: table.parsed(r, c2) for r in scope}
-    extreme = (max if op in ("highest", "latest") else min)(keys.values())
-    values = _dedup([table.raw(r, c1) for r in scope if keys[r] == extreme])
+    parsed = [table.parsed(r, c2) for r in scope]
+    extreme = _extreme(parsed, op)
+    values = _dedup([table.raw(r, c1) for r, value in zip(scope, parsed) if value == extreme])
     return _Realized(Answer(AnswerKind.SPAN_LIST, values), _column_scan_plans(table, c2, c1, scope),
                      (("col:1", c1), ("[OPERATOR]", op), ("col:2", c2)), template)
 
@@ -601,14 +607,10 @@ def _realize_superlative(table: TypedTable, cand) -> _Realized:
 def _realize_arith_superlative(table: TypedTable, cand) -> _Realized:
     c1, c2, v2, op = cand
     rows = _filtered_rows(table, c1, c2, v2)
-    values = [table.parsed(r, c1) for r in rows]
+    chosen = _extreme([table.parsed(r, c1) for r in rows], op)
     if op in ("earliest", "latest"):
-        if len({d.precision for d in values}) != 1:
-            raise UnparseableCell("mixed date precision")
-        chosen = (max if op == "latest" else min)(values, key=Date.key)
         answer = Answer(AnswerKind.DATE, (render_date(chosen),))
     else:
-        chosen = (max if op == "highest" else min)(values)
         answer = Answer(AnswerKind.NUMBER, (render_number(chosen),))
     return _Realized(answer, [FactPlan(c1, (c2,), rows)],
                      (("[OPERATOR]", op),) + _filter_slots(table, c1, c2, v2))

@@ -15,7 +15,6 @@ deduplicates repeated instantiations across the whole run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from functools import partial
@@ -67,8 +66,7 @@ _RECORD_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encod
 def example_id(table_id: str, kind: GeneratorKind, triplet: Triplet) -> str:
     """Content hash over (table, generator, bindings) used for global dedup."""
     bindings = _BINDINGS_JSON([[slot, payload] for slot, payload in triplet.instantiation.bindings])
-    digest = hashlib.sha256(f"{table_id}\x1f{kind.value}\x1f{bindings}".encode("utf-8"))
-    return digest.hexdigest()[:16]
+    return f"{derive_seed(table_id, kind.value, bindings):016x}"
 
 
 def build_record(table: TypedTable, kind: GeneratorKind, triplet: Triplet,
@@ -160,6 +158,9 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
         raise ValueError(f"per-table cap must be at least 1, got {settings.cap}")
     if settings.workers < 1:
         raise ValueError(f"workers must be at least 1, got {settings.workers}")
+    if settings.max_rows < max(settings.min_rows, 1):
+        raise ValueError(f"max rows must be at least 1 and at least min rows "
+                         f"({settings.min_rows}), got {settings.max_rows}")
     summary = GenerateSummary()
     seen_ids: set[int] = set()
     worker = partial(_process_line, settings)

@@ -82,8 +82,9 @@ class TaskDistribution(_DistributionFields):
         return dict(self.probs)
 
     def entropy(self) -> float:
-        """Shannon entropy in nats."""
-        return -sum(p * math.log(p) for _, p in self.probs if p > 0)
+        """Shannon entropy in nats. Each term is negated, not the sum, so a
+        point mass gives 0.0, not -0.0."""
+        return sum(-p * math.log(p) for _, p in self.probs if p > 0)
 
 
 def _normalized(weights: Mapping[str, float]) -> TaskDistribution:

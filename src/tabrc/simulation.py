@@ -71,8 +71,8 @@ class SimulationConfig(_SimulationFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.tasks:
             raise ValueError("at least one task required")
-        if self.batch_size < 1 or self.checkpoints < 1:
-            raise ValueError("batch size and checkpoints must be positive")
+        if self.batch_size < 1 or self.steps_per_checkpoint < 1 or self.checkpoints < 1:
+            raise ValueError("batch size, steps per checkpoint and checkpoints must be positive")
         return self
 
 

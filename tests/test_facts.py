@@ -189,7 +189,7 @@ class TestBuildContext:
                         assert not (fact.cells & gold.cells)
             ctx = build_context(pool, gold, seed=1, config=TAKE_ALL)
             taken = {fact.text for fact in ctx.facts if fact.kind is FactKind.DISTRACTOR}
-            facts = [entry.fact for entry in pool.entries]
+            facts = [entry.fact for run in pool.runs.values() for entry in run]
             disjoint = {fact.text for fact in facts if not (fact.cells & gold.cells)}
             assert taken == disjoint
             assert len(taken) < len(facts)
@@ -241,8 +241,8 @@ class TestBuildContext:
                 if len(taken) == 8:
                     continue
                 used = len(ctx.rendered.split())
-                left = [entry for entry in pool.entries if entry.fact.text not in taken
-                        and not entry.fact.cells & gold.cells]
+                left = [entry for run in pool.runs.values() for entry in run
+                        if entry.fact.text not in taken and not entry.fact.cells & gold.cells]
                 assert all(used + entry.words > cap for entry in left)
 
 
@@ -261,8 +261,9 @@ class TestSeparatorText:
         t = _st_louis_table()
         team, city, wins = (t.column_index(name) for name in ("Team", "City", "Wins"))
         pool = FactPool(t)
-        assert pool.entries
-        assert not any(FACT_SEPARATOR in entry.fact.text for entry in pool.entries)
+        assert pool.runs
+        assert not any(FACT_SEPARATOR in entry.fact.text
+                       for run in pool.runs.values() for entry in run)
         # A gold fact naming St. Louis keeps its place.
         gold = gold_spec([FactPlan(city, (team,), (0,)), FactPlan(wins, (city,), (1,))], t.n_cols)
         gold_texts = sorted(render_fact(t, plan.subject, plan.keys[0], plan.rows).text
@@ -280,7 +281,7 @@ class TestFactPool:
     def test_pool_facts_rendered_once_per_table(self):
         t, gold = _gold()
         pool = FactPool(t)
-        pooled = {id(entry.fact) for entry in pool.entries}
+        pooled = {id(entry.fact) for run in pool.runs.values() for entry in run}
         for seed in range(10):
             ctx = build_context(pool, gold, seed=seed)
             for fact in ctx.facts:
@@ -289,15 +290,22 @@ class TestFactPool:
 
     def test_cell_index_covers_every_entry(self):
         pool = FactPool(_rough_table_with_blank_and_na())
-        for entry in pool.entries:
-            assert entry.words == len(entry.fact.text.split())
+        for run in pool.runs.values():
+            for entry in run:
+                assert entry.words == len(entry.fact.text.split())
 
-    def test_spans_are_the_runs_of_each_pair(self):
-        pool = FactPool(_rough_table_with_blank_and_na())
-        assert [i for span in pool.spans.values() for i in span] == list(range(len(pool.entries)))
-        for pair, span in pool.spans.items():
-            assert span
-            assert all(pool.entries[i].pair == pair for i in span)
+    def test_runs_hold_only_their_pairs_facts(self):
+        # A fact of the (subject, key) run states cells of exactly those two
+        # columns.
+        t = _rough_table_with_blank_and_na()
+        pool = FactPool(t)
+        assert pool.runs
+        for (subject, key), run in pool.runs.items():
+            assert run
+            for entry in run:
+                mask = entry.fact.cells
+                columns = {bit % t.n_cols for bit in range(mask.bit_length()) if mask >> bit & 1}
+                assert columns == {subject, key}
 
     def test_generate_and_build_context_leave_table_untouched(self):
         for t in (table(), _rough_table_with_blank_and_na()):

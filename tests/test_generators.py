@@ -549,15 +549,14 @@ class TestPinnedTriplets:
         # set of its plan(s), on the same tables as the digests above.
         for table in _pinned_tables():
             pool = FactPool(table)
-            assert pool.entries
-            for (subject, key), span in pool.spans.items():
+            assert pool.runs
+            for (subject, key), run in pool.runs.items():
                 # A pool fact lists the subject over the rows of one key value.
                 plans = {}
                 for rows in table.groups(key).values():
                     plan = FactPlan(subject, (key,), rows)
                     plans[_render_plan(table, plan, FactKind.DISTRACTOR).text] = plan
-                for i in span:
-                    fact = pool.entries[i].fact
+                for fact, _ in run:
                     expected = _plan_cells(plans[fact.text])
                     assert set(_mask_cells(fact.cells, table.n_cols)) == expected
             for kind in GeneratorKind:

@@ -464,6 +464,21 @@ class TestCli:
         trace = open(os.path.join(outdir, "trace_momentum_seed0.tsv")).read()
         assert trace.startswith("checkpoint\ttask\taccuracy\tprobability\tentropy")
 
+    def test_simulate_repeated_seed_runs_once(self, tmp_path, capsys):
+        outdir = tmp_path / "sim"
+        code = main(["simulate", "--seeds", "1,1", "--checkpoints", "3", "--output", str(outdir)])
+        assert code == 0
+        assert os.listdir(outdir) == ["trace_momentum_seed1.tsv"]
+        assert capsys.readouterr().err.count("wrote ") == 1
+
+    def test_simulate_one_task_entropy_is_zero(self, tmp_path, capsys):
+        outdir = tmp_path / "sim"
+        code = main(["simulate", "--num-tasks", "1", "--checkpoints", "3", "--output", str(outdir)])
+        assert code == 0
+        assert "(final entropy 0.0000)" in capsys.readouterr().err
+        rows = (outdir / "trace_momentum_seed0.tsv").read_text().splitlines()[1:]
+        assert rows and all(row.split("\t")[-1] == "0" for row in rows)
+
     def test_simulate_two_task_preset(self, tmp_path, capsys):
         outdir = str(tmp_path / "sim")
         code = main(["simulate", "--preset", "two-task", "--seeds", "0", "--output", outdir])
@@ -496,6 +511,10 @@ class TestCli:
         pytest.param(None, ["--num-tasks", "0"], id="no-tasks"),
         pytest.param(None, ["--checkpoints", "0"], id="no-checkpoints"),
         pytest.param(None, ["--batch-size", "0"], id="empty-batch"),
+        pytest.param(None, ["--steps", "0"], id="no-steps"),
+        pytest.param(None, ["--steps", "-3"], id="negative-steps"),
+        pytest.param("1\ta\t0.5\n1\tb\t0.5\n", ["--history", "feed.tsv", "--preset", "two-task"],
+                     id="history-with-preset"),
         pytest.param(None, ["--eps", "0.1"], id="momentum-eps-above-uniform-share"),
         pytest.param(None, ["--eps", "nan"], id="momentum-eps-nan"),
         pytest.param("1\ta\t0.5\n1\tb\t0.5\n", ["--eps", "0.5", "--history", "feed.tsv"],
@@ -515,6 +534,9 @@ class TestCli:
         pytest.param(["--per-table-cap", "-1"], id="cap-negative"),
         pytest.param(["--workers", "0"], id="workers-zero"),
         pytest.param(["--workers", "-2"], id="workers-negative"),
+        pytest.param(["--min-rows", "30", "--max-rows", "5"], id="max-rows-below-min-rows"),
+        pytest.param(["--max-rows", "0"], id="max-rows-zero"),
+        pytest.param(["--min-rows", "0", "--max-rows", "0"], id="max-rows-zero-min-rows-zero"),
     ])
     def test_generate_bad_flag_usage_error(self, dump, tmp_path, capsys, args):
         code = main(["generate", "--input", dump, "--output", str(tmp_path / "o.jsonl"), *args])

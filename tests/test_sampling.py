@@ -266,6 +266,10 @@ class TestEntropy:
     def test_uniform_entropy_is_log_n(self):
         assert uniform(TASKS16).entropy() == pytest.approx(math.log(16), abs=1e-12)
 
+    def test_point_mass_entropy_is_positive_zero(self):
+        entropy = TaskDistribution((("a", 1.0),)).entropy()
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
     def test_concentrated_entropy_lower(self):
         dist = TaskDistribution((("a", 0.97), ("b", 0.01), ("c", 0.01), ("d", 0.01)))
         assert dist.entropy() < uniform(["a", "b", "c", "d"]).entropy()
