@@ -183,6 +183,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         if args.history is not None and args.preset is not None:
             raise ValueError("--history replays a feed and takes no --preset")
+        # Checked in every mode, also where the mode ignores them, so that no
+        # out-of-range value passes silently.
+        for flag in ("steps", "batch_size", "checkpoints", "num_tasks"):
+            if getattr(args, flag) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         sampler = SamplerConfig(
             strategy=Strategy(args.strategy),
             window=args.w,

@@ -8,24 +8,32 @@ question/answer/gold-spec triplets for one (table, generator) pair,
 deterministically for a fixed seed.
 
 A generator is data: an entry in `_GENERATORS` pairs a candidate enumerator
-with one function, `(table, candidate) -> _Realized`, and `TEMPLATES` holds
-its question patterns. That function validates the candidate, raising a
-`Discard` when it cannot give a sound example, and returns a `_Realized`: the
-`Answer`, the fact plans behind the gold facts, the ordered slots and the
-template index. A slot is a plain `(name, value)` pair: "col:N" binds a
-column index, "val:N" a `(column, row)` cell and "[OPERATOR]" an operator
-word. `_instantiate` is the one place that turns slot values into the
-question text and the binding payloads that example ids hash, so slot order
-is part of the output. `_COLUMN_FORMS` names the column slots whose question
-shows the column other than by its name.
+with a realizer, `(table, candidate) -> _Realized`, and `TEMPLATES` holds its
+question patterns. An enumerator yields only structurally valid candidates
+(distinct columns, values held in enough rows, anchors that parse); a realizer
+discards only for the table's data, raising one `Discard` subclass each:
+
+- `AmbiguousChain`: a hop value, or a boolean comparison's anchor pair, does
+  not identify one row;
+- `UnparseableCell`: a cell in scope is empty or does not parse, or dates of
+  mixed precision are compared;
+- `TieDiscarded`: the two quantities or dates compared are equal;
+- `InsufficientValues`: a quantifier or superlative scope has under two rows.
+
+Otherwise it returns a `_Realized`: the `Answer`, the fact plans behind the
+gold facts, the ordered slots and the template index. A slot is a plain
+`(name, value)` pair: "col:N" binds a column index, "val:N" a `(column, row)`
+cell and "[OPERATOR]" an operator word. `_instantiate` is the one place that
+turns slot values into the question text and the binding payloads that
+example ids hash, so slot order is part of the output. `_COLUMN_FORMS` names
+the column slots whose question shows the column other than by its name.
 
 Conventions shared with the rest of the toolkit:
 
 - Filters and anchors match on stripped raw cell text; empty cells never
   participate. Cells of a typed column that fail to parse are excluded.
 - Comparison generators require unique anchor values and strictly unequal
-  quantities; ties and ambiguous instantiations are discarded, and the cap
-  counts valid triplets only.
+  quantities. The cap counts valid triplets only.
 - Temporal generators read the event time of a row from the leftmost DATE
   column. Temporal superlatives additionally require a single date precision
   across the column so that the ordering is total.
@@ -50,7 +58,6 @@ from .shared import GeneratorKind, derive_seed
 from .tables import TypedTable
 from .values import (
     Date,
-    IncomparablePrecision,
     compare_dates,
     date_difference,
     render_date,
@@ -97,10 +104,6 @@ class Discard(Exception):
 
 
 class AmbiguousChain(Discard):
-    pass
-
-
-class EmptyResult(Discard):
     pass
 
 
@@ -404,9 +407,8 @@ def _filter_blocks(table: TypedTable, value_cols: Iterable[int], min_rows: int =
 
 
 # ---------------------------------------------------------------------------
-# Generators: each validates one candidate and realizes it. The answer comes
-# with the fact plans that make the question answerable from verbalized facts
-# alone.
+# Realizers: each turns one candidate into its answer, with the fact plans
+# that make the question answerable from verbalized facts alone.
 # ---------------------------------------------------------------------------
 
 
@@ -433,11 +435,7 @@ def _column_scan_plans(table: TypedTable, subject: int, key: int, scope: list[in
 
 def _filtered_rows(table: TypedTable, value_col: int, filter_col: int,
                    filter_val: str) -> tuple[int, ...]:
-    if value_col == filter_col:
-        raise ValueError("value and filter columns must differ")
     rows = table.rows_with(filter_col, filter_val)
-    if len(rows) < 2:
-        raise InsufficientValues("filter must match at least two rows")
     if any(table.parsed(r, value_col) is None for r in rows):
         raise UnparseableCell("unparseable cell in filtered scope")
     return rows
@@ -454,12 +452,8 @@ def _event_dates(table: TypedTable, first, second) -> tuple[Date, Date, list[Fac
     that state them."""
     (ca, _va, ra), (cb, _vb, rb) = first, second
     date_col = table.event_date_column()
-    if date_col is None:
-        raise UnparseableCell("no date column")
     da = table.parsed(ra, date_col)
     db = table.parsed(rb, date_col)
-    if not isinstance(da, Date) or not isinstance(db, Date):
-        raise UnparseableCell("non-date cell")
     return da, db, [FactPlan(date_col, (ca,), (ra,)), FactPlan(date_col, (cb,), (rb,))]
 
 
@@ -472,10 +466,8 @@ def _anchor_slots(first, second) -> _Slots:
 def _realize_composition(table: TypedTable, cand) -> _Realized:
     anchor_col, anchor_val, chain, target = cand
     rows = table.rows_with(anchor_col, anchor_val)
-    if not rows:
-        raise EmptyResult(anchor_val)
     if any(not table.raw(r, target) for r in rows):
-        raise AmbiguousChain("empty target cell")
+        raise UnparseableCell("empty target cell")
     for r in rows:
         for hop_col in chain:
             value = table.raw(r, hop_col)
@@ -491,15 +483,11 @@ def _realize_composition(table: TypedTable, cand) -> _Realized:
 
 def _realize_conjunction(table: TypedTable, cand) -> _Realized:
     target, c2, c3, v2, v3 = cand
-    if c2 == c3:
-        raise EmptyResult("conditions must use two distinct columns")
     rows_a = table.rows_with(c2, v2)
     rows_b = table.rows_with(c3, v3)
     both = tuple(r for r in rows_a if table.raw(r, c3) == v3)
-    if not both:
-        raise EmptyResult(f"{v2} & {v3}")
     if any(not table.raw(r, target) for r in both):
-        raise EmptyResult("empty target cell")
+        raise UnparseableCell("empty target cell")
     values = _dedup([table.raw(r, target) for r in both])
 
     # Two single-key facts suffice when intersecting their value lists
@@ -522,13 +510,7 @@ def _realize_conjunction(table: TypedTable, cand) -> _Realized:
 def _realize_only(table: TypedTable, cand) -> _Realized:
     c1, v1, c2, v2 = cand
     rows = table.rows_with(c2, v2)
-    if not rows:
-        raise EmptyResult(v2)
-    if any(not table.raw(r, c1) for r in rows):
-        raise UnparseableCell("empty cell under quantifier")
     names = {table.raw(r, c1) for r in rows}
-    if v1 not in names:
-        raise EmptyResult(f"{v1} not among matches")
     v1_row = next(r for r in rows if table.raw(r, c1) == v1)
     return _Realized(_yes_no(names == {v1}), [FactPlan(c1, (c2,), rows)],
                      (("val:1", (c1, v1_row)),) + _filter_slots(table, c1, c2, v2))
@@ -556,8 +538,6 @@ def _realize_number_comparison(boolean: bool, table: TypedTable, cand) -> _Reali
                 raise AmbiguousChain("anchor pair occurs in another column")
     qa = table.parsed(ra, c2)
     qb = table.parsed(rb, c2)
-    if not isinstance(qa, Decimal) or not isinstance(qb, Decimal):
-        raise UnparseableCell("non-numeric cell")
     if qa == qb:
         raise TieDiscarded(f"{qa}")
     a_wins = (qa > qb) == (op == "higher")
@@ -591,8 +571,6 @@ def _extreme(values: list, op: str):
 
 def _realize_superlative(table: TypedTable, cand) -> _Realized:
     c1, c2, op, template = cand
-    if c1 == c2:
-        raise ValueError("target and value columns must differ")
     scope = [r for r in range(table.n_rows)
              if table.parsed(r, c2) is not None and table.raw(r, c1)]
     if len(scope) < 2:
@@ -626,11 +604,7 @@ def _realize_addition(table: TypedTable, cand) -> _Realized:
 
 def _realize_counting(table: TypedTable, cand) -> _Realized:
     c1, c2, v2 = cand
-    if c1 == c2:
-        raise ValueError("target and filter columns must differ")
     rows = table.rows_with(c2, v2)
-    if not rows:
-        raise EmptyResult(v2)
     raws = [table.raw(r, c1) for r in rows]
     if any(not raw for raw in raws):
         raise UnparseableCell("empty target cell")
@@ -643,6 +617,8 @@ def _realize_date_difference(table: TypedTable, cand) -> _Realized:
     da, db, plans = _event_dates(table, first, second)
     if da.key() == db.key():
         raise TieDiscarded("identical dates")
+    if da.precision != db.precision:
+        raise UnparseableCell("mixed date precision")
     return _Realized(Answer(AnswerKind.DURATION, (render_duration(date_difference(da, db)),)),
                      plans, _anchor_slots(first, second))
 
@@ -687,7 +663,6 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], Sequence],
 }
 
 
-
 def generate(table: TypedTable, kind: GeneratorKind, seed: int,
              cap: int | None = PER_TABLE_CAP) -> list[Triplet]:
     """Sample up to `cap` valid triplets for one (table, generator) pair.
@@ -710,7 +685,7 @@ def generate(table: TypedTable, kind: GeneratorKind, seed: int,
             break
         try:
             answer, plans, slots, template = realize(table, cand)
-        except (Discard, IncomparablePrecision):
+        except Discard:
             continue
         # Slots name columns and cells by index, which within one table
         # identifies the same bindings as their payloads do.

@@ -208,11 +208,15 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                     summary.examples += 1
         os.replace(temp_out, output_path)
         os.replace(temp_rejects, rejects_path)
-    except BaseException:
+    except BaseException as exc:
         # Stop the workers now: `close` would let them finish every table
         # already queued before the error reaches the caller.
         if pool is not None:
             pool.terminate()
+        if isinstance(exc, OSError) and exc.filename in (temp_out, temp_rejects):
+            # Name the file the caller asked for, not its temporary stand-in.
+            path = output_path if exc.filename == temp_out else rejects_path
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
     finally:
         if pool is not None:

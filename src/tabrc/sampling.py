@@ -39,10 +39,10 @@ class SamplerConfig(_SamplerFields):
 
     def __new__(cls, *args, **kwargs) -> SamplerConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if self.smoothing > self.window:
-            raise ValueError("smoothing must not exceed the window")
         if self.smoothing < 1 or self.window < 1:
             raise ValueError("window and smoothing must be positive")
+        if self.smoothing > self.window:
+            raise ValueError("smoothing must not exceed the window")
         if not self.eps >= 0:  # NaN fails every comparison
             raise ValueError("eps must be non-negative")
         if not 0.0 <= self.replay_lambda <= 1.0:
@@ -232,9 +232,10 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
 
 def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
     """Parse a checkpoint feed of tab-separated (checkpoint, task, accuracy)
-    records, grouped by checkpoint index in ascending order."""
+    records, grouped by checkpoint index in ascending order. A checkpoint
+    records each task at most once."""
     grouped: dict[int, dict[str, float]] = {}
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -242,7 +243,10 @@ def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
         if len(fields) != 3:
             raise ValueError(f"expected 3 tab-separated fields: {text!r}")
         index, task, acc = int(fields[0]), fields[1], float(fields[2])
-        grouped.setdefault(index, {})[task] = acc
+        checkpoint = grouped.setdefault(index, {})
+        if task in checkpoint:
+            raise ValueError(f"line {number}: checkpoint {index} records task {task!r} again")
+        checkpoint[task] = acc
     if not grouped:
         raise ValueError("empty accuracy feed")
     first = min(grouped)

@@ -519,6 +519,13 @@ class TestCli:
         pytest.param(None, ["--eps", "nan"], id="momentum-eps-nan"),
         pytest.param("1\ta\t0.5\n1\tb\t0.5\n", ["--eps", "0.5", "--history", "feed.tsv"],
                      id="momentum-eps-above-uniform-share-of-feed"),
+        pytest.param(None, ["--preset", "two-task", "--seeds", "0", "--steps", "0",
+                            "--batch-size", "0", "--num-tasks", "0"], id="preset-flags-below-one"),
+        pytest.param("1\ta\t0.5\n1\tb\t0.5\n", ["--history", "feed.tsv", "--steps", "0",
+                                                 "--checkpoints", "0", "--num-tasks", "0"],
+                     id="history-flags-below-one"),
+        pytest.param("1\ta\t0.5\n1\ta\t0.9\n", ["--history", "feed.tsv"],
+                     id="feed-repeats-a-record"),
     ])
     def test_simulate_bad_input_usage_error(self, tmp_path, capsys, feed, args):
         if feed is not None:
@@ -528,6 +535,22 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "sim").exists()
+
+    def test_simulate_nonpositive_window_message(self, tmp_path, capsys):
+        code = main(["simulate", "--w", "0", "--output", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: window and smoothing must be positive\n"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("flag", ["--output", "--rejects"])
+    def test_generate_error_names_the_given_path(self, dump, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        paths = {"--output": "out.jsonl", "--rejects": "out.rejects", flag: "nodir/out.jsonl"}
+        code = main(["generate", "--input", dump, *(arg for item in paths.items() for arg in item)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'nodir/out.jsonl'" in err and ".tmp" not in err
+        assert os.listdir(tmp_path) == [os.path.basename(dump)]
 
     @pytest.mark.parametrize("args", [
         pytest.param(["--per-table-cap", "0"], id="cap-zero"),

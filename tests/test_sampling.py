@@ -221,6 +221,11 @@ class TestFeedInterfaces:
         assert len(history) == 4
         assert [row["a"] for row in history.rows()] == [0.8, 0.8, 0.8, 0.8]
 
+    def test_repeated_record_names_its_line(self):
+        lines = ["# header", "1\ta\t0.5", "1\tb\t0.5", "1\ta\t0.9"]
+        with pytest.raises(ValueError, match="^line 4: checkpoint 1 records task 'a' again$"):
+            read_accuracy_feed(lines)
+
     def test_plateaued_error_feed_gives_uniform_trace(self):
         history = read_accuracy_feed(self.FEED.splitlines())
         config = SamplerConfig(strategy=Strategy.ERROR)
