@@ -46,7 +46,11 @@ RATE_RANGE = (100.0, 400.0)
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -111,8 +115,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     from .pipeline import GenerationSettings, parse_kinds
 
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
+        seed = args.seed if args.seed is not None else _default_seed()
         kinds = parse_kinds(args.egs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

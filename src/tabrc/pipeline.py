@@ -111,18 +111,17 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str]
     line_no, text = item
     if not text.strip():
         return "blank", [], None
+    # Beside bad syntax, `json.loads` raises a plain ValueError for an integer
+    # too long to convert and RecursionError for nesting too deep to decode.
     try:
         obj = json.loads(text)
-        raw = raw_table_from_json(obj)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return "rejected", [], (f"line:{line_no}", "malformed")
+    try:
+        table = ingest(raw_table_from_json(obj), settings.min_rows, settings.max_rows)
     except IngestError as exc:
         table_id = obj.get("id", f"line:{line_no}") if isinstance(obj, dict) else f"line:{line_no}"
         return "rejected", [], (str(table_id), exc.reason)
-    try:
-        table = ingest(raw, settings.min_rows, settings.max_rows)
-    except IngestError as exc:
-        return "rejected", [], (raw.id, exc.reason)
     return "accepted", [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
 
 

@@ -113,15 +113,21 @@ def error_sampling(latest_acc: Mapping[str, float]) -> TaskDistribution:
 
 
 class AccuracyHistory:
-    """Aligned per-task held-out accuracy series, one entry per checkpoint."""
+    """Aligned per-task held-out accuracy series, one entry per checkpoint.
+
+    `checkpoints` holds each entry's checkpoint number, 1, 2, 3, ... unless
+    `append` is given one. The numbers only label the entries: a momentum
+    window counts entries, whatever their numbers.
+    """
 
     def __init__(self, tasks: Sequence[str]):
         if not tasks:
             raise ValueError("at least one task required")
         self.tasks = tuple(tasks)
+        self.checkpoints: list[int] = []
         self._series: dict[str, list[float]] = {task: [] for task in self.tasks}
 
-    def append(self, accuracies: Mapping[str, float]) -> None:
+    def append(self, accuracies: Mapping[str, float], checkpoint: int | None = None) -> None:
         if set(accuracies) != set(self.tasks):
             raise ValueError("checkpoint must report every task exactly once")
         for task in self.tasks:
@@ -129,6 +135,7 @@ class AccuracyHistory:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"accuracy out of range for {task}: {value}")
             self._series[task].append(value)
+        self.checkpoints.append(len(self) if checkpoint is None else checkpoint)
 
     def __len__(self) -> int:
         return len(self._series[self.tasks[0]])
@@ -232,8 +239,8 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
 
 def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
     """Parse a checkpoint feed of tab-separated (checkpoint, task, accuracy)
-    records, grouped by checkpoint index in ascending order. A checkpoint
-    records each task at most once."""
+    records, grouped by checkpoint number in ascending order. A checkpoint
+    records each task at most once, and the history keeps the numbers."""
     grouped: dict[int, dict[str, float]] = {}
     for number, line in enumerate(lines, start=1):
         text = line.strip()
@@ -252,16 +259,17 @@ def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
     first = min(grouped)
     history = AccuracyHistory(sorted(grouped[first]))
     for index in sorted(grouped):
-        history.append(grouped[index])
+        history.append(grouped[index], index)
     return history
 
 
 def replay_feed(history: AccuracyHistory, config: SamplerConfig) -> list[tuple[int, TaskDistribution]]:
     """Drive the configured strategy over a recorded accuracy feed,
-    returning the distribution after each checkpoint."""
+    returning the distribution after each checkpoint, labelled with the
+    feed's own checkpoint number."""
     out = []
     partial = AccuracyHistory(history.tasks)
-    for checkpoint, accuracies in enumerate(history.rows(), start=1):
+    for checkpoint, accuracies in zip(history.checkpoints, history.rows()):
         partial.append(accuracies)
         out.append((checkpoint, on_checkpoint(partial, config)))
     return out

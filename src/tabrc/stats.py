@@ -105,6 +105,8 @@ def corpus_stats(lines: Iterable[str]) -> CorpusStats:
         text = line.strip()
         if not text:
             continue
+        # Beside bad syntax, `json.loads` raises a plain ValueError for an
+        # integer too long to convert and RecursionError for nesting too deep.
         try:
             record = json.loads(text)
             question = record["question"]
@@ -124,7 +126,7 @@ def corpus_stats(lines: Iterable[str]) -> CorpusStats:
                 raise TypeError("category is not a string")
             if not all(isinstance(n, (int, float)) for n in (gold_count, distractor_count)):
                 raise TypeError("fact count is not a number")
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, RecursionError, KeyError, TypeError):
             malformed += 1
             continue
         examples += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import NamedTuple
 
-from .values import Date, NotADate, NotANumber, SemanticType, annotate_column, parse_date, parse_number
+from .values import Date, SemanticType, annotate_column
 
 MIN_ROWS = 10
 MAX_ROWS = 25
@@ -184,23 +184,6 @@ class TypedTable:
         return dates[0] if dates else None
 
 
-def _parse_cell(raw: str, kind: SemanticType) -> CellValue:
-    text = raw.strip()
-    if not text:
-        return CellValue(text, None)
-    if kind is SemanticType.NUMBER:
-        try:
-            return CellValue(text, parse_number(text))
-        except NotANumber:
-            return CellValue(text, None)
-    if kind is SemanticType.DATE:
-        try:
-            return CellValue(text, parse_date(text))
-        except NotADate:
-            return CellValue(text, None)
-    return CellValue(text, text)
-
-
 def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS) -> TypedTable:
     """Type-annotate and shape-filter one raw table.
 
@@ -215,15 +198,12 @@ def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS) ->
     if len(set(normalized)) != len(normalized):
         raise MalformedRecord("duplicate_columns", "column names collide after whitespace normalization")
 
-    columns = []
-    for c, name in enumerate(normalized):
-        kind = annotate_column([row[c] for row in raw.rows])
-        columns.append((name, kind))
-
+    annotated = [annotate_column([row[c] for row in raw.rows]) for c in range(len(normalized))]
+    columns = tuple((name, kind) for name, (kind, _) in zip(normalized, annotated))
     cells = tuple(
-        tuple(_parse_cell(row[c], columns[c][1]) for c in range(len(columns)))
-        for row in raw.rows
+        tuple(CellValue(cell.strip(), parses[r]) for cell, (_, parses) in zip(row, annotated))
+        for r, row in enumerate(raw.rows)
     )
     meta = TableMeta(raw.id, raw.page_title, raw.table_title, raw.category)
-    return TypedTable(meta, tuple(columns), cells)
+    return TypedTable(meta, columns, cells)
 

@@ -247,38 +247,32 @@ def date_difference(a: Date, b: Date) -> Duration:
     return Duration(months // 12, months % 12, days)
 
 
-def annotate_column(cells: list[str]) -> SemanticType:
-    """Annotate a column from its raw cells.
+def _parsed(parse, text: str):
+    """`parse(text)`, or None where the text is empty or does not parse."""
+    try:
+        return parse(text) if text else None
+    except (NotADate, NotANumber):
+        return None
+
+
+def annotate_column(cells: list[str]) -> tuple[SemanticType, list[Decimal | Date | str | None]]:
+    """Annotate a column from its raw cells and return (type, parses): each
+    cell's parse under the type, in order, which is a Decimal for NUMBER, a
+    Date for DATE or the stripped text for STRING, and None for a cell that
+    is empty or does not parse under the type.
 
     DATE wins when at least `TYPE_RATIO` of the non-empty cells parse as dates
     and at least one of them carries a month or day; a column of bare years is
-    NUMBER (years behave numerically). Empty cells are excluded from the
-    ratio; an all-empty column is STRING.
+    NUMBER (years behave numerically, and every bare year parses as a number).
+    Empty cells are excluded from the ratio; an all-empty column is STRING.
     """
-    non_empty = [cell.strip() for cell in cells if cell.strip()]
-    if not non_empty:
-        return SemanticType.STRING
-
-    dates: list[Date] = []
-    numbers = 0
-    for cell in non_empty:
-        try:
-            dates.append(parse_date(cell))
-        except NotADate:
-            pass
-        try:
-            parse_number(cell)
-            numbers += 1
-        except NotANumber:
-            pass
-
-    total = len(non_empty)
-    dates_ok = len(dates) / total >= TYPE_RATIO
-    numbers_ok = numbers / total >= TYPE_RATIO
-    if dates_ok and any(d.precision > 1 for d in dates):
-        return SemanticType.DATE
-    if numbers_ok:
-        return SemanticType.NUMBER
-    if dates_ok:
-        return SemanticType.DATE
-    return SemanticType.STRING
+    texts = [cell.strip() for cell in cells]
+    dates = [_parsed(parse_date, text) for text in texts]
+    numbers = [_parsed(parse_number, text) for text in texts]
+    total = len(texts) - texts.count("")
+    found = [date for date in dates if date is not None]
+    if total and len(found) / total >= TYPE_RATIO and any(d.precision > 1 for d in found):
+        return SemanticType.DATE, dates
+    if total and sum(number is not None for number in numbers) / total >= TYPE_RATIO:
+        return SemanticType.NUMBER, numbers
+    return SemanticType.STRING, [text or None for text in texts]

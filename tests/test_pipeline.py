@@ -498,6 +498,20 @@ class TestCli:
         trace = open(os.path.join(outdir, "distribution_error.tsv")).read()
         assert "1\ta\t0.5" in trace
 
+    def test_simulate_history_writes_the_feed_checkpoint_numbers(self, tmp_path):
+        feed = tmp_path / "feed.tsv"
+        feed.write_text("".join(f"{i}\t{task}\t{acc}\n" for i, accs in
+                                ((2, (0.5, 0.5)), (5, (0.9, 0.6)), (-3, (0.1, 0.7)))
+                                for task, acc in zip("ab", accs)))
+        outdir = tmp_path / "sim"
+        code = main(["simulate", "--strategy", "error", "--history", str(feed),
+                     "--output", str(outdir)])
+        assert code == 0
+        rows = (outdir / "distribution_error.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[:2] for row in rows] == [
+            ["-3", "a"], ["-3", "b"], ["2", "a"], ["2", "b"], ["5", "a"], ["5", "b"]]
+        assert rows[0] == "-3\ta\t0.75"
+
     def test_invalid_config_usage_error(self, tmp_path):
         code = main(["simulate", "--w", "2", "--k", "3", "--output", str(tmp_path)])
         assert code == 2
@@ -560,8 +574,13 @@ class TestCli:
         pytest.param(["--min-rows", "30", "--max-rows", "5"], id="max-rows-below-min-rows"),
         pytest.param(["--max-rows", "0"], id="max-rows-zero"),
         pytest.param(["--min-rows", "0", "--max-rows", "0"], id="max-rows-zero-min-rows-zero"),
+        pytest.param(["TABRC_SEED=abc"], id="seed-env-not-an-integer"),
     ])
-    def test_generate_bad_flag_usage_error(self, dump, tmp_path, capsys, args):
+    def test_generate_bad_flag_usage_error(self, dump, tmp_path, capsys, monkeypatch, args):
+        # A leading NAME=value sets the environment, as on a shell command line.
+        if args and "=" in args[0] and not args[0].startswith("-"):
+            monkeypatch.setenv(*args[0].split("=", 1))
+            args = args[1:]
         code = main(["generate", "--input", dump, "--output", str(tmp_path / "o.jsonl"), *args])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -621,6 +640,32 @@ class TestCli:
         assert (tmp_path / "examples.jsonl.rejects").read_bytes() == reject_id + b"\tmalformed\n"
         corpus, report = tmp_path / "corpus.jsonl", tmp_path / "stats.txt"
         corpus.write_bytes(bad_line + b"\n" + json.dumps(TestCorpusStats.GOOD).encode() + b"\n")
+        assert main(["stats", "--input", str(corpus), "--output", str(report)]) == 0
+        text = report.read_text(encoding="utf-8")
+        assert "examples: 1\n" in text and "malformed_lines: 1\n" in text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad_line", [
+        pytest.param("[" * 200_000, id="deep-nesting"),
+        pytest.param('{"id": "t", "rows": ' + "7" * 5000 + "}", id="over-long-integer"),
+    ])
+    def test_undecodable_line_costs_only_its_line(self, tmp_path, capsys, bad_line, workers):
+        # `json.loads` raises RecursionError or a plain ValueError here, not
+        # JSONDecodeError; both commands still count the line as malformed.
+        first, second = make_table(0, seed=1), make_table(1, seed=1)
+        first["id"], second["id"] = "first", "second"
+        path, only_good = tmp_path / "tables.jsonl", tmp_path / "good.jsonl"
+        write_lines(path, [json.dumps(first), bad_line, json.dumps(second)])
+        write_lines(only_good, [json.dumps(first), json.dumps(second)])
+        out, expected = tmp_path / "examples.jsonl", tmp_path / "expected.jsonl"
+        workers_flag = ["--workers", str(workers)]
+        assert main(["generate", "--input", str(path), "--output", str(out), *workers_flag]) == 0
+        assert main(["generate", "--input", str(only_good), "--output", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes() != b""
+        assert (tmp_path / "examples.jsonl.rejects").read_text() == "line:2\tmalformed\n"
+        assert "3 read, 2 accepted, 1 rejected" in capsys.readouterr().err
+        corpus, report = tmp_path / "corpus.jsonl", tmp_path / "stats.txt"
+        write_lines(corpus, [json.dumps(TestCorpusStats.GOOD), bad_line])
         assert main(["stats", "--input", str(corpus), "--output", str(report)]) == 0
         text = report.read_text(encoding="utf-8")
         assert "examples: 1\n" in text and "malformed_lines: 1\n" in text

@@ -234,6 +234,21 @@ class TestFeedInterfaces:
         for _checkpoint, dist in trace:
             assert dist.prob("a") == dist.prob("b") == 0.5
 
+    def test_replay_keeps_the_feed_checkpoint_numbers(self):
+        # The numbers order and label the rows; a gap or a negative number
+        # stays as the feed gives it, and a momentum window counts rows.
+        feed = {2: (0.5, 0.5), 5: (0.9, 0.6), -3: (0.1, 0.7)}
+        lines = [f"{i}\t{task}\t{acc}" for i, accs in feed.items() for task, acc in zip("ab", accs)]
+        history = read_accuracy_feed(lines)
+        assert history.checkpoints == [-3, 2, 5]
+        assert [row["a"] for row in history.rows()] == [0.1, 0.5, 0.9]
+        trace = replay_feed(history, SamplerConfig(strategy=Strategy.ERROR))
+        assert [checkpoint for checkpoint, _ in trace] == [-3, 2, 5]
+        assert trace[0][1].prob("a") == pytest.approx(0.9 / 1.2)
+        momentum = replay_feed(history, SamplerConfig(strategy=Strategy.MOMENTUM, window=2,
+                                                      smoothing=1, eps=0.1))
+        assert momentum[1][1].prob("a") == pytest.approx(0.4 / 0.6)
+
     def test_trace_format(self):
         lines = format_distribution_trace(3, uniform(["a", "b"]))
         assert lines == ["3\ta\t0.5", "3\tb\t0.5"]

@@ -163,34 +163,53 @@ class TestCompareDates:
 
 class TestAnnotateColumn:
     def test_numbers(self):
-        assert annotate_column(["34,178", "33,861", "9,789", "16,699"]) is SemanticType.NUMBER
+        assert annotate_column(["34,178", "33,861", "9,789", "16,699"])[0] is SemanticType.NUMBER
 
     def test_strings(self):
-        assert annotate_column(["QF", "QFR", "R4", "R3"]) is SemanticType.STRING
+        assert annotate_column(["QF", "QFR", "R4", "R3"])[0] is SemanticType.STRING
 
     def test_blank_cells_excluded_from_ratio(self):
         cells = ["3 May 1990", "12 June 1991", "1 July 1992", "9 May 1993", "2 May 1994",
                  "8 May 1995", "4 May 1996", "11 May 1997", "3 May 1998", ""]
-        assert annotate_column(cells) is SemanticType.DATE
+        assert annotate_column(cells)[0] is SemanticType.DATE
 
     def test_year_only_column_is_number(self):
-        assert annotate_column(["1992", "1996", "2000", "2004"]) is SemanticType.NUMBER
+        assert annotate_column(["1992", "1996", "2000", "2004"])[0] is SemanticType.NUMBER
 
     def test_years_with_a_month_become_dates(self):
-        assert annotate_column(["1992", "1996", "May 2000", "2004"]) is SemanticType.DATE
+        assert annotate_column(["1992", "1996", "May 2000", "2004"])[0] is SemanticType.DATE
 
     def test_all_empty_is_string(self):
-        assert annotate_column(["", " ", ""]) is SemanticType.STRING
+        assert annotate_column(["", " ", ""])[0] is SemanticType.STRING
 
     def test_threshold(self):
         # 8 of 10 numeric is below the 0.85 cutoff, 9 of 10 is above
-        assert annotate_column(["1"] * 8 + ["x", "y"]) is SemanticType.STRING
-        assert annotate_column(["1"] * 9 + ["x"]) is SemanticType.NUMBER
+        assert annotate_column(["1"] * 8 + ["x", "y"])[0] is SemanticType.STRING
+        assert annotate_column(["1"] * 9 + ["x"])[0] is SemanticType.NUMBER
 
     @given(st.lists(st.sampled_from(["34,178", "QF", "27 February 1991", "", "12"]),
                     min_size=1, max_size=30), st.randoms())
     def test_permutation_invariant(self, cells, rng):
-        before = annotate_column(cells)
+        before = annotate_column(cells)[0]
         shuffled = list(cells)
         rng.shuffle(shuffled)
-        assert annotate_column(shuffled) is before
+        assert annotate_column(shuffled)[0] is before
+
+    @given(st.lists(st.sampled_from([" 12 ", "34,178", "7.5", "27 February 1991", "May 2000",
+                                     "1992", "2004 ", "QF", "[a]", "", "  "]),
+                    max_size=30))
+    def test_parses_follow_the_column_type(self, cells):
+        kind, parses = annotate_column(cells)
+        assert len(parses) == len(cells)
+        for cell, parse in zip(cells, parses):
+            text = cell.strip()
+            if kind is SemanticType.STRING:
+                expected = text or None
+            else:
+                parser, error = ((parse_number, NotANumber) if kind is SemanticType.NUMBER
+                                 else (parse_date, NotADate))
+                try:
+                    expected = parser(text) if text else None
+                except error:
+                    expected = None
+            assert parse == expected and type(parse) is type(expected)
