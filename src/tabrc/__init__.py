@@ -18,8 +18,7 @@ _SOURCES = {
                  "error_sampling", "momentum_sampling", "on_checkpoint", "uniform"),
     "shared": ("GeneratorKind", "Strategy"),
     "simulation": ("LearnerTask", "SimulationConfig", "run_simulation", "two_task_report"),
-    "tables": ("CellValue", "MalformedRecord", "RawTable", "ShapeRejected", "TypedTable",
-               "ingest"),
+    "tables": ("MalformedRecord", "RawTable", "ShapeRejected", "TypedTable", "ingest"),
     "values": ("Date", "Duration", "SemanticType", "parse_date", "parse_number"),
 }
 _ORIGIN = {name: module for module, names in _SOURCES.items() for name in names}

@@ -321,8 +321,8 @@ def _cands_conjunction(table: TypedTable) -> _Blocks:
     """(target, c2, c3, v2, v3) for three distinct columns and each distinct
     pair of non-empty values that c2 and c3 hold in one row, in row order."""
     cols = range(table.n_cols)
-    texts = [[table.raw(r, c) for r in range(table.n_rows)] for c in cols]
-    values = {(c2, c3): list(dict.fromkeys((v2, v3) for v2, v3 in zip(texts[c2], texts[c3])
+    values = {(c2, c3): list(dict.fromkeys((v2, v3) for v2, v3
+                                           in zip(table.column(c2), table.column(c3))
                                            if v2 and v3))
               for c2 in cols for c3 in cols if c2 != c3}
     return _Blocks(((t, c2, c3), values[c2, c3]) for t in cols for c2 in cols if c2 != t
@@ -347,7 +347,7 @@ def _cands_number_pairs(table: TypedTable, operators: tuple[str, ...]) -> _Block
     second are (value, row) anchors, unique in the anchor column and numeric
     in the number column, with first before second."""
     blocks = []
-    for c2 in table.number_columns():
+    for c2 in table.number_columns:
         for c1 in range(table.n_cols):
             if c1 == c2:
                 continue
@@ -363,7 +363,7 @@ def _cands_temporal_pairs(table: TypedTable, *operators: tuple[str, ...]) -> _Bl
     First and second are (column, value, row) anchors: unique in their
     column, with a parseable event date, on distinct rows, and not the same
     value under two columns; first comes before second."""
-    date_col = table.event_date_column()
+    date_col = table.event_date_column
     if date_col is None:
         return _Blocks(())
     anchors = [(c, value, row) for c in range(table.n_cols) if c != date_col
@@ -389,7 +389,7 @@ def _cands_temporal_pairs(table: TypedTable, *operators: tuple[str, ...]) -> _Bl
 
 def _cands_superlative(table: TypedTable, temporal: bool) -> _Blocks:
     """(target column, value column, operator, template index)."""
-    value_cols = table.date_columns() if temporal else table.number_columns()
+    value_cols = table.date_columns if temporal else table.number_columns
     ops = ("earliest", "latest") if temporal else ("highest", "lowest")
     return _Blocks(((c1, c2), _Product(ops, (0, 1)))
                    for c2 in value_cols for c1 in range(table.n_cols) if c1 != c2)
@@ -451,7 +451,7 @@ def _event_dates(table: TypedTable, first, second) -> tuple[Date, Date, list[Fac
     """The event dates of two (column, value, row) anchors, and the facts
     that state them."""
     (ca, _va, ra), (cb, _vb, rb) = first, second
-    date_col = table.event_date_column()
+    date_col = table.event_date_column
     da = table.parsed(ra, date_col)
     db = table.parsed(rb, date_col)
     return da, db, [FactPlan(date_col, (ca,), (ra,)), FactPlan(date_col, (cb,), (rb,))]
@@ -652,11 +652,11 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], Sequence],
         lambda t: _cands_superlative(t, temporal=True), _realize_superlative),
     GeneratorKind.ARITHMETIC_SUPERLATIVE: (
         lambda t: _Blocks(itertools.chain(
-            _filter_blocks(t, t.number_columns(), 2, ("highest", "lowest")),
-            _filter_blocks(t, t.date_columns(), 2, ("earliest", "latest")))),
+            _filter_blocks(t, t.number_columns, 2, ("highest", "lowest")),
+            _filter_blocks(t, t.date_columns, 2, ("earliest", "latest")))),
         _realize_arith_superlative),
     GeneratorKind.ARITHMETIC_ADDITION: (
-        lambda t: _Blocks(_filter_blocks(t, t.number_columns(), 2)), _realize_addition),
+        lambda t: _Blocks(_filter_blocks(t, t.number_columns, 2)), _realize_addition),
     GeneratorKind.COUNTING: (lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
                              _realize_counting),
     GeneratorKind.DATE_DIFFERENCE: (_cands_temporal_pairs, _realize_date_difference),

@@ -199,7 +199,7 @@ def _date_at(table: TypedTable, r: int, col: str) -> Date | None:
 
 
 def _event_column(table: TypedTable) -> str | None:
-    c = table.event_date_column()
+    c = table.event_date_column
     return table.column_name(c) if c is not None else None
 
 

@@ -105,24 +105,27 @@ _ID_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
 def _process_line(settings: GenerationSettings, item: tuple[int, str]
-                  ) -> tuple[str, list[tuple[str, str]], tuple[str, str] | None]:
-    """Worker body: one input line to (status, (record id, record json)
-    pairs, rejection)."""
+                  ) -> tuple[list[tuple[str, str]], tuple[str, str] | None] | None:
+    """Worker body: one input line to None if it is blank, else to ((record
+    id, record json) pairs, rejection). The rejection is None for an accepted
+    table and (table id, reason) otherwise, where the table id is the
+    record's id if that is a non-empty string and line:N if not."""
     line_no, text = item
     if not text.strip():
-        return "blank", [], None
+        return None
+    line_id = f"line:{line_no}"
     # Beside bad syntax, `json.loads` raises a plain ValueError for an integer
     # too long to convert and RecursionError for nesting too deep to decode.
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError):
-        return "rejected", [], (f"line:{line_no}", "malformed")
+        return [], (line_id, "malformed")
     try:
         table = ingest(raw_table_from_json(obj), settings.min_rows, settings.max_rows)
     except IngestError as exc:
-        table_id = obj.get("id", f"line:{line_no}") if isinstance(obj, dict) else f"line:{line_no}"
-        return "rejected", [], (str(table_id), exc.reason)
-    return "accepted", [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
+        table_id = obj.get("id") if isinstance(obj, dict) else None
+        return [], (table_id if isinstance(table_id, str) and table_id else line_id, exc.reason)
+    return [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
 
 
 def _default_sigterm() -> None:
@@ -188,11 +191,12 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                 results = pool.imap(worker, items, chunksize=1)
             else:
                 results = map(worker, items)
-            for status, records, rejection in results:
-                if status == "blank":
+            for result in results:
+                if result is None:
                     continue
+                records, rejection = result
                 summary.tables_read += 1
-                if status == "rejected":
+                if rejection is not None:
                     summary.tables_rejected += 1
                     rejects.write(f"{rejection[0].translate(_ID_ESCAPES)}\t{rejection[1]}\n")
                     continue

@@ -129,7 +129,11 @@ class AccuracyHistory:
 
     def append(self, accuracies: Mapping[str, float], checkpoint: int | None = None) -> None:
         if set(accuracies) != set(self.tasks):
-            raise ValueError("checkpoint must report every task exactly once")
+            missing = [task for task in self.tasks if task not in accuracies]
+            extra = sorted(set(accuracies) - set(self.tasks))
+            raise ValueError("checkpoint must report every task exactly once; "
+                             + "; ".join([f"missing {task!r}" for task in missing]
+                                         + [f"unknown {task!r}" for task in extra]))
         for task in self.tasks:
             value = accuracies[task]
             if not 0.0 <= value <= 1.0:
@@ -240,26 +244,33 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
 def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
     """Parse a checkpoint feed of tab-separated (checkpoint, task, accuracy)
     records, grouped by checkpoint number in ascending order. A checkpoint
-    records each task at most once, and the history keeps the numbers."""
+    records every task the feed names exactly once, and the history keeps
+    the numbers. An error names the line, or the checkpoint for one that
+    lacks a task or holds an accuracy outside [0, 1]."""
     grouped: dict[int, dict[str, float]] = {}
     for number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         fields = text.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"expected 3 tab-separated fields: {text!r}")
-        index, task, acc = int(fields[0]), fields[1], float(fields[2])
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 tab-separated fields: {text!r}")
+            index, task, acc = int(fields[0]), fields[1], float(fields[2])
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
         checkpoint = grouped.setdefault(index, {})
         if task in checkpoint:
             raise ValueError(f"line {number}: checkpoint {index} records task {task!r} again")
         checkpoint[task] = acc
     if not grouped:
         raise ValueError("empty accuracy feed")
-    first = min(grouped)
-    history = AccuracyHistory(sorted(grouped[first]))
+    history = AccuracyHistory(sorted(set().union(*grouped.values())))
     for index in sorted(grouped):
-        history.append(grouped[index], index)
+        try:
+            history.append(grouped[index], index)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {index}: {exc}") from None
     return history
 
 

@@ -55,19 +55,6 @@ class TableMeta(NamedTuple):
     category: str | None = None
 
 
-class CellValue(NamedTuple):
-    """Cell text plus its parse under the owning column's type.
-
-    `raw` is the cell text with surrounding whitespace stripped at ingest.
-    `parsed` is a Decimal for NUMBER columns, a Date for DATE columns, the
-    stripped text for STRING columns, and None when the cell is empty or does
-    not parse under the column type (such cells are skipped downstream).
-    """
-
-    raw: str
-    parsed: Decimal | Date | str | None
-
-
 def raw_table_from_json(obj: object) -> RawTable:
     """Validate one decoded JSON record into a RawTable."""
     if not isinstance(obj, dict):
@@ -123,44 +110,54 @@ def _normalize_name(name: str) -> str:
 
 
 class TypedTable:
-    """A typed, immutable view of one accepted table.
+    """A typed, immutable table, kept by column.
 
-    Precomputes per-column value groupings used heavily by the example
-    generators: `groups(c)` maps each non-empty raw value in column c to the
-    tuple of row indices that hold it, in row order.
+    Column c has a name, a semantic type, its cells' texts (stripped at
+    ingest) and their parses under the type: a Decimal for NUMBER, a Date for
+    DATE, the text for STRING, and None for a cell that is empty or does not
+    parse (such cells are skipped downstream). `groups(c)` maps each
+    non-empty text in column c to the tuple of rows that hold it, in row
+    order; the example generators lean on it heavily.
     """
 
-    def __init__(self, meta: TableMeta, columns: tuple[tuple[str, SemanticType], ...],
-                 cells: tuple[tuple[CellValue, ...], ...]):
+    def __init__(self, meta: TableMeta, names: tuple[str, ...], types: tuple[SemanticType, ...],
+                 texts: tuple[tuple[str, ...], ...],
+                 parses: tuple[tuple[Decimal | Date | str | None, ...], ...]):
         self.meta = meta
-        self.columns = columns
-        self.cells = cells
-        self.n_rows = len(cells)
-        self.n_cols = len(columns)
-        self.column_names = tuple(name for name, _ in columns)
+        self.column_names = names
+        self.column_types = types
+        self._texts = texts
+        self._parses = parses
+        self.n_cols = len(names)
+        self.n_rows = len(texts[0]) if texts else 0
         self._groups: list[dict[str, tuple[int, ...]]] = []
-        for c in range(self.n_cols):
+        for column in texts:
             grouped: dict[str, list[int]] = {}
-            for r in range(self.n_rows):
-                raw = self.raw(r, c)
-                if raw:
-                    grouped.setdefault(raw, []).append(r)
-            self._groups.append({value: tuple(rows) for value, rows in grouped.items()})
-
-    def column_type(self, c: int) -> SemanticType:
-        return self.columns[c][1]
+            for r, text in enumerate(column):
+                if text:
+                    grouped.setdefault(text, []).append(r)
+            self._groups.append({text: tuple(rows) for text, rows in grouped.items()})
+        self.number_columns = tuple(c for c, kind in enumerate(types)
+                                    if kind is SemanticType.NUMBER)
+        self.date_columns = tuple(c for c, kind in enumerate(types) if kind is SemanticType.DATE)
+        # The leftmost DATE column, if any: the event time of a row.
+        self.event_date_column = self.date_columns[0] if self.date_columns else None
 
     def column_name(self, c: int) -> str:
-        return self.columns[c][0]
+        return self.column_names[c]
 
     def column_index(self, name: str) -> int:
         return self.column_names.index(name)
 
+    def column(self, c: int) -> tuple[str, ...]:
+        """The texts of column c, in row order."""
+        return self._texts[c]
+
     def raw(self, r: int, c: int) -> str:
-        return self.cells[r][c].raw
+        return self._texts[c][r]
 
     def parsed(self, r: int, c: int) -> Decimal | Date | str | None:
-        return self.cells[r][c].parsed
+        return self._parses[c][r]
 
     def groups(self, c: int) -> dict[str, tuple[int, ...]]:
         return self._groups[c]
@@ -171,17 +168,6 @@ class TypedTable:
 
     def rows_with(self, c: int, value: str) -> tuple[int, ...]:
         return self._groups[c].get(value, ())
-
-    def number_columns(self) -> list[int]:
-        return [c for c in range(self.n_cols) if self.column_type(c) is SemanticType.NUMBER]
-
-    def date_columns(self) -> list[int]:
-        return [c for c in range(self.n_cols) if self.column_type(c) is SemanticType.DATE]
-
-    def event_date_column(self) -> int | None:
-        """The leftmost DATE column; used as the event time of a row."""
-        dates = self.date_columns()
-        return dates[0] if dates else None
 
 
 def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS) -> TypedTable:
@@ -194,16 +180,11 @@ def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS) ->
         raise ShapeRejected(
             "shape", f"{len(raw.header)} columns x {len(raw.rows)} rows outside bounds"
         )
-    normalized = [_normalize_name(name) for name in raw.header]
-    if len(set(normalized)) != len(normalized):
+    names = tuple(_normalize_name(name) for name in raw.header)
+    if len(set(names)) != len(names):
         raise MalformedRecord("duplicate_columns", "column names collide after whitespace normalization")
 
-    annotated = [annotate_column([row[c] for row in raw.rows]) for c in range(len(normalized))]
-    columns = tuple((name, kind) for name, (kind, _) in zip(normalized, annotated))
-    cells = tuple(
-        tuple(CellValue(cell.strip(), parses[r]) for cell, (_, parses) in zip(row, annotated))
-        for r, row in enumerate(raw.rows)
-    )
+    texts = tuple(tuple(row[c].strip() for row in raw.rows) for c in range(len(names)))
+    types, parses = zip(*(annotate_column(column) for column in texts))
     meta = TableMeta(raw.id, raw.page_title, raw.table_title, raw.category)
-    return TypedTable(meta, columns, cells)
-
+    return TypedTable(meta, names, types, texts, tuple(map(tuple, parses)))

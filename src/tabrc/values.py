@@ -14,7 +14,7 @@ import datetime
 import re
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class SemanticType(Enum):
@@ -255,7 +255,7 @@ def _parsed(parse, text: str):
         return None
 
 
-def annotate_column(cells: list[str]) -> tuple[SemanticType, list[Decimal | Date | str | None]]:
+def annotate_column(cells: Sequence[str]) -> tuple[SemanticType, list[Decimal | Date | str | None]]:
     """Annotate a column from its raw cells and return (type, parses): each
     cell's parse under the type, in order, which is a Decimal for NUMBER, a
     Date for DATE or the stripped text for STRING, and None for a cell that

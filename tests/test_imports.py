@@ -81,13 +81,25 @@ def test_package_import_loads_no_submodule():
     assert json.loads(_python(probe)) == []
 
 
+# Every public name of `tabrc`, sorted: an added or dropped name shows itself.
+PUBLIC_NAMES = [
+    "AccuracyHistory", "Answer", "AnswerKind", "Context", "ContextConfig", "Date", "Duration",
+    "Fact", "FactKind", "FactPlan", "FactPool", "GeneratorKind", "GoldSpec", "Instantiation",
+    "LearnerTask", "MalformedRecord", "RawTable", "SamplerConfig", "SemanticType",
+    "ShapeRejected", "SimulationConfig", "Strategy", "TaskDistribution", "Template", "Triplet",
+    "TypedTable", "build_context", "compose_batch", "error_sampling", "generate", "ingest",
+    "momentum_sampling", "on_checkpoint", "parse_date", "parse_number", "run_simulation",
+    "two_task_report", "uniform",
+]
+
+
 def test_every_public_name_resolves_and_is_listed():
     probe = ("import json, tabrc\n"
              "print(json.dumps([[n for n in tabrc.__all__ if getattr(tabrc, n, None) is None],"
-             " [n for n in tabrc.__all__ if n not in dir(tabrc)], len(tabrc.__all__)]))")
-    unresolved, unlisted, count = json.loads(_python(probe))
+             " [n for n in tabrc.__all__ if n not in dir(tabrc)], tabrc.__all__]))")
+    unresolved, unlisted, names = json.loads(_python(probe))
     assert (unresolved, unlisted) == ([], [])
-    assert count == 39
+    assert names == PUBLIC_NAMES
 
 
 def _generate(tmp_path):

@@ -20,8 +20,10 @@ from tabrc.pipeline import (
     GenerationSettings,
     generate_corpus,
     parse_kinds,
+    table_examples,
 )
 from tabrc.stats import corpus_stats
+from tabrc.tables import ingest, raw_table_from_json
 
 
 def write_lines(path, lines):
@@ -131,6 +133,27 @@ class TestGenerateCorpus:
         generate_corpus(str(path), out, GenerationSettings(seed=1))
         with open(out + ".rejects", "rb") as handle:
             assert handle.read() == b"x\\ny\tragged\na\\tb\tshape\nc\\rd\tshape\n"
+
+    def test_reject_without_a_string_id_logged_by_line(self, tmp_path):
+        # Only a non-empty string id names a rejected record.
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, [json.dumps({"id": table_id}) for table_id in (None, "", 5, ["a", "b"])])
+        out = tmp_path / "examples.jsonl"
+        assert main(["generate", "--input", str(path), "--output", str(out)]) == 0
+        assert (tmp_path / "examples.jsonl.rejects").read_text() == "".join(
+            f"line:{n}\tmalformed\n" for n in range(1, 5))
+
+    def test_header_only_table_yields_nothing_at_min_rows_zero(self, tmp_path, capsys):
+        record = dict(CHELSEA, rows=[])
+        table = ingest(raw_table_from_json(record), min_rows=0)
+        assert list(table_examples(table, GenerationSettings(min_rows=0))) == []
+        path, out = tmp_path / "tables.jsonl", tmp_path / "examples.jsonl"
+        write_lines(path, [json.dumps(record)])
+        assert main(["generate", "--input", str(path), "--output", str(out),
+                     "--min-rows", "0"]) == 0
+        assert capsys.readouterr().err == (
+            "tables: 1 read, 1 accepted, 0 rejected; examples: 0 (0 duplicates dropped)\n")
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("field", ["cell", "header", "page_title", "id"])
     def test_lone_surrogate_rejected_as_malformed(self, tmp_path, field):
@@ -548,6 +571,28 @@ class TestCli:
         code = main(["simulate", "--checkpoints", "3", "--output", str(tmp_path / "sim"), *args])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("feed, message", [
+        pytest.param("1\ta\t0.5\n1.5\tb\t0.5\n",
+                     "line 2: invalid literal for int() with base 10: '1.5'", id="checkpoint-1.5"),
+        pytest.param("1\ta\tx\n", "line 1: could not convert string to float: 'x'",
+                     id="accuracy-not-a-number"),
+        pytest.param("1\ta\t0.5\n1\tb\t1.5\n",
+                     "checkpoint 1: accuracy out of range for b: 1.5", id="accuracy-1.5"),
+        pytest.param("1\ta\t0.5\n1\tb\t0.5\n2\ta\t0.6\n",
+                     "checkpoint 2: checkpoint must report every task exactly once; missing 'b'",
+                     id="checkpoint-lacks-a-task"),
+        pytest.param("1\ta\t0.5\n2\ta\t0.6\n2\tb\t0.6\n",
+                     "checkpoint 1: checkpoint must report every task exactly once; missing 'b'",
+                     id="first-checkpoint-lacks-a-task"),
+    ])
+    def test_simulate_feed_error_names_its_place(self, tmp_path, capsys, feed, message):
+        (tmp_path / "feed.tsv").write_text(feed)
+        code = main(["simulate", "--history", str(tmp_path / "feed.tsv"),
+                     "--output", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sim").exists()
 
     def test_simulate_nonpositive_window_message(self, tmp_path, capsys):

@@ -55,10 +55,16 @@ class TestIngest:
         table = ingest(raw_table_from_json(CHELSEA))
         assert table.n_rows == 13
         assert table.n_cols == 5
-        types = dict(table.columns)
+        types = dict(zip(table.column_names, table.column_types))
         assert types["Round"] is SemanticType.STRING
         assert types["Date"] is SemanticType.DATE
         assert types["Attendance"] is SemanticType.NUMBER
+
+    def test_header_only_table_accepted_at_min_rows_zero(self):
+        table = ingest(raw_table_from_json(dict(CHELSEA, rows=[])), min_rows=0)
+        assert (table.n_rows, table.n_cols) == (0, 5)
+        assert all(table.column(c) == () and table.groups(c) == {} for c in range(5))
+        assert table.event_date_column is None
 
     def test_nine_rows_rejected(self):
         with pytest.raises(ShapeRejected):
@@ -86,7 +92,7 @@ class TestIngest:
             row[1] = str(100 + r)
         record["rows"][0][1] = "n/a"
         table = ingest(raw_table_from_json(record))
-        assert table.column_type(1) is SemanticType.NUMBER
+        assert table.column_types[1] is SemanticType.NUMBER
         assert table.parsed(0, 1) is None
         assert table.parsed(1, 1) is not None
 
