@@ -9,11 +9,16 @@ set on this module (as the benchmark's tracer does) is the one that runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import os
 import sys
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .shared import Strategy
+
+if TYPE_CHECKING:
+    from .sampling import AccuracyHistory, SamplerConfig
 
 # Entry point -> the submodule that defines it.
 _ENTRY_POINTS = {
@@ -109,10 +114,46 @@ def _exit_on_sigterm(signum: int, frame) -> None:
     raise SystemExit(128 + signum)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _sigterm_exits() -> Iterator[None]:
+    """Within the block, SIGTERM exits with 143 through SystemExit, so the
+    cleanup that removes temporary files runs. Only the main thread can set
+    a handler, and the caller's comes back on exit."""
     import signal
     import threading
 
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _write_replacing(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file beside `path` (`path.tmp<pid>`)
+    and rename it into place after the last one, as `generate` writes its
+    output: a run that fails or gets SIGTERM leaves any earlier file as it
+    was and no temporary file behind. An error names `path`."""
+    temp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(temp, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+        os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename != temp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    finally:
+        try:
+            os.remove(temp)
+        except FileNotFoundError:
+            pass
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
     from .pipeline import GenerationSettings, parse_kinds
 
     try:
@@ -129,20 +170,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         max_rows=args.max_rows,
         workers=args.workers,
     )
-    # SIGTERM exits with 143 through `generate_corpus`'s cleanup, which stops
-    # the workers and removes the temporary files. Only the main thread can
-    # set a handler, and the caller's comes back on return.
-    in_main = threading.current_thread() is threading.main_thread()
-    if in_main:
-        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    # SIGTERM exits through `generate_corpus`'s cleanup, which stops the
+    # workers and removes the temporary files.
     try:
-        summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
+        with _sigterm_exits():
+            summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if in_main:
-            signal.signal(signal.SIGTERM, previous)
     print(
         f"tables: {summary.tables_read} read, {summary.tables_accepted} accepted, "
         f"{summary.tables_rejected} rejected; examples: {summary.examples} "
@@ -182,7 +217,7 @@ def _spread_rates(num_tasks: int) -> list[float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .sampling import SamplerConfig, check_eps, format_distribution_trace
+    from .sampling import SamplerConfig, check_eps
 
     try:
         if args.history is not None and args.preset is not None:
@@ -224,38 +259,49 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.history is not None:
-        path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("checkpoint\ttask\tprobability\n")
-            for checkpoint, dist in _entry("replay_feed")(history, sampler):
-                out.write("\n".join(format_distribution_trace(checkpoint, dist)) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-        return 0
+    try:
+        with _sigterm_exits():
+            if args.history is not None:
+                path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
+                _write_replacing(path, _replay_lines(history, sampler))
+                print(f"wrote {path}", file=sys.stderr)
+                return 0
 
-    from .simulation import report_lines, trace_lines
+            from .simulation import report_lines, trace_lines
 
-    if args.preset == "two-task":
-        failures = 0
-        for seed in seeds:
-            report = _entry("two_task_report")(seed)
-            path = os.path.join(args.output, f"two_task_seed{seed}.txt")
-            with open(path, "w", encoding="utf-8") as out:
-                out.write("\n".join(report_lines(report)) + "\n")
-            for line in report_lines(report):
-                if line.startswith("verdict"):
-                    print(f"seed {seed}: {line}")
-            if not report.all_hold():
-                failures += 1
-        return 1 if failures else 0
+            if args.preset == "two-task":
+                failures = 0
+                for seed in seeds:
+                    report = _entry("two_task_report")(seed)
+                    lines = report_lines(report)
+                    _write_replacing(os.path.join(args.output, f"two_task_seed{seed}.txt"),
+                                     ["\n".join(lines) + "\n"])
+                    for line in lines:
+                        if line.startswith("verdict"):
+                            print(f"seed {seed}: {line}")
+                    if not report.all_hold():
+                        failures += 1
+                return 1 if failures else 0
 
-    for seed in seeds:
-        trace = _entry("run_simulation")(config, seed)
-        path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("\n".join(trace_lines(trace)) + "\n")
-        print(f"wrote {path} (final entropy {trace[-1].entropy:.4f})", file=sys.stderr)
-    return 0
+            for seed in seeds:
+                trace = _entry("run_simulation")(config, seed)
+                path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")
+                _write_replacing(path, ["\n".join(trace_lines(trace)) + "\n"])
+                print(f"wrote {path} (final entropy {trace[-1].entropy:.4f})", file=sys.stderr)
+            return 0
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _replay_lines(history: AccuracyHistory, sampler: SamplerConfig) -> Iterator[str]:
+    """The replay's distribution file, one checkpoint per chunk. The replay
+    starts when the first chunk is asked for."""
+    from .sampling import format_distribution_trace
+
+    yield "checkpoint\ttask\tprobability\n"
+    for checkpoint, dist in _entry("replay_feed")(history, sampler):
+        yield "\n".join(format_distribution_trace(checkpoint, dist)) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,6 +13,11 @@ Three strategies are provided:
 Distributions update only at checkpoint boundaries; batch composition reads
 an immutable snapshot, so batches may be composed concurrently with the next
 update.
+
+A recorded feed is read and checked once, by `read_accuracy_feed`.
+`replay_feed` then walks that history in place: the strategy sees a prefix
+view that shares the history's series and grows by one checkpoint per call,
+and momentum slices each task's window out of its series by index.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class TaskDistribution(_DistributionFields):
 
 def _normalized(weights: Mapping[str, float]) -> TaskDistribution:
     total = sum(weights.values())
-    return TaskDistribution(tuple((task, w / total) for task, w in weights.items()))
+    return TaskDistribution(tuple([(task, w / total) for task, w in weights.items()]))
 
 
 def uniform(tasks: Sequence[str]) -> TaskDistribution:
@@ -118,16 +123,34 @@ class AccuracyHistory:
     `checkpoints` holds each entry's checkpoint number, 1, 2, 3, ... unless
     `append` is given one. The numbers only label the entries: a momentum
     window counts entries, whatever their numbers.
+
+    A history shows the first `_length` entries of its lists. That is all
+    of them, except in a replay's prefix view (see `_prefixes`), which
+    shares another history's lists and shows a growing part of them.
     """
 
     def __init__(self, tasks: Sequence[str]):
         if not tasks:
             raise ValueError("at least one task required")
         self.tasks = tuple(tasks)
-        self.checkpoints: list[int] = []
+        self._checkpoints: list[int] = []
         self._series: dict[str, list[float]] = {task: [] for task in self.tasks}
+        self._length = 0
+
+    def _prefixes(self) -> Iterator[tuple[int, AccuracyHistory]]:
+        """Each checkpoint number, oldest first, with a view of the history
+        up to and including it. The view is one object that shares this
+        history's lists and shows one more entry at each step, so nothing is
+        copied or checked again. A view takes no `append`."""
+        view = object.__new__(AccuracyHistory)
+        view.tasks, view._checkpoints, view._series = self.tasks, self._checkpoints, self._series
+        for length, checkpoint in enumerate(self.checkpoints, start=1):
+            view._length = length
+            yield checkpoint, view
 
     def append(self, accuracies: Mapping[str, float], checkpoint: int | None = None) -> None:
+        if self._length != len(self._checkpoints):
+            raise ValueError("a prefix view takes no new checkpoints")
         if set(accuracies) != set(self.tasks):
             missing = [task for task in self.tasks if task not in accuracies]
             extra = sorted(set(accuracies) - set(self.tasks))
@@ -138,25 +161,31 @@ class AccuracyHistory:
             value = accuracies[task]
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"accuracy out of range for {task}: {value}")
-            self._series[task].append(value)
-        self.checkpoints.append(len(self) if checkpoint is None else checkpoint)
+        for task in self.tasks:
+            self._series[task].append(accuracies[task])
+        self._length += 1
+        self._checkpoints.append(self._length if checkpoint is None else checkpoint)
+
+    @property
+    def checkpoints(self) -> list[int]:
+        return self._checkpoints[:self._length]
 
     def __len__(self) -> int:
-        return len(self._series[self.tasks[0]])
+        return self._length
 
     def recent(self, task: str, size: int) -> list[float]:
         """The newest `size` entries of one task's series, oldest first."""
-        return self._series[task][len(self) - size:]
+        return self._series[task][max(self._length - size, 0):self._length]
 
     def rows(self) -> Iterator[dict[str, float]]:
         """Every checkpoint's accuracies, oldest first."""
-        for values in zip(*(self._series[task] for task in self.tasks)):
+        for values in zip(*(self._series[task][:self._length] for task in self.tasks)):
             yield dict(zip(self.tasks, values))
 
     def latest(self) -> dict[str, float]:
-        if len(self) == 0:
+        if self._length == 0:
             raise ValueError("no checkpoints recorded")
-        return {task: self._series[task][-1] for task in self.tasks}
+        return {task: self._series[task][self._length - 1] for task in self.tasks}
 
 
 def check_eps(eps: float, num_tasks: int) -> None:
@@ -177,15 +206,17 @@ def momentum_sampling(history: AccuracyHistory, config: SamplerConfig) -> TaskDi
     if t < config.window:
         return uniform(history.tasks)
     weights = {}
-    k = config.smoothing
+    k, eps = config.smoothing, config.eps
+    start = t - config.window  # the window's oldest entry
     for task in history.tasks:
-        window = history.recent(task, config.window)
-        head = sum(window[-k:]) / k
-        tail = sum(window[:k]) / k
-        weights[task] = max(abs(head - tail), config.eps)
-    if all(w <= config.eps for w in weights.values()) or sum(weights.values()) == 0:
-        # plateaued run: every task clamps to the floor, which is exactly
-        # uniform (avoid float noise from dividing equal weights)
+        series = history._series[task]
+        head = sum(series[t - k:t]) / k
+        tail = sum(series[start:start + k]) / k
+        weights[task] = max(abs(head - tail), eps)
+    if max(weights.values()) <= eps:
+        # plateaued run: no weight is below the floor, so every task sits on
+        # it, which is exactly uniform (avoid float noise from dividing equal
+        # weights)
         return uniform(history.tasks)
     return _normalized(weights)
 
@@ -277,13 +308,12 @@ def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
 def replay_feed(history: AccuracyHistory, config: SamplerConfig) -> list[tuple[int, TaskDistribution]]:
     """Drive the configured strategy over a recorded accuracy feed,
     returning the distribution after each checkpoint, labelled with the
-    feed's own checkpoint number."""
-    out = []
-    partial = AccuracyHistory(history.tasks)
-    for checkpoint, accuracies in zip(history.checkpoints, history.rows()):
-        partial.append(accuracies)
-        out.append((checkpoint, on_checkpoint(partial, config)))
-    return out
+    feed's own checkpoint number.
+
+    The strategy sees one prefix view of `history` that grows by a
+    checkpoint before each call, so the feed that `read_accuracy_feed`
+    checked is walked in place: no row is copied or checked again."""
+    return [(checkpoint, on_checkpoint(view, config)) for checkpoint, view in history._prefixes()]
 
 
 def format_distribution_trace(checkpoint: int, dist: TaskDistribution) -> list[str]:

@@ -184,7 +184,7 @@ def ingest(raw: RawTable, min_rows: int = MIN_ROWS, max_rows: int = MAX_ROWS) ->
     if len(set(names)) != len(names):
         raise MalformedRecord("duplicate_columns", "column names collide after whitespace normalization")
 
-    texts = tuple(tuple(row[c].strip() for row in raw.rows) for c in range(len(names)))
-    types, parses = zip(*(annotate_column(column) for column in texts))
+    types, texts, parses = zip(*(annotate_column([row[c] for row in raw.rows])
+                                 for c in range(len(names))))
     meta = TableMeta(raw.id, raw.page_title, raw.table_title, raw.category)
-    return TypedTable(meta, names, types, texts, tuple(map(tuple, parses)))
+    return TypedTable(meta, names, types, tuple(map(tuple, texts)), tuple(map(tuple, parses)))

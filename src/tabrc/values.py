@@ -255,11 +255,13 @@ def _parsed(parse, text: str):
         return None
 
 
-def annotate_column(cells: Sequence[str]) -> tuple[SemanticType, list[Decimal | Date | str | None]]:
-    """Annotate a column from its raw cells and return (type, parses): each
-    cell's parse under the type, in order, which is a Decimal for NUMBER, a
-    Date for DATE or the stripped text for STRING, and None for a cell that
-    is empty or does not parse under the type.
+def annotate_column(cells: Sequence[str]
+                    ) -> tuple[SemanticType, list[str], list[Decimal | Date | str | None]]:
+    """Annotate a column from its raw cells and return (type, texts, parses):
+    the cells stripped of surrounding whitespace, and each cell's parse under
+    the type, in order, which is a Decimal for NUMBER, a Date for DATE or the
+    stripped text for STRING, and None for a cell that is empty or does not
+    parse under the type.
 
     DATE wins when at least `TYPE_RATIO` of the non-empty cells parse as dates
     and at least one of them carries a month or day; a column of bare years is
@@ -272,7 +274,7 @@ def annotate_column(cells: Sequence[str]) -> tuple[SemanticType, list[Decimal | 
     total = len(texts) - texts.count("")
     found = [date for date in dates if date is not None]
     if total and len(found) / total >= TYPE_RATIO and any(d.precision > 1 for d in found):
-        return SemanticType.DATE, dates
+        return SemanticType.DATE, texts, dates
     if total and sum(number is not None for number in numbers) / total >= TYPE_RATIO:
-        return SemanticType.NUMBER, numbers
-    return SemanticType.STRING, [text or None for text in texts]
+        return SemanticType.NUMBER, texts, numbers
+    return SemanticType.STRING, texts, [text or None for text in texts]

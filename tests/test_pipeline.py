@@ -668,6 +668,57 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "tables.jsonl"]
         assert out.read_text() == "earlier output\n"
 
+    @pytest.mark.parametrize("args, name", [
+        pytest.param(["--history", "feed.tsv"], "distribution_momentum.tsv", id="replay"),
+        pytest.param(["--preset", "two-task"], "two_task_seed0.txt", id="two-task"),
+        pytest.param(["--checkpoints", "3"], "trace_momentum_seed0.tsv", id="simulated"),
+    ])
+    def test_simulate_output_in_the_way_exits_2(self, tmp_path, capsys, args, name):
+        # A directory where the file goes: the error names the file, and no
+        # temporary file is left beside it.
+        (tmp_path / "feed.tsv").write_text("1\ta\t0.5\n1\tb\t0.6\n2\ta\t0.7\n2\tb\t0.6\n")
+        args = [str(tmp_path / arg) if arg.endswith(".tsv") else arg for arg in args]
+        outdir = tmp_path / "sim"
+        (outdir / name).mkdir(parents=True)
+        code = main(["simulate", "--seeds", "0", "--output", str(outdir), *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{outdir / name}'" in err and ".tmp" not in err
+        assert os.listdir(outdir) == [name]
+
+    def test_simulate_sigterm_keeps_the_earlier_file(self, tmp_path):
+        # A feed long enough that the replay is still going when SIGTERM comes.
+        feed = tmp_path / "feed.tsv"
+        write_lines(feed, [f"{i}\tt{t}\t{(i * 7 + t) % 100 / 100}"
+                           for i in range(1, 50_001) for t in range(4)])
+        outdir = tmp_path / "sim"
+        outdir.mkdir()
+        earlier = outdir / "distribution_momentum.tsv"
+        earlier.write_text("earlier output\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tabrc.cli", "simulate", "--history", str(feed),
+             "--output", str(outdir)], env=env, stderr=subprocess.PIPE)
+        try:
+            # The temporary file is opened once the feed is read, before the
+            # replay starts.
+            deadline = time.monotonic() + 30
+            while not any(p.name.startswith("distribution_momentum.tsv.tmp")
+                          for p in outdir.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 143, err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert os.listdir(outdir) == ["distribution_momentum.tsv"]
+        assert earlier.read_text() == "earlier output\n"
+
     @pytest.mark.parametrize("bad_line, reject_id", [
         pytest.param(b'{"id": "t\xff"}', b"t\\udcff", id="in-a-string"),
         pytest.param(b'\xff{"id": "t"}', b"line:1", id="outside-strings"),

@@ -282,6 +282,107 @@ class TestFeedInterfaces:
             "f7c2055e856a6f2bbc74dfc3eb41a910b0c211a2ab700c4f2b39c4950aeed918")
 
 
+def _feeds():
+    """A feed and a config for one replay: 1-5 tasks, 1-40 checkpoints
+    numbered with gaps and negatives and listed in any order, plateaus (a
+    row repeating the one before) and accuracies of exactly 0 and 1."""
+    @st.composite
+    def build(draw):
+        n_tasks = draw(st.integers(min_value=1, max_value=5))
+        tasks = [f"t{i}" for i in range(n_tasks)]
+        numbers = draw(st.lists(st.integers(min_value=-20, max_value=200), min_size=1,
+                                max_size=40, unique=True))
+        accuracy = st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                             st.floats(min_value=0.0, max_value=1.0))
+        rows = []
+        for _ in numbers:
+            if rows and draw(st.booleans()):
+                rows.append(rows[-1])
+            else:
+                rows.append([draw(accuracy) for _ in tasks])
+        lines = [f"{number}\t{task}\t{acc!r}" for number, row in zip(numbers, rows)
+                 for task, acc in zip(tasks, row)]
+        window = draw(st.integers(min_value=1, max_value=6))
+        config = SamplerConfig(
+            strategy=draw(st.sampled_from(list(Strategy))),
+            window=window,
+            smoothing=draw(st.integers(min_value=1, max_value=window)),
+            eps=draw(st.floats(min_value=0.0, max_value=1.0 / n_tasks, exclude_max=True)),
+        )
+        return lines, config
+    return build()
+
+
+def _reference_replay(history: AccuracyHistory, config: SamplerConfig) -> list[str]:
+    """The replay as formatted lines, with each row appended to a fresh
+    history and momentum computed on plain lists of the rows so far."""
+    partial = AccuracyHistory(history.tasks)
+    seen = []
+    lines = []
+    for checkpoint, row in zip(history.checkpoints, history.rows()):
+        partial.append(row)
+        seen.append(row)
+        if config.strategy is not Strategy.MOMENTUM:
+            dist = on_checkpoint(partial, config)
+        elif len(seen) < config.window:
+            dist = uniform(history.tasks)
+        else:
+            k = config.smoothing
+            weights = {}
+            for task in history.tasks:
+                window = [past[task] for past in seen[-config.window:]]
+                weights[task] = max(abs(sum(window[-k:]) / k - sum(window[:k]) / k), config.eps)
+            if all(w <= config.eps for w in weights.values()) or sum(weights.values()) == 0:
+                dist = uniform(history.tasks)
+            else:
+                total = sum(weights.values())
+                dist = TaskDistribution(tuple((task, w / total) for task, w in weights.items()))
+        lines += format_distribution_trace(checkpoint, dist)
+    return lines
+
+
+class TestReplay:
+    @given(_feeds())
+    def test_replay_matches_the_reference(self, feed):
+        lines, config = feed
+        history = read_accuracy_feed(lines)
+        replayed = [line for checkpoint, dist in replay_feed(history, config)
+                    for line in format_distribution_trace(checkpoint, dist)]
+        assert replayed == _reference_replay(history, config)
+
+    def test_replay_leaves_the_history_as_it_was(self):
+        history = history_of({"a": [0.1, 0.4, 0.2], "b": [0.9, 0.5, 0.6]})
+        replay_feed(history, SamplerConfig(strategy=Strategy.MOMENTUM, window=2, smoothing=1))
+        assert len(history) == 3
+        assert history.checkpoints == [1, 2, 3]
+        assert history.latest() == {"a": 0.2, "b": 0.6}
+        history.append({"a": 0.3, "b": 0.7})
+        assert history.recent("a", 2) == [0.2, 0.3]
+
+    def test_a_prefix_view_shows_its_prefix_and_takes_no_append(self):
+        history = history_of({"a": [0.1, 0.4, 0.2], "b": [0.9, 0.5, 0.6]})
+        checkpoint, view = next(history._prefixes())
+        assert (checkpoint, len(view), view.checkpoints) == (1, 1, [1])
+        assert view.latest() == {"a": 0.1, "b": 0.9}
+        assert list(view.rows()) == [{"a": 0.1, "b": 0.9}]
+        with pytest.raises(ValueError, match="prefix view"):
+            view.append({"a": 0.5, "b": 0.5})
+        assert len(history) == 3
+
+    def test_recent_longer_than_the_history_is_all_of_it(self):
+        history = history_of({"a": [0.1, 0.4, 0.2]})
+        assert history.recent("a", 5) == [0.1, 0.4, 0.2]
+        assert history.recent("a", 0) == []
+
+    def test_failed_append_leaves_the_history_as_it_was(self):
+        history = history_of({"a": [0.1], "b": [0.9]})
+        with pytest.raises(ValueError, match="accuracy out of range for b: 1.5"):
+            history.append({"a": 0.2, "b": 1.5})
+        assert len(history) == 1 and history.recent("a", 2) == [0.1]
+        history.append({"a": 0.3, "b": 0.8})
+        assert list(history.rows()) == [{"a": 0.1, "b": 0.9}, {"a": 0.3, "b": 0.8}]
+
+
 class TestEntropy:
     def test_uniform_entropy_is_log_n(self):
         assert uniform(TASKS16).entropy() == pytest.approx(math.log(16), abs=1e-12)

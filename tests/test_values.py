@@ -199,7 +199,8 @@ class TestAnnotateColumn:
                                      "1992", "2004 ", "QF", "[a]", "", "  "]),
                     max_size=30))
     def test_parses_follow_the_column_type(self, cells):
-        kind, parses = annotate_column(cells)
+        kind, texts, parses = annotate_column(cells)
+        assert texts == [cell.strip() for cell in cells]
         assert len(parses) == len(cells)
         for cell, parse in zip(cells, parses):
             text = cell.strip()
