@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 _SOURCES = {
     "facts": ("Context", "ContextConfig", "Fact", "FactKind", "FactPlan", "FactPool", "GoldSpec",
               "build_context"),
-    "generators": ("Answer", "AnswerKind", "Instantiation", "Template", "Triplet", "generate"),
+    "generators": ("Answer", "AnswerKind", "Instantiation", "Triplet", "generate"),
+    "grammar": ("Template",),
     "sampling": ("AccuracyHistory", "SamplerConfig", "TaskDistribution", "compose_batch",
                  "error_sampling", "momentum_sampling", "on_checkpoint", "uniform"),
     "shared": ("GeneratorKind", "Strategy"),

@@ -7,8 +7,9 @@ the rows sharing one key value:
     The attendances when the opponent was Walsall were 5,666 and 10,037
 
 Singular facts keep column names as they appear in the header; aggregated
-(plural) facts lowercase them and pluralize the subject. A fact always lists
-the complete set of subject values for its key value, in row order and with
+(plural) facts lowercase them and pluralize the subject. The sentence shapes
+live in `grammar`, which also reads facts back. A fact always lists the
+complete set of subject values for its key value, in row order and with
 duplicates preserved, so every rendered fact is a true, complete statement
 about the table.
 
@@ -31,6 +32,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence, TypeVar
 
+from .grammar import render_fact
 from .tables import TypedTable
 
 # Distractor count is drawn uniformly from this range; the resulting corpus
@@ -42,14 +44,6 @@ CONTEXT_WORD_CAP = 200
 # Rendered contexts join facts with this; a distractor containing it would
 # make the context split back into the wrong facts.
 FACT_SEPARATOR = ". "
-
-_IRREGULAR_PLURALS = {
-    "person": "people",
-    "child": "children",
-    "man": "men",
-    "woman": "women",
-    "foot": "feet",
-}
 
 
 T = TypeVar("T")
@@ -69,23 +63,6 @@ def _sampled(rng: random.Random, items: Sequence[T]) -> Iterator[T]:
         pick = moved.get(j, j)
         moved[j] = moved.pop(i, i)
         yield items[pick]
-
-
-def pluralize(word: str) -> str:
-    """Naive pluralization with a small irregular table. Words already ending
-    in "s" are left alone (most header names arrive singular)."""
-    if not word:
-        return word
-    lowered = word.lower()
-    if lowered in _IRREGULAR_PLURALS:
-        return _IRREGULAR_PLURALS[lowered]
-    if lowered.endswith("s"):
-        return word
-    if lowered.endswith(("x", "z", "ch", "sh")):
-        return word + "es"
-    if lowered.endswith("y") and len(lowered) > 1 and lowered[-2] not in "aeiou":
-        return word[:-1] + "ies"
-    return word + "s"
 
 
 class FactKind(Enum):
@@ -159,30 +136,11 @@ class ContextConfig(NamedTuple):
     word_cap: int = CONTEXT_WORD_CAP
 
 
-def _join_values(values: list[str]) -> str:
-    if len(values) == 1:
-        return values[0]
-    return ", ".join(values[:-1]) + " and " + values[-1]
-
-
 def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
-    subject_name = table.column_name(plan.subject)
-    values = [table.raw(r, plan.subject) for r in plan.rows]
     first = plan.rows[0]
-    plural = len(plan.rows) > 1
-    if plural:
-        subject_surface = pluralize(subject_name.lower())
-        key_surfaces = [table.column_name(k).lower() for k in plan.keys]
-        verb = "were"
-    else:
-        subject_surface = subject_name
-        key_surfaces = [table.column_name(k) for k in plan.keys]
-        verb = "was"
-    conditions = " and ".join(
-        f"the {surface} was {table.raw(first, key)}"
-        for surface, key in zip(key_surfaces, plan.keys)
-    )
-    text = f"The {subject_surface} when {conditions} {verb} {_join_values(values)}"
+    text = render_fact(table.column_name(plan.subject),
+                       [(table.column_name(k), table.raw(first, k)) for k in plan.keys],
+                       [table.raw(r, plan.subject) for r in plan.rows])
     return Fact(text, kind, cell_mask(plan, table.n_cols))
 
 

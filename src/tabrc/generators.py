@@ -8,10 +8,12 @@ question/answer/gold-spec triplets for one (table, generator) pair,
 deterministically for a fixed seed.
 
 A generator is data: an entry in `_GENERATORS` pairs a candidate enumerator
-with a realizer, `(table, candidate) -> _Realized`, and `TEMPLATES` holds its
-question patterns. An enumerator yields only structurally valid candidates
-(distinct columns, values held in enough rows, anchors that parse); a realizer
-discards only for the table's data, raising one `Discard` subclass each:
+with a realizer, `(table, candidate) -> _Realized`. Its question templates
+and operator words live in `grammar` (`TEMPLATES`, `OPERATORS`), which the
+oracle reads questions back with. An enumerator yields only structurally
+valid candidates (distinct columns, values held in enough rows, anchors that
+parse); a realizer discards only for the table's data, raising one `Discard`
+subclass each:
 
 - `AmbiguousChain`: a hop value, or a boolean comparison's anchor pair, does
   not identify one row;
@@ -24,9 +26,9 @@ Otherwise it returns a `_Realized`: the `Answer`, the fact plans behind the
 gold facts, the ordered slots and the template index. A slot is a plain
 `(name, value)` pair: "col:N" binds a column index, "val:N" a `(column, row)`
 cell and "[OPERATOR]" an operator word. `_instantiate` is the one place that
-turns slot values into the question text and the binding payloads that
-example ids hash, so slot order is part of the output. `_COLUMN_FORMS` names
-the column slots whose question shows the column other than by its name.
+turns slot values into the question text (through `grammar.render_question`)
+and the binding payloads that example ids hash, so slot order is part of the
+output.
 
 Conventions shared with the rest of the toolkit:
 
@@ -47,13 +49,13 @@ import bisect
 import itertools
 import math
 import random
-import re
 from decimal import Decimal
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .facts import FactPlan, GoldSpec, _sampled, gold_spec, pluralize
+from .facts import FactPlan, GoldSpec, _sampled, gold_spec
+from .grammar import OPERATORS, TEMPLATES, Template, render_question
 from .shared import GeneratorKind, derive_seed
 from .tables import TypedTable
 from .values import (
@@ -79,12 +81,6 @@ class AnswerKind(Enum):
 class Answer(NamedTuple):
     kind: AnswerKind
     values: tuple[str, ...]
-
-
-class Template(NamedTuple):
-    kind: GeneratorKind
-    id: str
-    pattern: str
 
 
 class Instantiation(NamedTuple):
@@ -119,94 +115,6 @@ class InsufficientValues(Discard):
     pass
 
 
-_SLOT_RE = re.compile(r"col:\d+|val:\d+|table-title|page-title|\[OPERATOR\]")
-
-
-# Question patterns per generator; the i-th pattern (from 1) is template
-# `<generator>-<i>`.
-_PATTERNS: dict[GeneratorKind, tuple[str, ...]] = {
-    GeneratorKind.COMPOSITION_2HOP: (
-        "What was the col:1(s) when the col:2 was val:2 in table-title of page-title?",
-    ),
-    GeneratorKind.COMPOSITION_3HOP: (
-        "What was the col:1(s) when the col:2 was val:2 in table-title of page-title?",
-    ),
-    GeneratorKind.CONJUNCTION: (
-        "What was the col:1 when the col:2 was val:2 and the col:3 was val:3 in table-title "
-        "of page-title?",
-    ),
-    GeneratorKind.QUANTIFIER_ONLY: (
-        "Is val:1 the only col:1 that has col:2 val:2 in table-title of page-title?",
-    ),
-    GeneratorKind.QUANTIFIER_EVERY: (
-        "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?",
-    ),
-    GeneratorKind.QUANTIFIER_MOST: (
-        "In table-title of page-title, does [OPERATOR] col:1 have col:2 val:2?",
-    ),
-    GeneratorKind.NUMBER_COMPARISON: (
-        "In table-title of page-title, which col:1 had a [OPERATOR] col:2: val:1 or val:1?",
-    ),
-    GeneratorKind.TEMPORAL_COMPARISON: (
-        "In table-title of page-title, what happened [OPERATOR]: the col:1 was val:1 or the "
-        "col:2 was val:2?",
-    ),
-    GeneratorKind.NUMBER_BOOLEAN_COMPARISON: (
-        "In table-title of page-title, did val:1 have [OPERATOR] col:2 than val:1?",
-    ),
-    GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: (
-        "The col:1 was val:1 [OPERATOR] the col:2 was val:2 in table-title of page-title?",
-    ),
-    GeneratorKind.NUMBER_SUPERLATIVE: (
-        "In table-title of page-title, which col:1 has the [OPERATOR] col:2?",
-        "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?",
-    ),
-    GeneratorKind.TEMPORAL_SUPERLATIVE: (
-        "In table-title of page-title, which col:1 has the [OPERATOR] col:2?",
-        "Which col:1 has the [OPERATOR] col:2 in table-title of page-title?",
-    ),
-    GeneratorKind.ARITHMETIC_SUPERLATIVE: (
-        "In table-title of page-title, what was the [OPERATOR] col:1 when the col:2 was val:2?",
-    ),
-    GeneratorKind.ARITHMETIC_ADDITION: (
-        "In table-title of page-title, what was the total number of col:1 when the col:2 was "
-        "val:2?",
-    ),
-    GeneratorKind.COUNTING: (
-        "How many col:1 have col:2 val:2 in table-title of page-title?",
-    ),
-    GeneratorKind.DATE_DIFFERENCE: (
-        "In table-title of page-title, how much time had passed between when the col:1 was "
-        "val:1 and when the col:2 was val:2?",
-    ),
-}
-
-# How a column slot shows its column in the question, where that is not the
-# column name itself.
-_COLUMN_FORMS: dict[GeneratorKind, dict[str, Callable[[str], str]]] = {
-    GeneratorKind.COUNTING: {"col:1": lambda name: pluralize(name.lower()), "col:2": str.lower},
-}
-
-TEMPLATES: dict[GeneratorKind, tuple[Template, ...]] = {
-    kind: tuple(Template(kind, f"{kind.value}-{i}", pattern)
-                for i, pattern in enumerate(patterns, start=1))
-    for kind, patterns in _PATTERNS.items()
-}
-
-
-def _fill(template: Template, slot_values: dict[str, list[str]]) -> str:
-    counters = {slot: 0 for slot in slot_values}
-
-    def substitute(match: re.Match) -> str:
-        slot = match.group(0)
-        values = slot_values[slot]
-        index = counters[slot]
-        counters[slot] = index + 1
-        return values[min(index, len(values) - 1)]
-
-    return _SLOT_RE.sub(substitute, template.pattern)
-
-
 def _dedup(values: list[str]) -> tuple[str, ...]:
     """Distinct values in first-seen order."""
     return tuple(dict.fromkeys(values))
@@ -228,25 +136,22 @@ def _instantiate(table: TypedTable, template: Template, slots: _Slots) -> Instan
     """Fill the template from the ordered slots, and give each slot the
     binding payload that example ids hash. A slot bound more than once fills
     its occurrences in binding order; the titles are filled from the table."""
-    forms = _COLUMN_FORMS.get(template.kind, {})
-    shown: dict[str, list[str]] = {
-        "table-title": [table.meta.table_title],
-        "page-title": [table.meta.page_title],
-    }
+    shown = []
     bindings = []
     for slot, value in slots:
         if slot == "[OPERATOR]":
             text, payload = value, {"operator": value}
         elif slot.startswith("col:"):
-            name = table.column_name(value)
-            text, payload = forms.get(slot, str)(name), {"column": name}
+            text = table.column_name(value)
+            payload = {"column": text}
         else:
             c, r = value
             text = table.raw(r, c)
             payload = {"column": table.column_name(c), "row": r, "value": text}
-        shown.setdefault(slot, []).append(text)
+        shown.append((slot, text))
         bindings.append((slot, payload))
-    return Instantiation(template, tuple(bindings), _fill(template, shown))
+    question = render_question(template, table.meta.table_title, table.meta.page_title, shown)
+    return Instantiation(template, tuple(bindings), question)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +292,11 @@ def _cands_temporal_pairs(table: TypedTable, *operators: tuple[str, ...]) -> _Bl
     return _Blocks(blocks)
 
 
-def _cands_superlative(table: TypedTable, temporal: bool) -> _Blocks:
+def _cands_superlative(table: TypedTable, kind: GeneratorKind) -> _Blocks:
     """(target column, value column, operator, template index)."""
+    temporal = kind is GeneratorKind.TEMPORAL_SUPERLATIVE
     value_cols = table.date_columns if temporal else table.number_columns
-    ops = ("earliest", "latest") if temporal else ("highest", "lowest")
-    return _Blocks(((c1, c2), _Product(ops, (0, 1)))
+    return _Blocks(((c1, c2), _Product(OPERATORS[kind], (0, 1)))
                    for c2 in value_cols for c1 in range(table.n_cols) if c1 != c2)
 
 
@@ -630,30 +535,32 @@ _GENERATORS: dict[GeneratorKind, tuple[Callable[[TypedTable], Sequence],
     GeneratorKind.COMPOSITION_3HOP: (lambda t: _cands_composition(t, 3), _realize_composition),
     GeneratorKind.CONJUNCTION: (_cands_conjunction, _realize_conjunction),
     GeneratorKind.QUANTIFIER_ONLY: (_cands_only, _realize_only),
-    GeneratorKind.QUANTIFIER_MOST: (lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
-                                    partial(_realize_every_most, "most")),
-    GeneratorKind.QUANTIFIER_EVERY: (lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
-                                     partial(_realize_every_most, "every")),
+    GeneratorKind.QUANTIFIER_MOST: (
+        lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
+        partial(_realize_every_most, *OPERATORS[GeneratorKind.QUANTIFIER_MOST])),
+    GeneratorKind.QUANTIFIER_EVERY: (
+        lambda t: _Blocks(_filter_blocks(t, range(t.n_cols))),
+        partial(_realize_every_most, *OPERATORS[GeneratorKind.QUANTIFIER_EVERY])),
     GeneratorKind.NUMBER_COMPARISON: (
-        lambda t: _cands_number_pairs(t, ("higher", "lower")),
+        lambda t: _cands_number_pairs(t, OPERATORS[GeneratorKind.NUMBER_COMPARISON]),
         partial(_realize_number_comparison, False)),
     GeneratorKind.NUMBER_BOOLEAN_COMPARISON: (
-        lambda t: _cands_number_pairs(t, ("higher", "lower")),
+        lambda t: _cands_number_pairs(t, OPERATORS[GeneratorKind.NUMBER_BOOLEAN_COMPARISON]),
         partial(_realize_number_comparison, True)),
     GeneratorKind.TEMPORAL_COMPARISON: (
-        lambda t: _cands_temporal_pairs(t, ("earlier", "later")),
+        lambda t: _cands_temporal_pairs(t, OPERATORS[GeneratorKind.TEMPORAL_COMPARISON]),
         partial(_realize_temporal_comparison, False)),
     GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: (
-        lambda t: _cands_temporal_pairs(t, ("more recently than when", "earlier than when")),
+        lambda t: _cands_temporal_pairs(t, OPERATORS[GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON]),
         partial(_realize_temporal_comparison, True)),
     GeneratorKind.NUMBER_SUPERLATIVE: (
-        lambda t: _cands_superlative(t, temporal=False), _realize_superlative),
+        lambda t: _cands_superlative(t, GeneratorKind.NUMBER_SUPERLATIVE), _realize_superlative),
     GeneratorKind.TEMPORAL_SUPERLATIVE: (
-        lambda t: _cands_superlative(t, temporal=True), _realize_superlative),
+        lambda t: _cands_superlative(t, GeneratorKind.TEMPORAL_SUPERLATIVE), _realize_superlative),
     GeneratorKind.ARITHMETIC_SUPERLATIVE: (
         lambda t: _Blocks(itertools.chain(
-            _filter_blocks(t, t.number_columns, 2, ("highest", "lowest")),
-            _filter_blocks(t, t.date_columns, 2, ("earliest", "latest")))),
+            _filter_blocks(t, t.number_columns, 2, OPERATORS[GeneratorKind.NUMBER_SUPERLATIVE]),
+            _filter_blocks(t, t.date_columns, 2, OPERATORS[GeneratorKind.TEMPORAL_SUPERLATIVE]))),
         _realize_arith_superlative),
     GeneratorKind.ARITHMETIC_ADDITION: (
         lambda t: _Blocks(_filter_blocks(t, t.number_columns, 2)), _realize_addition),

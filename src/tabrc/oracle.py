@@ -11,10 +11,14 @@ Two interpreters, deliberately kept apart from the generation code path:
   sharing its key value. It is used to check that gold facts suffice and
   that distractor facts never matter.
 
-Number/date parsing and canonical rendering are shared plumbing, but all
-selection, aggregation and comparison logic is re-implemented here, and date
-differences are recomputed by greedy month walking instead of the arithmetic
-used at generation time.
+Shared plumbing: number/date parsing, canonical rendering, and the surface
+grammar in `grammar`. The generators write questions and facts from its
+templates, operator words and fact shapes, and the readers used here are
+derived from the same ones (tests/test_grammar.py checks the round trip).
+What a reading means is not shared: all selection, aggregation and
+comparison logic (each operator word's direction included) is re-implemented
+here, and date differences are recomputed by greedy month walking instead of
+the arithmetic used at generation time.
 
 Both interpreters return None when they cannot derive an answer; callers
 treat that as a failure of the example under test.
@@ -29,8 +33,8 @@ import re
 from decimal import Decimal
 from typing import NamedTuple
 
-from .facts import pluralize
 from .generators import AnswerKind, GeneratorKind
+from .grammar import TEMPLATES, ParsedFact, column_surfaces, parse_fact, pluralize, question_regex
 from .tables import TypedTable
 from .values import (
     Date,
@@ -47,7 +51,8 @@ from .values import (
 
 class Query(NamedTuple):
     """A question reduced to its generator kind, operator, and the column
-    names / values it binds."""
+    names / values it binds, keyed by `grammar.slot_group`: "c1" for col:1,
+    "v2" for val:2, and "v1_2" for a template's second val:1."""
 
     kind: GeneratorKind
     operator: str | None
@@ -59,117 +64,28 @@ class QuestionParseError(ValueError):
     pass
 
 
-def _surface_map(column_names: tuple[str, ...]) -> dict[str, str]:
-    surfaces: dict[str, str] = {}
-    for name in column_names:
-        for surface in (name, name.lower(), pluralize(name.lower())):
-            surfaces.setdefault(surface, name)
-    return surfaces
-
-
-def _columns_pattern(surfaces: dict[str, str]) -> str:
-    ordered = sorted(surfaces, key=len, reverse=True)
-    return "(?:" + "|".join(re.escape(s) for s in ordered) + ")"
-
-
-_SUP_OPS = "highest|lowest|earliest|latest"
-_TEMPORAL_BOOL_OPS = "more recently than when|earlier than when"
-
-
-def _question_patterns(column_names: tuple[str, ...], table_title: str,
-                       page_title: str) -> dict[GeneratorKind, list[str]]:
-    cols = _columns_pattern(_surface_map(column_names))
-    tt = re.escape(table_title)
-    pt = re.escape(page_title)
-    composition = (
-        rf"^What was the (?P<c1>{cols})\(s\) when the (?P<c2>{cols}) was (?P<v2>.+) "
-        rf"in {tt} of {pt}\?$"
-    )
-    superlative = [
-        rf"^In {tt} of {pt}, which (?P<c1>{cols}) has the (?P<op>{_SUP_OPS}) (?P<c2>{cols})\?$",
-        rf"^Which (?P<c1>{cols}) has the (?P<op>{_SUP_OPS}) (?P<c2>{cols}) in {tt} of {pt}\?$",
-    ]
-    return {
-        GeneratorKind.COMPOSITION_2HOP: [composition],
-        GeneratorKind.COMPOSITION_3HOP: [composition],
-        GeneratorKind.CONJUNCTION: [
-            rf"^What was the (?P<c1>{cols}) when the (?P<c2>{cols}) was (?P<v2>.+?) "
-            rf"and the (?P<c3>{cols}) was (?P<v3>.+) in {tt} of {pt}\?$"
-        ],
-        GeneratorKind.QUANTIFIER_ONLY: [
-            rf"^Is (?P<v1>.+?) the only (?P<c1>{cols}) that has (?P<c2>{cols}) (?P<v2>.+) "
-            rf"in {tt} of {pt}\?$"
-        ],
-        GeneratorKind.QUANTIFIER_EVERY: [
-            rf"^In {tt} of {pt}, does (?P<op>every) (?P<c1>{cols}) have (?P<c2>{cols}) (?P<v2>.+)\?$"
-        ],
-        GeneratorKind.QUANTIFIER_MOST: [
-            rf"^In {tt} of {pt}, does (?P<op>most) (?P<c1>{cols}) have (?P<c2>{cols}) (?P<v2>.+)\?$"
-        ],
-        GeneratorKind.NUMBER_COMPARISON: [
-            rf"^In {tt} of {pt}, which (?P<c1>{cols}) had a (?P<op>higher|lower) (?P<c2>{cols}): "
-            rf"(?P<va>.+?) or (?P<vb>.+)\?$"
-        ],
-        GeneratorKind.TEMPORAL_COMPARISON: [
-            rf"^In {tt} of {pt}, what happened (?P<op>earlier|later): the (?P<ca>{cols}) was "
-            rf"(?P<va>.+?) or the (?P<cb>{cols}) was (?P<vb>.+)\?$"
-        ],
-        GeneratorKind.NUMBER_BOOLEAN_COMPARISON: [
-            rf"^In {tt} of {pt}, did (?P<va>.+?) have (?P<op>higher|lower) (?P<c2>{cols}) "
-            rf"than (?P<vb>.+)\?$"
-        ],
-        GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON: [
-            rf"^The (?P<ca>{cols}) was (?P<va>.+?) (?P<op>{_TEMPORAL_BOOL_OPS}) "
-            rf"the (?P<cb>{cols}) was (?P<vb>.+) in {tt} of {pt}\?$"
-        ],
-        GeneratorKind.NUMBER_SUPERLATIVE: superlative,
-        GeneratorKind.TEMPORAL_SUPERLATIVE: superlative,
-        GeneratorKind.ARITHMETIC_SUPERLATIVE: [
-            rf"^In {tt} of {pt}, what was the (?P<op>{_SUP_OPS}) (?P<c1>{cols}) when the "
-            rf"(?P<c2>{cols}) was (?P<v2>.+)\?$"
-        ],
-        GeneratorKind.ARITHMETIC_ADDITION: [
-            rf"^In {tt} of {pt}, what was the total number of (?P<c1>{cols}) when the "
-            rf"(?P<c2>{cols}) was (?P<v2>.+)\?$"
-        ],
-        GeneratorKind.COUNTING: [
-            rf"^How many (?P<c1>{cols}) have (?P<c2>{cols}) (?P<v2>.+) in {tt} of {pt}\?$"
-        ],
-        GeneratorKind.DATE_DIFFERENCE: [
-            rf"^In {tt} of {pt}, how much time had passed between when the (?P<ca>{cols}) was "
-            rf"(?P<va>.+?) and when the (?P<cb>{cols}) was (?P<vb>.+)\?$"
-        ],
-    }
-
-
 @functools.lru_cache(maxsize=64)
 def _compiled_patterns(column_names: tuple[str, ...], table_title: str,
                        page_title: str) -> dict[GeneratorKind, list[re.Pattern]]:
     """The compiled question patterns for one table shape, cached by the
     strings they are built from (never on the table)."""
-    patterns = _question_patterns(column_names, table_title, page_title)
-    return {k: [re.compile(p) for p in ps] for k, ps in patterns.items()}
+    return {kind: [re.compile(question_regex(template, column_names, table_title, page_title))
+                   for template in templates]
+            for kind, templates in TEMPLATES.items()}
 
 
 def parse_question(table: TypedTable, kind: GeneratorKind, question: str) -> Query:
     """Reconstruct the structured query behind a question string."""
     compiled = _compiled_patterns(table.column_names, table.meta.table_title,
                                   table.meta.page_title)
-    surfaces = _surface_map(table.column_names)
+    surfaces = column_surfaces(table.column_names)
     for pattern in compiled[kind]:
         match = pattern.match(question)
         if not match:
             continue
         groups = match.groupdict()
-        cols = {}
-        vals = {}
-        for key, value in groups.items():
-            if key == "op":
-                continue
-            if key.startswith("c"):
-                cols[key] = surfaces[value]
-            else:
-                vals[key] = value
+        cols = {key: surfaces[value] for key, value in groups.items() if key.startswith("c")}
+        vals = {key: value for key, value in groups.items() if key.startswith("v")}
         return Query(kind, groups.get("op"), cols, vals)
     raise QuestionParseError(f"{kind.value}: {question!r}")
 
@@ -313,12 +229,12 @@ def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str
             anchor_cols = [cols["c1"]]
         else:
             anchor_cols = [name for name in table.column_names
-                           if _rows_matching(table, name, vals["va"])
-                           and _rows_matching(table, name, vals["vb"])]
+                           if _rows_matching(table, name, vals["v1"])
+                           and _rows_matching(table, name, vals["v1_2"])]
             if len(anchor_cols) != 1:
                 return None
-        rows_a = _rows_matching(table, anchor_cols[0], vals["va"])
-        rows_b = _rows_matching(table, anchor_cols[0], vals["vb"])
+        rows_a = _rows_matching(table, anchor_cols[0], vals["v1"])
+        rows_b = _rows_matching(table, anchor_cols[0], vals["v1_2"])
         if len(rows_a) != 1 or len(rows_b) != 1:
             return None
         qa = _number_at(table, rows_a[0], cols["c2"])
@@ -328,14 +244,14 @@ def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str
         a_wins = (qa > qb) == (op == "higher")
         if kind is GeneratorKind.NUMBER_BOOLEAN_COMPARISON:
             return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["va"] if a_wins else vals["vb"],)
+        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v1_2"],)
 
     if kind in (GeneratorKind.TEMPORAL_COMPARISON, GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON):
         event = _event_column(table)
         if event is None:
             return None
-        rows_a = _rows_matching(table, cols["ca"], vals["va"])
-        rows_b = _rows_matching(table, cols["cb"], vals["vb"])
+        rows_a = _rows_matching(table, cols["c1"], vals["v1"])
+        rows_b = _rows_matching(table, cols["c2"], vals["v2"])
         if len(rows_a) != 1 or len(rows_b) != 1:
             return None
         da = _date_at(table, rows_a[0], event)
@@ -348,7 +264,7 @@ def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str
         a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
         if kind is GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON:
             return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["va"] if a_wins else vals["vb"],)
+        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v2"],)
 
     if kind in (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE):
         temporal = kind is GeneratorKind.TEMPORAL_SUPERLATIVE
@@ -413,8 +329,8 @@ def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str
         event = _event_column(table)
         if event is None:
             return None
-        rows_a = _rows_matching(table, cols["ca"], vals["va"])
-        rows_b = _rows_matching(table, cols["cb"], vals["vb"])
+        rows_a = _rows_matching(table, cols["c1"], vals["v1"])
+        rows_b = _rows_matching(table, cols["c2"], vals["v2"])
         if len(rows_a) != 1 or len(rows_b) != 1:
             return None
         da = _date_at(table, rows_a[0], event)
@@ -432,49 +348,6 @@ def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str
 # ---------------------------------------------------------------------------
 # Fact-level interpreter.
 # ---------------------------------------------------------------------------
-
-
-class ParsedFact(NamedTuple):
-    subject: str
-    conditions: tuple[tuple[str, str], ...]
-    values: tuple[str, ...]
-
-
-_COMBINED_FACT_RE = re.compile(
-    r"^The (?P<subj>.+?) when the (?P<k1>.+?) was (?P<v1>.+?) "
-    r"and the (?P<k2>.+?) was (?P<v2>.+?) (?P<verb>was|were) (?P<values>.+)$"
-)
-_SIMPLE_FACT_RE = re.compile(
-    r"^The (?P<subj>.+?) when the (?P<key>.+?) was (?P<value>.+?) (?P<verb>was|were) (?P<values>.+)$"
-)
-
-
-def _split_values(text: str, verb: str) -> tuple[str, ...]:
-    # "was" always introduces a single value; only "were" lists several
-    if verb == "was":
-        return (text,)
-    head, sep, tail = text.rpartition(" and ")
-    if not sep:
-        return (text,)
-    return tuple(head.split(", ")) + (tail,)
-
-
-def parse_fact(text: str) -> ParsedFact | None:
-    match = _COMBINED_FACT_RE.match(text)
-    if match:
-        return ParsedFact(
-            match.group("subj"),
-            ((match.group("k1"), match.group("v1")), (match.group("k2"), match.group("v2"))),
-            _split_values(match.group("values"), match.group("verb")),
-        )
-    match = _SIMPLE_FACT_RE.match(text)
-    if match:
-        return ParsedFact(
-            match.group("subj"),
-            ((match.group("key"), match.group("value")),),
-            _split_values(match.group("values"), match.group("verb")),
-        )
-    return None
 
 
 def _surface_is(surface: str, column: str) -> bool:
@@ -621,7 +494,7 @@ def facts_answer(query: Query, fact_texts: list[str]) -> tuple[AnswerKind, tuple
 
     if kind in (GeneratorKind.NUMBER_COMPARISON, GeneratorKind.NUMBER_BOOLEAN_COMPARISON):
         quantities = []
-        for val in (vals["va"], vals["vb"]):
+        for val in (vals["v1"], vals["v1_2"]):
             fact = _single([f for f in _simple_facts(facts)
                             if f.conditions[0][1] == val and _surface_is(f.subject, cols["c2"])])
             if fact is None or len(fact.values) != 1:
@@ -636,11 +509,11 @@ def facts_answer(query: Query, fact_texts: list[str]) -> tuple[AnswerKind, tuple
         a_wins = (qa > qb) == (op == "higher")
         if kind is GeneratorKind.NUMBER_BOOLEAN_COMPARISON:
             return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["va"] if a_wins else vals["vb"],)
+        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v1_2"],)
 
     if kind in (GeneratorKind.TEMPORAL_COMPARISON, GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON):
-        da = _anchor_date(facts, cols["ca"], vals["va"])
-        db = _anchor_date(facts, cols["cb"], vals["vb"])
+        da = _anchor_date(facts, cols["c1"], vals["v1"])
+        db = _anchor_date(facts, cols["c2"], vals["v2"])
         if da is None or db is None:
             return None
         order = _compare_keys(da, db)
@@ -649,7 +522,7 @@ def facts_answer(query: Query, fact_texts: list[str]) -> tuple[AnswerKind, tuple
         a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
         if kind is GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON:
             return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["va"] if a_wins else vals["vb"],)
+        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v2"],)
 
     if kind in (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE):
         scan = _facts_for(facts, cols["c2"], cols["c1"], None)
@@ -705,8 +578,8 @@ def facts_answer(query: Query, fact_texts: list[str]) -> tuple[AnswerKind, tuple
         return AnswerKind.NUMBER, (str(len(set(fact.values))),)
 
     if kind is GeneratorKind.DATE_DIFFERENCE:
-        da = _anchor_date(facts, cols["ca"], vals["va"])
-        db = _anchor_date(facts, cols["cb"], vals["vb"])
+        da = _anchor_date(facts, cols["c1"], vals["v1"])
+        db = _anchor_date(facts, cols["c2"], vals["v2"])
         if da is None or db is None:
             return None
         duration = walked_duration(da, db)

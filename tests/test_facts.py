@@ -12,9 +12,9 @@ from tabrc.facts import (
     _sampled,
     build_context,
     gold_spec,
-    pluralize,
 )
 from tabrc.generators import GeneratorKind, generate
+from tabrc.grammar import pluralize
 from tabrc.tables import ingest, raw_table_from_json
 
 

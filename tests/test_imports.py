@@ -27,8 +27,8 @@ TRACED_CLI_NAMES = ("generate_corpus", "corpus_stats", "two_task_report", "run_s
                     "read_accuracy_feed", "replay_feed")
 
 # The generation stack, which neither `stats` nor `simulate` needs.
-GENERATION_MODULES = {"tabrc.pipeline", "tabrc.generators", "tabrc.facts", "tabrc.tables",
-                      "tabrc.values"}
+GENERATION_MODULES = {"tabrc.pipeline", "tabrc.generators", "tabrc.grammar", "tabrc.facts",
+                      "tabrc.tables", "tabrc.values"}
 SCHEDULE_MODULES = {"tabrc.sampling", "tabrc.simulation"}
 
 # Prints what `import tabrc.cli` loaded of the two modules, the traced names

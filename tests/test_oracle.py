@@ -1,9 +1,12 @@
 import datetime
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import HAND_TABLES, typed
-from tabrc import oracle
+from tablegen import make_table
+from tabrc import grammar, oracle
 from tabrc.facts import FactKind, FactPool, build_context
 from tabrc.generators import GeneratorKind, derive_seed, generate
 from tabrc.values import Date, date_difference
@@ -11,29 +14,29 @@ from tabrc.values import Date, date_difference
 
 class TestParseFact:
     def test_singular(self):
-        fact = oracle.parse_fact("The Attendance when the Round was QF was 34,178")
+        fact = grammar.parse_fact("The Attendance when the Round was QF was 34,178")
         assert fact.subject == "Attendance"
         assert fact.conditions == (("Round", "QF"),)
         assert fact.values == ("34,178",)
 
     def test_plural_values(self):
-        fact = oracle.parse_fact(
+        fact = grammar.parse_fact(
             "The attendances when the opponent was Walsall were 5,666 and 10,037")
         assert fact.values == ("5,666", "10,037")
 
     def test_three_values(self):
-        fact = oracle.parse_fact("The scores when the group was A were 1, 2 and 3")
+        fact = grammar.parse_fact("The scores when the group was A were 1, 2 and 3")
         assert fact.values == ("1", "2", "3")
 
     def test_combined_conditions(self):
-        fact = oracle.parse_fact(
+        fact = grammar.parse_fact(
             "The Common name when the Family was Picidae and the Distribution was Okinawa "
             "was Okinawa woodpecker")
         assert fact.conditions == (("Family", "Picidae"), ("Distribution", "Okinawa"))
         assert fact.values == ("Okinawa woodpecker",)
 
     def test_value_with_internal_was(self):
-        fact = oracle.parse_fact("The Result when the Date was 6 November 1990 was 3-2")
+        fact = grammar.parse_fact("The Result when the Date was 6 November 1990 was 3-2")
         assert fact.conditions == (("Date", "6 November 1990"),)
         assert fact.values == ("3-2",)
 
@@ -144,9 +147,49 @@ class TestQuestionParsing:
         assert vars(table) == before
 
     def test_every_generated_question_parses(self):
-        for record in HAND_TABLES:
+        # Each question reads back as the bindings it was filled from, for
+        # every slot its template shows: a boolean number comparison binds
+        # col:1 but does not show it.
+        records = HAND_TABLES + [make_table(i, seed) for seed in (1, 2, 3) for i in range(4)]
+        for record in records:
             table = typed(record)
             for kind in GeneratorKind:
                 for triplet in generate(table, kind, seed=21):
-                    query = oracle.parse_question(table, kind, triplet.instantiation.question)
+                    instantiation = triplet.instantiation
+                    query = oracle.parse_question(table, kind, instantiation.question)
                     assert query.kind is kind
+                    shown = set(grammar._SLOT_RE.findall(instantiation.template.pattern))
+                    seen = Counter()
+                    bound = {}
+                    for slot, payload in instantiation.bindings:
+                        if slot in shown:
+                            seen[slot] += 1
+                            bound[grammar.slot_group(slot, seen[slot])] = _slot_text(slot, payload)
+                    read = {**query.cols, **query.vals}
+                    if query.operator is not None:
+                        read["op"] = query.operator
+                    assert read == bound, instantiation.question
+
+    def test_a_reader_refuses_an_operator_its_kind_never_writes(self):
+        words = {word for own in grammar.OPERATORS.values() for word in own}
+        for record in HAND_TABLES:
+            table = typed(record)
+            for kind, own in grammar.OPERATORS.items():
+                for triplet in generate(table, kind, seed=21, cap=2):
+                    instantiation = triplet.instantiation
+                    for word in sorted(words - set(own)):
+                        question = grammar.render_question(
+                            instantiation.template, table.meta.table_title,
+                            table.meta.page_title,
+                            [(slot, word if slot == "[OPERATOR]" else _slot_text(slot, payload))
+                             for slot, payload in instantiation.bindings])
+                        with pytest.raises(oracle.QuestionParseError):
+                            oracle.parse_question(table, kind, question)
+
+
+def _slot_text(slot, payload):
+    """The text a binding payload puts in its slot (a column slot's column
+    name, before any column form)."""
+    if slot == "[OPERATOR]":
+        return payload["operator"]
+    return payload["value"] if slot.startswith("val:") else payload["column"]
