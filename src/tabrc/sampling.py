@@ -18,10 +18,15 @@ A recorded feed is read and checked once, by `read_accuracy_feed`.
 `replay_feed` then walks that history in place: the strategy sees a prefix
 view that shares the history's series and grows by one checkpoint per call,
 and momentum slices each task's window out of its series by index.
+
+A batch plan reads two draws of its step seed, and runs that share step
+seeds (the two-task preset's six strategy runs of one seed) share those
+draws through a bounded memo, so each step seed seeds one generator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -98,6 +103,13 @@ def _normalized(weights: Mapping[str, float]) -> TaskDistribution:
 
 
 def uniform(tasks: Sequence[str]) -> TaskDistribution:
+    return _uniform(tuple(tasks))
+
+
+# A distribution is immutable, so each task tuple's uniform one is built and
+# checked once and shared by every checkpoint that asks for it.
+@functools.lru_cache(maxsize=32)
+def _uniform(tasks: tuple[str, ...]) -> TaskDistribution:
     if not tasks:
         raise ValueError("at least one task required")
     share = 1.0 / len(tasks)
@@ -113,7 +125,7 @@ def error_sampling(latest_acc: Mapping[str, float]) -> TaskDistribution:
             raise ValueError(f"accuracy out of range for {task}: {acc}")
         deltas[task] = 1.0 - acc
     if sum(deltas.values()) == 0:
-        return uniform(list(latest_acc))
+        return uniform(tuple(latest_acc))
     return _normalized(deltas)
 
 
@@ -230,6 +242,23 @@ def on_checkpoint(history: AccuracyHistory, config: SamplerConfig) -> TaskDistri
     return momentum_sampling(history, config)
 
 
+# How many step seeds keep their batch draws. The two-task preset's six runs
+# of one seed ask for the same step seeds, one run after another, and a run
+# is `two_task_config`'s checkpoints x steps_per_checkpoint = 600 steps. An
+# LRU smaller than that evicts each seed before the next run asks for it, so
+# every step would miss; 1,024 keeps one run's steps for a few hundred KB.
+BATCH_DRAW_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=BATCH_DRAW_MEMO)
+def _batch_draws(seed: int) -> tuple[float, float]:
+    """The first two outputs of `random.Random(seed)`: the replay draw and
+    the systematic-draw mark. Both are taken whether or not the mark is
+    used, so a memoized pair equals what a fresh generator would give."""
+    rng = random.Random(seed)
+    return rng.random(), rng.random()
+
+
 def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
                   seed: int) -> dict[str, int]:
     """Plan one batch as the number of slots per task; a batch has no slot
@@ -242,11 +271,16 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
     fractional remainders, so each task's chance of an extra slot equals its
     remainder and expected slot counts stay exactly batch_size * P(s). Ties
     between equal remainders are thereby broken by the seed.
+
+    Both draws are the first two outputs of `random.Random(seed)`, read
+    through the `_batch_draws` memo.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    rng = random.Random(seed)
-    if rng.random() < replay_lambda:
+    if not 0.0 <= replay_lambda <= 1.0:  # NaN fails every comparison
+        raise ValueError("replay_lambda must be in [0, 1]")
+    replay_draw, mark_draw = _batch_draws(seed)
+    if replay_draw < replay_lambda:
         return {REPLAY_TASK: batch_size}
 
     quotas = [(task, batch_size * p) for task, p in dist.probs]
@@ -255,7 +289,7 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
     if leftover:
         remainders = [(task, quota - int(quota)) for task, quota in quotas]
         total = sum(r for _, r in remainders)
-        mark = rng.random() * total / leftover
+        mark = mark_draw * total / leftover
         step = total / leftover
         cumulative = 0.0
         for task, remainder in remainders:

@@ -9,14 +9,19 @@ where error sampling gets stuck and momentum sampling does not.
 The harness feeds batch plans from the sampler into the learners, evaluates
 at every checkpoint, and records accuracy, the refreshed distribution and
 its entropy. Everything is a pure function of (config, seed).
+
+A step's batch seed depends only on (seed, step), so runs of one seed (the
+two-task preset's six) derive each step seed once and share it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, NamedTuple
 
 from .sampling import (
+    BATCH_DRAW_MEMO,
     REPLAY_TASK,
     AccuracyHistory,
     SamplerConfig,
@@ -85,6 +90,13 @@ class CheckpointRecord(NamedTuple):
     total_examples: int
 
 
+@functools.lru_cache(maxsize=BATCH_DRAW_MEMO, typed=True)
+def _batch_seed(seed: int, step: int) -> int:
+    """The seed of one step's batch; typed, because `derive_seed` writes
+    True and 1 differently."""
+    return derive_seed(seed, "batch", step)
+
+
 def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord]:
     """Run one simulation; the trace is a pure function of (config, seed).
 
@@ -92,7 +104,7 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
     previous checkpoint (uniform before the first one); replay slots do not
     train any task.
     """
-    names = [task.name for task in config.tasks]
+    names = tuple(task.name for task in config.tasks)
     learner = SimulatedLearner(config.tasks)
     history = AccuracyHistory(names)
     dist = uniform(names)
@@ -102,7 +114,7 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
         for _ in range(config.steps_per_checkpoint):
             step += 1
             counts = compose_batch(dist, config.batch_size, config.sampler.replay_lambda,
-                                   derive_seed(seed, "batch", step))
+                                   _batch_seed(seed, step))
             for task, count in counts.items():
                 if task != REPLAY_TASK:
                     learner.train(task, count)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabrc.sampling import (
+    BATCH_DRAW_MEMO,
     REPLAY_TASK,
     AccuracyHistory,
     SamplerConfig,
@@ -20,6 +21,7 @@ from tabrc.sampling import (
     read_accuracy_feed,
     replay_feed,
     uniform,
+    _batch_draws,
 )
 
 TASKS16 = [f"task{i:02d}" for i in range(16)]
@@ -45,6 +47,11 @@ class TestUniform:
     def test_two_tasks(self):
         dist = uniform(["a", "b"])
         assert dist.prob("a") == dist.prob("b") == 0.5
+
+    def test_built_once_per_task_tuple(self):
+        assert uniform(["a", "b"]) is uniform(("a", "b"))
+        with pytest.raises(ValueError, match="at least one task"):
+            uniform([])
 
 
 class TestErrorSampling:
@@ -207,6 +214,61 @@ class TestComposeBatch:
         for task, p in self.DIST.probs:
             expected = batch * p * (1 - lam)
             assert totals[task] / draws == pytest.approx(expected, rel=0.01)
+
+
+def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
+    """`compose_batch` as it was before the draws were memoized: a new
+    generator seeded on every call."""
+    rng = random.Random(seed)
+    if rng.random() < replay_lambda:
+        return {REPLAY_TASK: batch_size}
+    quotas = [(task, batch_size * p) for task, p in dist.probs]
+    counts = {task: int(quota) for task, quota in quotas}
+    leftover = batch_size - sum(counts.values())
+    if leftover:
+        remainders = [(task, quota - int(quota)) for task, quota in quotas]
+        total = sum(r for _, r in remainders)
+        mark = rng.random() * total / leftover
+        step = total / leftover
+        cumulative = 0.0
+        for task, remainder in remainders:
+            cumulative += remainder
+            while mark < cumulative and leftover:
+                counts[task] += 1
+                leftover -= 1
+                mark += step
+        if leftover:
+            for task, _r in sorted(remainders, key=lambda item: -item[1])[:leftover]:
+                counts[task] += 1
+    return counts
+
+
+class TestBatchDrawMemo:
+    # 10 splits evenly over these shares; 7 and 13 leave slots over.
+    DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
+
+    def _check(self, seeds):
+        for seed in seeds:
+            for replay_lambda in (0.0, 0.5, 1.0):
+                for batch_size in (10, 7, 13):
+                    assert (compose_batch(self.DIST, batch_size, replay_lambda, seed)
+                            == fresh_compose_batch(self.DIST, batch_size, replay_lambda, seed))
+
+    def test_counts_match_a_fresh_generator_through_hits_and_evictions(self):
+        _batch_draws.cache_clear()
+        first = list(range(50))
+        self._check(first)
+        hits = _batch_draws.cache_info().hits
+        self._check(reversed(first))  # every seed is held: all hits
+        assert _batch_draws.cache_info().hits > hits
+        self._check(range(1000, 1000 + 2 * BATCH_DRAW_MEMO))  # more seeds than the bound
+        assert _batch_draws.cache_info().currsize == BATCH_DRAW_MEMO
+        self._check(first)  # evicted long ago: drawn again
+
+    @pytest.mark.parametrize("replay_lambda", [-0.1, 1.5, math.nan])
+    def test_replay_lambda_outside_the_unit_interval_is_refused(self, replay_lambda):
+        with pytest.raises(ValueError, match="replay_lambda"):
+            compose_batch(self.DIST, 8, replay_lambda, seed=1)
 
 
 class TestFeedInterfaces:

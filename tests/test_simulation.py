@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tabrc.sampling import SamplerConfig, Strategy
+from tabrc.sampling import BATCH_DRAW_MEMO, SamplerConfig, Strategy, _batch_draws
 from tabrc.simulation import (
     FAST_TASK,
     SLOW_TASK,
@@ -13,7 +13,9 @@ from tabrc.simulation import (
     run_simulation,
     report_lines,
     trace_lines,
+    two_task_config,
     two_task_report,
+    _batch_seed,
 )
 
 
@@ -91,6 +93,16 @@ class TestRunSimulation:
         assert trace[2].accuracies["a"] < 0.7
         assert trace[-1].accuracies["a"] <= 0.7
 
+    def test_batch_memos_hold_one_preset_run_and_stay_bounded(self):
+        preset = two_task_config(Strategy.UNIFORM, noisy=False)
+        assert BATCH_DRAW_MEMO >= preset.checkpoints * preset.steps_per_checkpoint
+        config = config_for(Strategy.UNIFORM, [LearnerTask("a", rate=100.0)], batch_size=3,
+                            steps_per_checkpoint=10, checkpoints=BATCH_DRAW_MEMO // 10 + 20)
+        run_simulation(config, seed=7)
+        for memo in (_batch_draws, _batch_seed):
+            assert memo.cache_info().maxsize == BATCH_DRAW_MEMO
+            assert memo.cache_info().currsize == BATCH_DRAW_MEMO
+
 
 class TestTwoTaskReport:
     def test_orderings_hold_on_default_parameters(self):
@@ -135,6 +147,15 @@ class TestPinnedOutput:
         config = config_for(Strategy.MOMENTUM, tasks, replay_lambda=0.5)
         assert self._sha256(trace_lines(run_simulation(config, 5))) == (
             "53e90774179a8d93cb5c62935b1deceaaf52152613d78e19f0f13df9fa1b3176")
+
+    def test_every_two_task_trace_pinned(self):
+        # All six runs' checkpoints, so a change that keeps the verdicts but
+        # alters an intermediate distribution still shows.
+        report = two_task_report(0)
+        lines = [line for outcomes in (report.gold, report.noisy) for strategy in Strategy
+                 for line in trace_lines(outcomes[strategy].trace)]
+        assert self._sha256(lines) == (
+            "a32f2b5f1c0498b3dc12ab03644c2adc3e8a36cf2c7341e2ec9dbe4382e7e29b")
 
 
 class TestEntropyBehavior:
