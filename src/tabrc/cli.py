@@ -13,9 +13,9 @@ import contextlib
 import importlib
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .shared import Strategy
+from .shared import Strategy, replacing
 
 if TYPE_CHECKING:
     from .sampling import AccuracyHistory, SamplerConfig
@@ -132,52 +132,18 @@ def _sigterm_exits() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _write_replacing(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to a temporary file beside `path` (`path.tmp<pid>`)
-    and rename it into place after the last one, as `generate` writes its
-    output: a run that fails or gets SIGTERM leaves any earlier file as it
-    was and no temporary file behind. An error names `path`."""
-    temp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(temp, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
-        os.replace(temp, path)
-    except OSError as exc:
-        if exc.filename != temp:
-            raise
-        raise type(exc)(exc.errno, exc.strerror, path) from exc
-    finally:
-        try:
-            os.remove(temp)
-        except FileNotFoundError:
-            pass
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .pipeline import GenerationSettings, parse_kinds
 
-    try:
-        seed = args.seed if args.seed is not None else _default_seed()
-        kinds = parse_kinds(args.egs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     settings = GenerationSettings(
-        seed=seed,
+        seed=args.seed if args.seed is not None else _default_seed(),
         cap=args.per_table_cap,
-        kinds=kinds,
+        kinds=parse_kinds(args.egs),
         min_rows=args.min_rows,
         max_rows=args.max_rows,
         workers=args.workers,
     )
-    # SIGTERM exits through `generate_corpus`'s cleanup, which stops the
-    # workers and removes the temporary files.
-    try:
-        with _sigterm_exits():
-            summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
     print(
         f"tables: {summary.tables_read} read, {summary.tables_accepted} accepted, "
         f"{summary.tables_rejected} rejected; examples: {summary.examples} "
@@ -188,23 +154,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        # A byte that is not UTF-8 becomes a lone surrogate: inside a JSON
-        # string it is kept, elsewhere its line counts as malformed.
-        with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            stats = _entry("corpus_stats")(handle)
-        # A category can hold a lone surrogate; the report shows it as
-        # \udXXXX, as the rejects file of `generate` does.
-        report = "\n".join(stats.lines()) + "\n"
-        report = report.encode("utf-8", "backslashreplace").decode("utf-8")
-        if args.output == "-":
-            sys.stdout.write(report)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(report)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # A byte that is not UTF-8 becomes a lone surrogate: inside a JSON
+    # string it is kept, elsewhere its line counts as malformed.
+    with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        stats = _entry("corpus_stats")(handle)
+    # A category can hold a lone surrogate; the report shows it as
+    # \udXXXX, as the rejects file of `generate` does.
+    report = "\n".join(stats.lines()) + "\n"
+    report = report.encode("utf-8", "backslashreplace").decode("utf-8")
+    if args.output == "-":
+        sys.stdout.write(report)
+    else:
+        with replacing(args.output) as handle:
+            handle.write(report)
     return 0
 
 
@@ -219,79 +181,72 @@ def _spread_rates(num_tasks: int) -> list[float]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .sampling import SamplerConfig, check_eps
 
-    try:
-        if args.history is not None and args.preset is not None:
-            raise ValueError("--history replays a feed and takes no --preset")
-        # Checked in every mode, also where the mode ignores them, so that no
-        # out-of-range value passes silently.
-        for flag in ("steps", "batch_size", "checkpoints", "num_tasks"):
-            if getattr(args, flag) < 1:
-                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
-        sampler = SamplerConfig(
-            strategy=Strategy(args.strategy),
-            window=args.w,
-            smoothing=args.k,
-            eps=args.eps,
-            replay_lambda=args.lam,
+    if args.history is not None and args.preset is not None:
+        raise ValueError("--history replays a feed and takes no --preset")
+    # Checked in every mode, also where the mode ignores them, so that no
+    # out-of-range value passes silently.
+    for flag in ("steps", "batch_size", "checkpoints", "num_tasks"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
+    sampler = SamplerConfig(
+        strategy=Strategy(args.strategy),
+        window=args.w,
+        smoothing=args.k,
+        eps=args.eps,
+        replay_lambda=args.lam,
+    )
+    seeds = _parse_seeds(args.seeds)
+    tasks = ()  # the preset configures its own samplers
+    if args.history is not None:
+        with open(args.history, "r", encoding="utf-8") as handle:
+            history = _entry("read_accuracy_feed")(handle)
+        tasks = history.tasks
+    elif args.preset is None:
+        from .simulation import LearnerTask, SimulationConfig
+
+        rates = _spread_rates(args.num_tasks)
+        config = SimulationConfig(
+            sampler=sampler,
+            tasks=tuple(LearnerTask(f"task{i:02d}", rate=rate) for i, rate in enumerate(rates)),
+            batch_size=args.batch_size,
+            steps_per_checkpoint=args.steps,
+            checkpoints=args.checkpoints,
         )
-        seeds = _parse_seeds(args.seeds)
-        tasks = ()  # the preset configures its own samplers
-        if args.history is not None:
-            with open(args.history, "r", encoding="utf-8") as handle:
-                history = _entry("read_accuracy_feed")(handle)
-            tasks = history.tasks
-        elif args.preset is None:
-            from .simulation import LearnerTask, SimulationConfig
+        tasks = config.tasks
+    if tasks and sampler.strategy is Strategy.MOMENTUM:
+        check_eps(sampler.eps, len(tasks))
+    os.makedirs(args.output, exist_ok=True)
 
-            rates = _spread_rates(args.num_tasks)
-            config = SimulationConfig(
-                sampler=sampler,
-                tasks=tuple(LearnerTask(f"task{i:02d}", rate=rate) for i, rate in enumerate(rates)),
-                batch_size=args.batch_size,
-                steps_per_checkpoint=args.steps,
-                checkpoints=args.checkpoints,
-            )
-            tasks = config.tasks
-        if tasks and sampler.strategy is Strategy.MOMENTUM:
-            check_eps(sampler.eps, len(tasks))
-        os.makedirs(args.output, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.history is not None:
+        path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
+        with replacing(path) as out:
+            out.writelines(_replay_lines(history, sampler))
+        print(f"wrote {path}", file=sys.stderr)
+        return 0
 
-    try:
-        with _sigterm_exits():
-            if args.history is not None:
-                path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
-                _write_replacing(path, _replay_lines(history, sampler))
-                print(f"wrote {path}", file=sys.stderr)
-                return 0
+    from .simulation import report_lines, trace_lines
 
-            from .simulation import report_lines, trace_lines
+    if args.preset == "two-task":
+        failures = 0
+        for seed in seeds:
+            report = _entry("two_task_report")(seed)
+            lines = report_lines(report)
+            with replacing(os.path.join(args.output, f"two_task_seed{seed}.txt")) as out:
+                out.write("\n".join(lines) + "\n")
+            for line in lines:
+                if line.startswith("verdict"):
+                    print(f"seed {seed}: {line}")
+            if not report.all_hold():
+                failures += 1
+        return 1 if failures else 0
 
-            if args.preset == "two-task":
-                failures = 0
-                for seed in seeds:
-                    report = _entry("two_task_report")(seed)
-                    lines = report_lines(report)
-                    _write_replacing(os.path.join(args.output, f"two_task_seed{seed}.txt"),
-                                     ["\n".join(lines) + "\n"])
-                    for line in lines:
-                        if line.startswith("verdict"):
-                            print(f"seed {seed}: {line}")
-                    if not report.all_hold():
-                        failures += 1
-                return 1 if failures else 0
-
-            for seed in seeds:
-                trace = _entry("run_simulation")(config, seed)
-                path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")
-                _write_replacing(path, ["\n".join(trace_lines(trace)) + "\n"])
-                print(f"wrote {path} (final entropy {trace[-1].entropy:.4f})", file=sys.stderr)
-            return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for seed in seeds:
+        trace = _entry("run_simulation")(config, seed)
+        path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")
+        with replacing(path) as out:
+            out.write("\n".join(trace_lines(trace)) + "\n")
+        print(f"wrote {path} (final entropy {trace[-1].entropy:.4f})", file=sys.stderr)
+    return 0
 
 
 def _replay_lines(history: AccuracyHistory, sampler: SamplerConfig) -> Iterator[str]:
@@ -305,12 +260,18 @@ def _replay_lines(history: AccuracyHistory, sampler: SamplerConfig) -> Iterator[
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Every command runs inside `_sigterm_exits`, so
+    SIGTERM exits with 143 through the cleanup of its `replacing` blocks,
+    and this is the one place where an OSError or ValueError becomes
+    `error: …` on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    return _cmd_simulate(args)
+    command = {"generate": _cmd_generate, "stats": _cmd_stats}.get(args.command, _cmd_simulate)
+    try:
+        with _sigterm_exits():
+            return command(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

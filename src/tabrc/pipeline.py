@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from .facts import FactKind, FactPool, build_context
 from .generators import PER_TABLE_CAP, Triplet, generate
-from .shared import GeneratorKind, derive_seed
+from .shared import GeneratorKind, derive_seed, replacing
 from .tables import (
     MAX_ROWS,
     MIN_ROWS,
@@ -148,9 +148,10 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     each table is its own task, so the heaviest tables do not queue behind
     each other in one worker's chunk.
 
-    Both files are written to temporary files beside them and renamed into
-    place after the last record, so a run that fails leaves any earlier
-    output as it was and no temporary file behind.
+    Both files are written through `replacing`, the output inside the
+    rejects, so the output is renamed into place first, after the last
+    record; a run that fails leaves any earlier output and rejects file as
+    they were and no temporary file behind.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
@@ -166,13 +167,12 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     summary = GenerateSummary()
     seen_ids: set[int] = set()
     worker = partial(_process_line, settings)
-    temp_out, temp_rejects = (f"{path}.tmp{os.getpid()}" for path in (output_path, rejects_path))
     pool = None
 
     try:
         with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
-                open(temp_out, "w", encoding="utf-8") as out, \
-                open(temp_rejects, "w", encoding="utf-8", errors="backslashreplace") as rejects:
+                replacing(rejects_path, errors="backslashreplace") as rejects, \
+                replacing(output_path) as out:
             items = enumerate(src, start=1)
             if settings.workers > 1:
                 # Imported here: one worker never needs it, and every command
@@ -209,27 +209,16 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                     seen_ids.add(key)
                     out.write(record_json + "\n")
                     summary.examples += 1
-        os.replace(temp_out, output_path)
-        os.replace(temp_rejects, rejects_path)
-    except BaseException as exc:
+    except BaseException:
         # Stop the workers now: `close` would let them finish every table
         # already queued before the error reaches the caller.
         if pool is not None:
             pool.terminate()
-        if isinstance(exc, OSError) and exc.filename in (temp_out, temp_rejects):
-            # Name the file the caller asked for, not its temporary stand-in.
-            path = output_path if exc.filename == temp_out else rejects_path
-            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-        for temp in (temp_out, temp_rejects):
-            try:
-                os.remove(temp)
-            except FileNotFoundError:
-                pass
     return summary
 
 

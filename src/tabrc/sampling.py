@@ -185,10 +185,6 @@ class AccuracyHistory:
     def __len__(self) -> int:
         return self._length
 
-    def recent(self, task: str, size: int) -> list[float]:
-        """The newest `size` entries of one task's series, oldest first."""
-        return self._series[task][max(self._length - size, 0):self._length]
-
     def rows(self) -> Iterator[dict[str, float]]:
         """Every checkpoint's accuracies, oldest first."""
         for values in zip(*(self._series[task][:self._length] for task in self.tasks)):

@@ -1,5 +1,6 @@
 """Names that more than one command needs: the generator kinds, the sampling
-strategies and seed derivation.
+strategies, seed derivation and `replacing`, the one way a command writes a
+file.
 
 This module imports nothing else from `tabrc`, so `stats` can list the
 sixteen kinds and `simulate` can derive seeds without loading the generators.
@@ -7,7 +8,10 @@ sixteen kinds and `simulate` can derive seeds without loading the generators.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from enum import Enum
+from typing import Iterator, TextIO
 
 
 class GeneratorKind(Enum):
@@ -46,3 +50,24 @@ def derive_seed(*parts: object) -> int:
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@contextlib.contextmanager
+def replacing(path: str, errors: str = "strict") -> Iterator[TextIO]:
+    """A UTF-8 text handle on a temporary file beside `path`
+    (`path.tmp<pid>`), renamed into place when the block ends. A block that
+    fails or is left by SystemExit (SIGTERM, under the CLI) leaves any
+    earlier file as it was and no temporary file behind. An error in opening
+    or renaming the temporary file names `path`."""
+    temp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(temp, "w", encoding="utf-8", errors=errors) as handle:
+            yield handle
+        os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename != temp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)

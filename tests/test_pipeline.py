@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -431,8 +432,56 @@ class TestCli:
         capsys.readouterr()
         code = main(["stats", "--input", corpus, "--output", str(tmp_path / "nodir" / "x.txt")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{tmp_path / 'nodir' / 'x.txt'}'" in err
+        assert ".tmp" not in err
         assert not (tmp_path / "nodir").exists()
+
+    def test_stats_failed_rename_keeps_the_earlier_report(self, dump, tmp_path, capsys,
+                                                           monkeypatch):
+        # The report goes to a temporary file first: a rename that fails
+        # leaves the earlier report whole and no temporary file behind.
+        corpus = tmp_path / "examples.jsonl"
+        assert main(["generate", "--input", dump, "--output", str(corpus)]) == 0
+        report = tmp_path / "stats.txt"
+        report.write_bytes(b"earlier report\n")
+        capsys.readouterr()
+
+        def fail(src, dst):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+
+        monkeypatch.setattr(os, "replace", fail)
+        code = main(["stats", "--input", str(corpus), "--output", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{report}'" in err and ".tmp" not in err
+        assert report.read_bytes() == b"earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "examples.jsonl", "examples.jsonl.rejects", "stats.txt", "tables.jsonl"]
+
+    def test_stats_sigterm_exits_143_and_keeps_the_earlier_report(self, tmp_path, monkeypatch):
+        corpus, report = tmp_path / "examples.jsonl", tmp_path / "stats.txt"
+        write_lines(corpus, [json.dumps(TestCorpusStats.GOOD)])
+        report.write_bytes(b"earlier report\n")
+
+        def terminated(handle):
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(5)
+            raise AssertionError("SIGTERM did not stop the command")
+
+        def outside(signum, frame):
+            raise AssertionError("SIGTERM came outside the command's handler")
+
+        monkeypatch.setattr("tabrc.cli.corpus_stats", terminated)
+        previous = signal.signal(signal.SIGTERM, outside)
+        try:
+            with pytest.raises(SystemExit) as raised:
+                main(["stats", "--input", str(corpus), "--output", str(report)])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert raised.value.code == 143
+        assert report.read_bytes() == b"earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl", "stats.txt"]
 
     def test_parser_defaults_match_library_defaults(self):
         # The parser repeats the library defaults so that parsing loads no

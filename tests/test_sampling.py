@@ -419,7 +419,8 @@ class TestReplay:
         assert history.checkpoints == [1, 2, 3]
         assert history.latest() == {"a": 0.2, "b": 0.6}
         history.append({"a": 0.3, "b": 0.7})
-        assert history.recent("a", 2) == [0.2, 0.3]
+        assert history.latest() == {"a": 0.3, "b": 0.7}
+        assert [row["a"] for row in history.rows()] == [0.1, 0.4, 0.2, 0.3]
 
     def test_a_prefix_view_shows_its_prefix_and_takes_no_append(self):
         history = history_of({"a": [0.1, 0.4, 0.2], "b": [0.9, 0.5, 0.6]})
@@ -431,16 +432,11 @@ class TestReplay:
             view.append({"a": 0.5, "b": 0.5})
         assert len(history) == 3
 
-    def test_recent_longer_than_the_history_is_all_of_it(self):
-        history = history_of({"a": [0.1, 0.4, 0.2]})
-        assert history.recent("a", 5) == [0.1, 0.4, 0.2]
-        assert history.recent("a", 0) == []
-
     def test_failed_append_leaves_the_history_as_it_was(self):
         history = history_of({"a": [0.1], "b": [0.9]})
         with pytest.raises(ValueError, match="accuracy out of range for b: 1.5"):
             history.append({"a": 0.2, "b": 1.5})
-        assert len(history) == 1 and history.recent("a", 2) == [0.1]
+        assert len(history) == 1 and list(history.rows()) == [{"a": 0.1, "b": 0.9}]
         history.append({"a": 0.3, "b": 0.8})
         assert list(history.rows()) == [{"a": 0.1, "b": 0.9}, {"a": 0.3, "b": 0.8}]
 
