@@ -154,6 +154,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.output != "-" and os.path.realpath(args.output) == os.path.realpath(args.input):
+        raise ValueError(f"output path is the input path: {args.output}")
     # A byte that is not UTF-8 becomes a lone surrogate: inside a JSON
     # string it is kept, elsewhere its line counts as malformed.
     with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:

@@ -15,8 +15,11 @@ deduplicates repeated instantiations across the whole run.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
+from collections import deque
 from functools import partial
 from typing import Iterator, NamedTuple
 
@@ -129,11 +132,46 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str]
 
 
 def _default_sigterm() -> None:
-    """Pool initializer: SIGTERM kills the worker, whatever the parent set."""
-    import signal
-
+    """Worker initializer: SIGTERM kills the worker, whatever the parent set."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+def _in_order(executor, worker, items: Iterator, window: int) -> Iterator:
+    """`worker` over `items` in input order, with `window` tasks in flight."""
+    pending = deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        # SIGTERM waits while a task is submitted: the first submit forks the
+        # workers, and a SystemExit amid it would strand one.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            pending.append(executor.submit(worker, item))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    while pending:
+        yield pending.popleft().result()
+
+
+@contextlib.contextmanager
+def _results_in_order(worker, items: Iterator, workers: int) -> Iterator[Iterator]:
+    """`worker` over `items` in input order: `map` at one worker, else a pool
+    with 2 tasks per worker in flight. One `shutdown` ends the block, cancels
+    queued tasks and waits for running ones; a dead worker is ChildProcessError."""
+    if workers == 1:
+        yield map(worker, items)
+        return
+    # Imported here: one worker never needs it, and every command would pay.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(workers, initializer=_default_sigterm)
+    try:
+        yield _in_order(executor, worker, items, 2 * workers)
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a worker process died: {exc}") from exc
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def generate_corpus(input_path: str, output_path: str, settings: GenerationSettings,
@@ -151,10 +189,14 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     Both files are written through `replacing`, the output inside the
     rejects, so the output is renamed into place first, after the last
     record; a run that fails leaves any earlier output and rejects file as
-    they were and no temporary file behind.
+    they were and no temporary file behind, also when a worker raises or dies
+    (a ChildProcessError). A path named twice is a ValueError.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
+    for flag, path in (("output", output_path), ("rejects", rejects_path)):
+        if os.path.realpath(path) == os.path.realpath(input_path):
+            raise ValueError(f"{flag} path is the input path: {path}")
     if os.path.realpath(rejects_path) == os.path.realpath(output_path):
         raise ValueError(f"rejects path is the output path: {output_path}")
     if settings.cap is not None and settings.cap < 1:
@@ -167,58 +209,29 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     summary = GenerateSummary()
     seen_ids: set[int] = set()
     worker = partial(_process_line, settings)
-    pool = None
 
-    try:
-        with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
-                replacing(rejects_path, errors="backslashreplace") as rejects, \
-                replacing(output_path) as out:
-            items = enumerate(src, start=1)
-            if settings.workers > 1:
-                # Imported here: one worker never needs it, and every command
-                # would pay for the import otherwise.
-                import signal
-                from multiprocessing import Pool
-
-                # SIGTERM waits until `pool` is set, so a handler that raises
-                # cannot strand workers, and each worker takes back the
-                # default action, which `pool.terminate` relies on.
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-                try:
-                    pool = Pool(settings.workers, _default_sigterm)
-                finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                results = pool.imap(worker, items, chunksize=1)
-            else:
-                results = map(worker, items)
-            for result in results:
-                if result is None:
+    with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
+            replacing(rejects_path, errors="backslashreplace") as rejects, \
+            replacing(output_path) as out, \
+            _results_in_order(worker, enumerate(src, start=1), settings.workers) as results:
+        for result in results:
+            if result is None:
+                continue
+            records, rejection = result
+            summary.tables_read += 1
+            if rejection is not None:
+                summary.tables_rejected += 1
+                rejects.write(f"{rejection[0].translate(_ID_ESCAPES)}\t{rejection[1]}\n")
+                continue
+            summary.tables_accepted += 1
+            for record_id, record_json in records:
+                key = int(record_id, 16)
+                if key in seen_ids:
+                    summary.duplicates += 1
                     continue
-                records, rejection = result
-                summary.tables_read += 1
-                if rejection is not None:
-                    summary.tables_rejected += 1
-                    rejects.write(f"{rejection[0].translate(_ID_ESCAPES)}\t{rejection[1]}\n")
-                    continue
-                summary.tables_accepted += 1
-                for record_id, record_json in records:
-                    key = int(record_id, 16)
-                    if key in seen_ids:
-                        summary.duplicates += 1
-                        continue
-                    seen_ids.add(key)
-                    out.write(record_json + "\n")
-                    summary.examples += 1
-    except BaseException:
-        # Stop the workers now: `close` would let them finish every table
-        # already queued before the error reaches the caller.
-        if pool is not None:
-            pool.terminate()
-        raise
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+                seen_ids.add(key)
+                out.write(record_json + "\n")
+                summary.examples += 1
     return summary
 
 

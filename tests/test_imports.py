@@ -3,11 +3,11 @@
 `import tabrc` loads no submodule; its public names load on first use. Each
 command loads only its own modules: `stats` the statistics module, `simulate`
 the sampling and simulation modules, `generate` the generation stack. The
-value types are `NamedTuple`s and the worker pool is imported only when
-`generate` runs with more than one worker, so no command loads `dataclasses`
-or, at one worker, `multiprocessing`. Nothing here is timed;
-`python -X importtime -m tabrc.cli stats --input FILE` shows where the time
-of one command goes.
+value types are `NamedTuple`s and the worker pool (`concurrent.futures`,
+which loads `multiprocessing`) is imported only when `generate` runs with
+more than one worker, so no command loads `dataclasses` or, at one worker,
+either pool module. Nothing here is timed; `python -X importtime -m
+tabrc.cli stats --input FILE` shows where the time of one command goes.
 """
 
 import json
@@ -49,8 +49,8 @@ _COMMAND_PROBE = """
 import json, sys
 from tabrc.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("tabrc.") or m == "multiprocessing")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tabrc.")
+                               or m in ("multiprocessing", "concurrent.futures"))]))
 """
 
 
@@ -118,6 +118,7 @@ def test_generate_loads_no_schedule_module(tmp_path):
     assert not loaded & SCHEDULE_MODULES
     assert "tabrc.stats" not in loaded
     assert "multiprocessing" not in loaded
+    assert "concurrent.futures" not in loaded
 
 
 def test_stats_loads_no_generation_module(tmp_path):

@@ -282,6 +282,40 @@ class TestGenerateCorpus:
         assert tables[1]["id"] in processed
         assert len(processed) < 15
 
+    def test_pool_reads_at_most_two_tasks_per_worker_ahead(self):
+        read = []
+
+        def items():
+            for item in range(20):
+                read.append(item)
+                yield item
+
+        ahead = []
+        with pipeline._results_in_order(str, items(), 2) as results:
+            for taken, result in enumerate(results, start=1):
+                assert result == str(taken - 1)
+                ahead.append(len(read) - taken)
+        assert len(read) == 20
+        assert max(ahead) == 4
+
+    def test_pool_forks_its_workers_on_the_first_table(self, tmp_path, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = str(tmp_path / "examples.jsonl")
+        assert generate_corpus(str(empty), out, GenerationSettings(workers=2)).tables_read == 0
+        assert forks == []
+        write_lines(empty, [json.dumps(CHELSEA)])
+        assert generate_corpus(str(empty), out, GenerationSettings(workers=2)).tables_read == 1
+        assert forks == [os.getpid()] * 2
+
 
 # sha256 of the golden corpus below, under seed-stream v2 (lazy partial
 # Fisher–Yates sampling of candidates and distractors). Any change to it
@@ -716,6 +750,73 @@ class TestCli:
             proc.wait()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "tables.jsonl"]
         assert out.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["same-path", "via-link"])
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param("generate", "--output", id="generate-output"),
+        pytest.param("generate", "--rejects", id="generate-rejects"),
+        pytest.param("stats", "--output", id="stats-output"),
+    ])
+    def test_path_naming_the_input_fails_and_keeps_it(self, dump, tmp_path, capsys,
+                                                       command, flag, via_link):
+        before = Path(dump).read_bytes()
+        target = dump
+        if via_link:
+            target = str(tmp_path / "alias.jsonl")
+            os.symlink(dump, target)
+        args = [command, "--input", dump, flag, target]
+        if flag == "--rejects":
+            args += ["--output", str(tmp_path / "out.jsonl")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert Path(dump).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == sorted({os.path.basename(dump),
+                                                       os.path.basename(target)})
+
+    def test_dead_worker_exits_2_and_keeps_earlier_files(self, tmp_path):
+        # A worker that dies on the third table: the run must end, not wait
+        # for that table forever.
+        tables = [make_table(i, seed=1) for i in range(6)]
+        dump = tmp_path / "tables.jsonl"
+        write_lines(dump, [json.dumps(t) for t in tables])
+        out, rejects = tmp_path / "out.jsonl", tmp_path / "out.jsonl.rejects"
+        out.write_text("earlier output\n")
+        rejects.write_text("earlier rejects\n")
+        probe = (
+            "import os, sys\n"
+            "from tabrc import pipeline\n"
+            "from tabrc.cli import main\n"
+            "real = pipeline.table_examples\n"
+            "def dying(table, settings):\n"
+            "    if table.meta.id == sys.argv[1]:\n"
+            "        os._exit(1)\n"
+            "    return real(table, settings)\n"
+            "pipeline.table_examples = dying\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # Its own session, so that the process group also names its workers.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", probe, tables[2]["id"], "generate", "--input", str(dump),
+             "--output", str(out), "--workers", "2"],
+            env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 2, err
+            assert err.startswith("error: "), err
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.jsonl", "out.jsonl.rejects", "tables.jsonl"]
+        assert out.read_text() == "earlier output\n"
+        assert rejects.read_text() == "earlier rejects\n"
 
     @pytest.mark.parametrize("args, name", [
         pytest.param(["--history", "feed.tsv"], "distribution_momentum.tsv", id="replay"),
