@@ -15,7 +15,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterator
 
-from .shared import Strategy, replacing
+from .shared import MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, replacing
 
 if TYPE_CHECKING:
     from .sampling import AccuracyHistory, SamplerConfig
@@ -80,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"generation seed (default: ${SEED_ENV_VAR} or 0)")
     gen.add_argument("--egs", default=None,
                      help="comma-separated generator filter (default: all 16)")
-    gen.add_argument("--per-table-cap", type=int, default=10,
+    gen.add_argument("--per-table-cap", type=int, default=PER_TABLE_CAP,
                      help="max examples per generator and table")
-    gen.add_argument("--min-rows", type=int, default=10)
-    gen.add_argument("--max-rows", type=int, default=25)
+    gen.add_argument("--min-rows", type=int, default=MIN_ROWS)
+    gen.add_argument("--max-rows", type=int, default=MAX_ROWS)
     gen.add_argument("--workers", type=int, default=1,
                      help="parallel table workers; output order is unchanged")
 

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .facts import FactPlan, GoldSpec, _sampled, gold_spec
 from .grammar import OPERATORS, TEMPLATES, Template, render_question
-from .shared import GeneratorKind, derive_seed
+from .shared import PER_TABLE_CAP, GeneratorKind, derive_seed
 from .tables import TypedTable
 from .values import (
     Date,
@@ -66,8 +66,6 @@ from .values import (
     render_duration,
     render_number,
 )
-
-PER_TABLE_CAP = 10
 
 
 class AnswerKind(Enum):

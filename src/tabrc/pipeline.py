@@ -24,16 +24,9 @@ from functools import partial
 from typing import Iterator, NamedTuple
 
 from .facts import FactKind, FactPool, build_context
-from .generators import PER_TABLE_CAP, Triplet, generate
-from .shared import GeneratorKind, derive_seed, replacing
-from .tables import (
-    MAX_ROWS,
-    MIN_ROWS,
-    IngestError,
-    TypedTable,
-    ingest,
-    raw_table_from_json,
-)
+from .generators import Triplet, generate
+from .shared import MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, GeneratorKind, derive_seed, replacing
+from .tables import IngestError, TypedTable, ingest, raw_table_from_json
 
 ALL_KINDS = tuple(GeneratorKind)
 

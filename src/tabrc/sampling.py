@@ -15,18 +15,17 @@ an immutable snapshot, so batches may be composed concurrently with the next
 update.
 
 A recorded feed is read and checked once, by `read_accuracy_feed`.
-`replay_feed` then walks that history in place: the strategy sees a prefix
-view that shares the history's series and grows by one checkpoint per call,
-and momentum slices each task's window out of its series by index.
+`replay_feed` then copies its rows, unchecked, into a second history one
+checkpoint at a time, and momentum slices each task's window out of its
+series by index.
 
-A batch plan reads two draws of its step seed, and runs that share step
-seeds (the two-task preset's six strategy runs of one seed) share those
-draws through a bounded memo, so each step seed seeds one generator.
+A batch plan reads the two draws that `batch_draws` takes from its step
+seed. This module keeps no cache; `simulation` memoizes the draws that the
+two-task preset's six runs of one seed share.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -71,10 +70,10 @@ class TaskDistribution(_DistributionFields):
 
     def __new__(cls, *args, **kwargs) -> TaskDistribution:
         self = super().__new__(cls, *args, **kwargs)
-        if any(p < 0 for _, p in self.probs):
-            raise ValueError("negative probability")
+        if not all(p >= 0 for _, p in self.probs):  # NaN fails every comparison
+            raise ValueError("probabilities must be non-negative numbers")
         total = sum(p for _, p in self.probs)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total}")
         return self
 
@@ -103,13 +102,6 @@ def _normalized(weights: Mapping[str, float]) -> TaskDistribution:
 
 
 def uniform(tasks: Sequence[str]) -> TaskDistribution:
-    return _uniform(tuple(tasks))
-
-
-# A distribution is immutable, so each task tuple's uniform one is built and
-# checked once and shared by every checkpoint that asks for it.
-@functools.lru_cache(maxsize=32)
-def _uniform(tasks: tuple[str, ...]) -> TaskDistribution:
     if not tasks:
         raise ValueError("at least one task required")
     share = 1.0 / len(tasks)
@@ -135,10 +127,6 @@ class AccuracyHistory:
     `checkpoints` holds each entry's checkpoint number, 1, 2, 3, ... unless
     `append` is given one. The numbers only label the entries: a momentum
     window counts entries, whatever their numbers.
-
-    A history shows the first `_length` entries of its lists. That is all
-    of them, except in a replay's prefix view (see `_prefixes`), which
-    shares another history's lists and shows a growing part of them.
     """
 
     def __init__(self, tasks: Sequence[str]):
@@ -147,22 +135,8 @@ class AccuracyHistory:
         self.tasks = tuple(tasks)
         self._checkpoints: list[int] = []
         self._series: dict[str, list[float]] = {task: [] for task in self.tasks}
-        self._length = 0
-
-    def _prefixes(self) -> Iterator[tuple[int, AccuracyHistory]]:
-        """Each checkpoint number, oldest first, with a view of the history
-        up to and including it. The view is one object that shares this
-        history's lists and shows one more entry at each step, so nothing is
-        copied or checked again. A view takes no `append`."""
-        view = object.__new__(AccuracyHistory)
-        view.tasks, view._checkpoints, view._series = self.tasks, self._checkpoints, self._series
-        for length, checkpoint in enumerate(self.checkpoints, start=1):
-            view._length = length
-            yield checkpoint, view
 
     def append(self, accuracies: Mapping[str, float], checkpoint: int | None = None) -> None:
-        if self._length != len(self._checkpoints):
-            raise ValueError("a prefix view takes no new checkpoints")
         if set(accuracies) != set(self.tasks):
             missing = [task for task in self.tasks if task not in accuracies]
             extra = sorted(set(accuracies) - set(self.tasks))
@@ -175,25 +149,24 @@ class AccuracyHistory:
                 raise ValueError(f"accuracy out of range for {task}: {value}")
         for task in self.tasks:
             self._series[task].append(accuracies[task])
-        self._length += 1
-        self._checkpoints.append(self._length if checkpoint is None else checkpoint)
+        self._checkpoints.append(len(self._checkpoints) + 1 if checkpoint is None else checkpoint)
 
     @property
     def checkpoints(self) -> list[int]:
-        return self._checkpoints[:self._length]
+        return list(self._checkpoints)
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._checkpoints)
 
     def rows(self) -> Iterator[dict[str, float]]:
         """Every checkpoint's accuracies, oldest first."""
-        for values in zip(*(self._series[task][:self._length] for task in self.tasks)):
+        for values in zip(*(self._series[task] for task in self.tasks)):
             yield dict(zip(self.tasks, values))
 
     def latest(self) -> dict[str, float]:
-        if self._length == 0:
+        if not self._checkpoints:
             raise ValueError("no checkpoints recorded")
-        return {task: self._series[task][self._length - 1] for task in self.tasks}
+        return {task: self._series[task][-1] for task in self.tasks}
 
 
 def check_eps(eps: float, num_tasks: int) -> None:
@@ -238,25 +211,16 @@ def on_checkpoint(history: AccuracyHistory, config: SamplerConfig) -> TaskDistri
     return momentum_sampling(history, config)
 
 
-# How many step seeds keep their batch draws. The two-task preset's six runs
-# of one seed ask for the same step seeds, one run after another, and a run
-# is `two_task_config`'s checkpoints x steps_per_checkpoint = 600 steps. An
-# LRU smaller than that evicts each seed before the next run asks for it, so
-# every step would miss; 1,024 keeps one run's steps for a few hundred KB.
-BATCH_DRAW_MEMO = 1024
-
-
-@functools.lru_cache(maxsize=BATCH_DRAW_MEMO)
-def _batch_draws(seed: int) -> tuple[float, float]:
+def batch_draws(seed: int) -> tuple[float, float]:
     """The first two outputs of `random.Random(seed)`: the replay draw and
     the systematic-draw mark. Both are taken whether or not the mark is
-    used, so a memoized pair equals what a fresh generator would give."""
+    used, so a stored pair equals what a fresh generator would give."""
     rng = random.Random(seed)
     return rng.random(), rng.random()
 
 
 def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
-                  seed: int) -> dict[str, int]:
+                  draws: tuple[float, float]) -> dict[str, int]:
     """Plan one batch as the number of slots per task; a batch has no slot
     order.
 
@@ -266,16 +230,16 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
     the leftover slots are awarded by a seeded systematic draw on the
     fractional remainders, so each task's chance of an extra slot equals its
     remainder and expected slot counts stay exactly batch_size * P(s). Ties
-    between equal remainders are thereby broken by the seed.
+    between equal remainders are thereby broken by the draws.
 
-    Both draws are the first two outputs of `random.Random(seed)`, read
-    through the `_batch_draws` memo.
+    `draws` is the pair `batch_draws` gives for the step's seed: the replay
+    draw, then the systematic draw's mark.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if not 0.0 <= replay_lambda <= 1.0:  # NaN fails every comparison
         raise ValueError("replay_lambda must be in [0, 1]")
-    replay_draw, mark_draw = _batch_draws(seed)
+    replay_draw, mark_draw = draws
     if replay_draw < replay_lambda:
         return {REPLAY_TASK: batch_size}
 
@@ -340,10 +304,18 @@ def replay_feed(history: AccuracyHistory, config: SamplerConfig) -> list[tuple[i
     returning the distribution after each checkpoint, labelled with the
     feed's own checkpoint number.
 
-    The strategy sees one prefix view of `history` that grows by a
-    checkpoint before each call, so the feed that `read_accuracy_feed`
-    checked is walked in place: no row is copied or checked again."""
-    return [(checkpoint, on_checkpoint(view, config)) for checkpoint, view in history._prefixes()]
+    Each row of `history`, which `read_accuracy_feed` checked, is written
+    onto the lists of a second history, unchecked, and the strategy sees
+    that second history after each row."""
+    replayed = AccuracyHistory(history.tasks)
+    columns = [(replayed._series[task].append, history._series[task]) for task in history.tasks]
+    trace = []
+    for row, checkpoint in enumerate(history._checkpoints):
+        for append, series in columns:
+            append(series[row])
+        replayed._checkpoints.append(checkpoint)
+        trace.append((checkpoint, on_checkpoint(replayed, config)))
+    return trace
 
 
 def format_distribution_trace(checkpoint: int, dist: TaskDistribution) -> list[str]:

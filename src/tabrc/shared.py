@@ -1,6 +1,6 @@
 """Names that more than one command needs: the generator kinds, the sampling
-strategies, seed derivation and `replacing`, the one way a command writes a
-file.
+strategies, `generate`'s defaults, seed derivation and `replacing`, the one
+way a command writes a file.
 
 This module imports nothing else from `tabrc`, so `stats` can list the
 sixteen kinds and `simulate` can derive seeds without loading the generators.
@@ -37,6 +37,13 @@ class Strategy(Enum):
     UNIFORM = "uniform"
     ERROR = "error"
     MOMENTUM = "momentum"
+
+
+# `generate`'s defaults: examples per generator and table, and the row bounds
+# of an accepted table.
+PER_TABLE_CAP = 10
+MIN_ROWS = 10
+MAX_ROWS = 25
 
 
 def derive_seed(*parts: object) -> int:

@@ -10,23 +10,24 @@ The harness feeds batch plans from the sampler into the learners, evaluates
 at every checkpoint, and records accuracy, the refreshed distribution and
 its entropy. Everything is a pure function of (config, seed).
 
-A step's batch seed depends only on (seed, step), so runs of one seed (the
-two-task preset's six) derive each step seed once and share it.
+A step's batch draws depend only on (seed, step), so the two-task preset's
+six runs of one seed share them through `_step_draws`, the one memo of the
+schedule side, which holds exactly one preset run's steps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .sampling import (
-    BATCH_DRAW_MEMO,
     REPLAY_TASK,
     AccuracyHistory,
     SamplerConfig,
     Strategy,
     TaskDistribution,
+    batch_draws,
     compose_batch,
     on_checkpoint,
     uniform,
@@ -47,18 +48,9 @@ class LearnerTask(NamedTuple):
     def effective_ceiling(self) -> float:
         return CHANCE_LEVEL if self.noisy else self.ceiling
 
-
-class SimulatedLearner:
-    def __init__(self, tasks: Iterable[LearnerTask]):
-        self.specs = {task.name: task for task in tasks}
-        self.examples: dict[str, int] = {name: 0 for name in self.specs}
-
-    def train(self, task: str, count: int) -> None:
-        self.examples[task] += count
-
-    def accuracy(self, task: str) -> float:
-        spec = self.specs[task]
-        return spec.effective_ceiling() * (1.0 - math.exp(-self.examples[task] / spec.rate))
+    def accuracy(self, examples: int) -> float:
+        """Held-out accuracy after training on `examples` examples."""
+        return self.effective_ceiling() * (1.0 - math.exp(-examples / self.rate))
 
 
 class _SimulationFields(NamedTuple):
@@ -90,11 +82,19 @@ class CheckpointRecord(NamedTuple):
     total_examples: int
 
 
-@functools.lru_cache(maxsize=BATCH_DRAW_MEMO, typed=True)
-def _batch_seed(seed: int, step: int) -> int:
-    """The seed of one step's batch; typed, because `derive_seed` writes
-    True and 1 differently."""
-    return derive_seed(seed, "batch", step)
+# The two-task preset's shape, which `two_task_config` builds it from. Its six
+# runs of one seed ask for the same steps, one run after another: an LRU of one
+# run's steps holds each step until the next run asks for it, and a smaller one
+# evicts each step first.
+PRESET_CHECKPOINTS = 60
+PRESET_STEPS_PER_CHECKPOINT = 10
+
+
+@functools.lru_cache(maxsize=PRESET_CHECKPOINTS * PRESET_STEPS_PER_CHECKPOINT, typed=True)
+def _step_draws(seed: int, step: int) -> tuple[float, float]:
+    """The batch draws of one step; typed, because `derive_seed` writes True
+    and 1 differently."""
+    return batch_draws(derive_seed(seed, "batch", step))
 
 
 def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord]:
@@ -105,7 +105,7 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
     train any task.
     """
     names = tuple(task.name for task in config.tasks)
-    learner = SimulatedLearner(config.tasks)
+    examples = dict.fromkeys(names, 0)
     history = AccuracyHistory(names)
     dist = uniform(names)
     trace: list[CheckpointRecord] = []
@@ -114,11 +114,11 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
         for _ in range(config.steps_per_checkpoint):
             step += 1
             counts = compose_batch(dist, config.batch_size, config.sampler.replay_lambda,
-                                   _batch_seed(seed, step))
+                                   _step_draws(seed, step))
             for task, count in counts.items():
                 if task != REPLAY_TASK:
-                    learner.train(task, count)
-        accuracies = {name: learner.accuracy(name) for name in names}
+                    examples[task] += count
+        accuracies = {task.name: task.accuracy(examples[task.name]) for task in config.tasks}
         history.append(accuracies)
         dist = on_checkpoint(history, config.sampler)
         trace.append(CheckpointRecord(
@@ -126,8 +126,8 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
             accuracies=accuracies,
             distribution=dist,
             entropy=dist.entropy(),
-            examples=dict(learner.examples),
-            total_examples=sum(learner.examples.values()),
+            examples=dict(examples),
+            total_examples=sum(examples.values()),
         ))
     return trace
 
@@ -215,7 +215,8 @@ def two_task_config(strategy: Strategy, noisy: bool) -> SimulationConfig:
     sampler = SamplerConfig(strategy=strategy, window=4, smoothing=2, eps=0.002,
                             replay_lambda=0.0)
     return SimulationConfig(sampler=sampler, tasks=tasks, batch_size=50,
-                            steps_per_checkpoint=10, checkpoints=60)
+                            steps_per_checkpoint=PRESET_STEPS_PER_CHECKPOINT,
+                            checkpoints=PRESET_CHECKPOINTS)
 
 
 def two_task_report(seed: int) -> TwoTaskReport:

@@ -15,10 +15,9 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import NamedTuple
 
+from .shared import MAX_ROWS, MIN_ROWS
 from .values import Date, SemanticType, annotate_column
 
-MIN_ROWS = 10
-MAX_ROWS = 25
 MIN_COLS = 2
 
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabrc.sampling import (
-    BATCH_DRAW_MEMO,
     REPLAY_TASK,
     AccuracyHistory,
     SamplerConfig,
     Strategy,
     TaskDistribution,
+    batch_draws,
     compose_batch,
     error_sampling,
     format_distribution_trace,
@@ -21,7 +21,6 @@ from tabrc.sampling import (
     read_accuracy_feed,
     replay_feed,
     uniform,
-    _batch_draws,
 )
 
 TASKS16 = [f"task{i:02d}" for i in range(16)]
@@ -48,8 +47,7 @@ class TestUniform:
         dist = uniform(["a", "b"])
         assert dist.prob("a") == dist.prob("b") == 0.5
 
-    def test_built_once_per_task_tuple(self):
-        assert uniform(["a", "b"]) is uniform(("a", "b"))
+    def test_empty_task_list_refused(self):
         with pytest.raises(ValueError, match="at least one task"):
             uniform([])
 
@@ -163,6 +161,14 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             TaskDistribution((("a", -0.5), ("b", 1.5)))
 
+    @pytest.mark.parametrize("probs", [(("a", math.nan), ("b", 1.0)), (("a", math.nan),)],
+                             ids=["beside-one", "alone"])
+    def test_nan_probability_refused(self, probs):
+        # Every comparison with NaN is false, so a check written as "refuse
+        # when below zero" lets it through.
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            TaskDistribution(probs)
+
 
 class TestOnCheckpoint:
     def test_dispatch(self):
@@ -179,30 +185,31 @@ class TestComposeBatch:
     DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
 
     def test_exact_proportions(self):
-        counts = compose_batch(self.DIST, 10, replay_lambda=0.0, seed=1)
+        counts = compose_batch(self.DIST, 10, replay_lambda=0.0, draws=batch_draws(1))
         assert counts == {"a": 5, "b": 3, "c": 2}
 
     def test_largest_remainder_tiebreak(self):
         dist = TaskDistribution((("a", 0.5), ("b", 0.5)))
-        counts = compose_batch(dist, 3, 0.0, seed=4)
+        counts = compose_batch(dist, 3, 0.0, batch_draws(4))
         assert sorted(counts.values()) == [1, 2]
 
     def test_lambda_one_always_replay(self):
         for seed in range(10):
-            counts = compose_batch(self.DIST, 8, replay_lambda=1.0, seed=seed)
+            counts = compose_batch(self.DIST, 8, replay_lambda=1.0, draws=batch_draws(seed))
             assert counts == {REPLAY_TASK: 8}
 
     def test_lambda_zero_never_replay(self):
         for seed in range(10):
-            assert REPLAY_TASK not in compose_batch(self.DIST, 8, 0.0, seed=seed)
+            assert REPLAY_TASK not in compose_batch(self.DIST, 8, 0.0, batch_draws(seed))
 
     def test_minimum_slot_guarantee(self):
         dist = TaskDistribution((("a", 0.9), ("b", 0.1)))
-        counts = compose_batch(dist, 10, 0.0, seed=2)
+        counts = compose_batch(dist, 10, 0.0, batch_draws(2))
         assert counts["b"] >= 1
 
     def test_deterministic(self):
-        assert compose_batch(self.DIST, 16, 0.5, seed=9) == compose_batch(self.DIST, 16, 0.5, seed=9)
+        assert (compose_batch(self.DIST, 16, 0.5, batch_draws(9))
+                == compose_batch(self.DIST, 16, 0.5, batch_draws(9)))
 
     def test_expected_slots_monte_carlo(self):
         # E[slots(task)] = batch * P(task) * (1 - lambda) within 1% at 1e5 draws
@@ -210,15 +217,16 @@ class TestComposeBatch:
         totals = Counter()
         draws = 100_000
         for seed in range(draws):
-            totals.update(compose_batch(self.DIST, batch, lam, seed=seed))
+            totals.update(compose_batch(self.DIST, batch, lam, batch_draws(seed)))
         for task, p in self.DIST.probs:
             expected = batch * p * (1 - lam)
             assert totals[task] / draws == pytest.approx(expected, rel=0.01)
 
 
 def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
-    """`compose_batch` as it was before the draws were memoized: a new
-    generator seeded on every call."""
+    """`compose_batch` planned straight from a step seed, with a new
+    generator seeded on every call: what `compose_batch(..., batch_draws(seed))`
+    and the draws `simulation` memoizes must reproduce."""
     rng = random.Random(seed)
     if rng.random() < replay_lambda:
         return {REPLAY_TASK: batch_size}
@@ -244,31 +252,24 @@ def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
 
 
 class TestBatchDrawMemo:
+    """The pair `batch_draws` gives, which `simulation` memoizes per step,
+    plans the batch a fresh generator would."""
+
     # 10 splits evenly over these shares; 7 and 13 leave slots over.
     DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
 
-    def _check(self, seeds):
-        for seed in seeds:
+    def test_counts_match_a_fresh_generator(self):
+        for seed in range(2048):
+            draws = batch_draws(seed)
             for replay_lambda in (0.0, 0.5, 1.0):
                 for batch_size in (10, 7, 13):
-                    assert (compose_batch(self.DIST, batch_size, replay_lambda, seed)
+                    assert (compose_batch(self.DIST, batch_size, replay_lambda, draws)
                             == fresh_compose_batch(self.DIST, batch_size, replay_lambda, seed))
-
-    def test_counts_match_a_fresh_generator_through_hits_and_evictions(self):
-        _batch_draws.cache_clear()
-        first = list(range(50))
-        self._check(first)
-        hits = _batch_draws.cache_info().hits
-        self._check(reversed(first))  # every seed is held: all hits
-        assert _batch_draws.cache_info().hits > hits
-        self._check(range(1000, 1000 + 2 * BATCH_DRAW_MEMO))  # more seeds than the bound
-        assert _batch_draws.cache_info().currsize == BATCH_DRAW_MEMO
-        self._check(first)  # evicted long ago: drawn again
 
     @pytest.mark.parametrize("replay_lambda", [-0.1, 1.5, math.nan])
     def test_replay_lambda_outside_the_unit_interval_is_refused(self, replay_lambda):
         with pytest.raises(ValueError, match="replay_lambda"):
-            compose_batch(self.DIST, 8, replay_lambda, seed=1)
+            compose_batch(self.DIST, 8, replay_lambda, batch_draws(1))
 
 
 class TestFeedInterfaces:
@@ -421,16 +422,6 @@ class TestReplay:
         history.append({"a": 0.3, "b": 0.7})
         assert history.latest() == {"a": 0.3, "b": 0.7}
         assert [row["a"] for row in history.rows()] == [0.1, 0.4, 0.2, 0.3]
-
-    def test_a_prefix_view_shows_its_prefix_and_takes_no_append(self):
-        history = history_of({"a": [0.1, 0.4, 0.2], "b": [0.9, 0.5, 0.6]})
-        checkpoint, view = next(history._prefixes())
-        assert (checkpoint, len(view), view.checkpoints) == (1, 1, [1])
-        assert view.latest() == {"a": 0.1, "b": 0.9}
-        assert list(view.rows()) == [{"a": 0.1, "b": 0.9}]
-        with pytest.raises(ValueError, match="prefix view"):
-            view.append({"a": 0.5, "b": 0.5})
-        assert len(history) == 3
 
     def test_failed_append_leaves_the_history_as_it_was(self):
         history = history_of({"a": [0.1], "b": [0.9]})

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tabrc.sampling import BATCH_DRAW_MEMO, SamplerConfig, Strategy, _batch_draws
+from tabrc.sampling import SamplerConfig, Strategy
 from tabrc.simulation import (
     FAST_TASK,
     SLOW_TASK,
@@ -15,7 +15,7 @@ from tabrc.simulation import (
     trace_lines,
     two_task_config,
     two_task_report,
-    _batch_seed,
+    _step_draws,
 )
 
 
@@ -93,15 +93,31 @@ class TestRunSimulation:
         assert trace[2].accuracies["a"] < 0.7
         assert trace[-1].accuracies["a"] <= 0.7
 
-    def test_batch_memos_hold_one_preset_run_and_stay_bounded(self):
+    @staticmethod
+    def _preset_steps():
         preset = two_task_config(Strategy.UNIFORM, noisy=False)
-        assert BATCH_DRAW_MEMO >= preset.checkpoints * preset.steps_per_checkpoint
+        return preset.checkpoints * preset.steps_per_checkpoint
+
+    def _longer_than_the_memo(self, seed):
         config = config_for(Strategy.UNIFORM, [LearnerTask("a", rate=100.0)], batch_size=3,
-                            steps_per_checkpoint=10, checkpoints=BATCH_DRAW_MEMO // 10 + 20)
-        run_simulation(config, seed=7)
-        for memo in (_batch_draws, _batch_seed):
-            assert memo.cache_info().maxsize == BATCH_DRAW_MEMO
-            assert memo.cache_info().currsize == BATCH_DRAW_MEMO
+                            steps_per_checkpoint=10, checkpoints=self._preset_steps() // 10 + 12)
+        run_simulation(config, seed)
+
+    def test_preset_trace_is_the_same_with_the_memo_cold_warm_and_overrun(self):
+        def preset_trace():
+            return trace_lines(run_simulation(two_task_config(Strategy.MOMENTUM, True), 4))
+
+        _step_draws.cache_clear()
+        cold = preset_trace()
+        warm = preset_trace()
+        # Same seed, so the memo ends holding the preset's later steps only.
+        self._longer_than_the_memo(seed=4)
+        assert cold == warm == preset_trace()
+
+    def test_step_memo_holds_one_preset_run_and_stays_bounded(self):
+        self._longer_than_the_memo(seed=7)
+        assert _step_draws.cache_info().maxsize == self._preset_steps()
+        assert _step_draws.cache_info().currsize == self._preset_steps()
 
 
 class TestTwoTaskReport:
