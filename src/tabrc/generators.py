@@ -272,22 +272,9 @@ def _cands_temporal_pairs(table: TypedTable, *operators: tuple[str, ...]) -> _Bl
     anchors = [(c, value, row) for c in range(table.n_cols) if c != date_col
                for value, row in table.unique_values(c)
                if isinstance(table.parsed(row, date_col), Date)]
-    on_row: dict[int, list[int]] = {}
-    with_value: dict[str, list[int]] = {}
-    for p, (_c, value, row) in enumerate(anchors):
-        on_row.setdefault(row, []).append(p)
-        with_value.setdefault(value, []).append(p)
-    blocks = []
-    for i, first in enumerate(anchors):
-        _c, value, row = first
-        seconds = anchors[i + 1:]
-        # Drop the seconds on first's row, and those holding its value
-        # (under another column, as values are unique within one).
-        dropped = {p for p in on_row[row] + with_value[value] if p > i}
-        for p in sorted(dropped, reverse=True):
-            del seconds[p - i - 1]
-        blocks.append(((first,), _Product(seconds, *operators)))
-    return _Blocks(blocks)
+    return _Blocks(((first,), _Product([s for s in anchors[i + 1:]
+                                        if s[2] != first[2] and s[1] != first[1]], *operators))
+                   for i, first in enumerate(anchors))
 
 
 def _cands_superlative(table: TypedTable, kind: GeneratorKind) -> _Blocks:

@@ -101,14 +101,12 @@ _ID_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
 def _process_line(settings: GenerationSettings, item: tuple[int, str]
-                  ) -> tuple[list[tuple[str, str]], tuple[str, str] | None] | None:
-    """Worker body: one input line to None if it is blank, else to ((record
-    id, record json) pairs, rejection). The rejection is None for an accepted
-    table and (table id, reason) otherwise, where the table id is the
-    record's id if that is a non-empty string and line:N if not."""
+                  ) -> tuple[list[tuple[str, str]], tuple[str, str] | None]:
+    """Worker body: one non-blank input line to ((record id, record json)
+    pairs, rejection). The rejection is None for an accepted table and
+    (table id, reason) otherwise, where the table id is the record's id if
+    that is a non-empty string and line:N if not."""
     line_no, text = item
-    if not text.strip():
-        return None
     line_id = f"line:{line_no}"
     # Beside bad syntax, `json.loads` raises a plain ValueError for an integer
     # too long to convert and RecursionError for nesting too deep to decode.
@@ -177,7 +175,8 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     as a lone surrogate, so its line is rejected as malformed. Records are
     written in input-table order regardless of worker count; with workers,
     each table is its own task, so the heaviest tables do not queue behind
-    each other in one worker's chunk.
+    each other in one worker's chunk. Blank and whitespace-only lines are
+    skipped before they reach a worker, and line:N counts them too.
 
     Both files are written through `replacing`, the output inside the
     rejects, so the output is renamed into place first, after the last
@@ -206,11 +205,9 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
             replacing(rejects_path, errors="backslashreplace") as rejects, \
             replacing(output_path) as out, \
-            _results_in_order(worker, enumerate(src, start=1), settings.workers) as results:
-        for result in results:
-            if result is None:
-                continue
-            records, rejection = result
+            _results_in_order(worker, (item for item in enumerate(src, start=1) if item[1].strip()),
+                              settings.workers) as results:
+        for records, rejection in results:
             summary.tables_read += 1
             if rejection is not None:
                 summary.tables_rejected += 1

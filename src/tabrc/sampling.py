@@ -32,8 +32,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .shared import Strategy
 
-REPLAY_TASK = "replay"
-
 
 class _SamplerFields(NamedTuple):
     strategy: Strategy = Strategy.UNIFORM
@@ -77,10 +75,6 @@ class TaskDistribution(_DistributionFields):
             raise ValueError(f"probabilities sum to {total}")
         return self
 
-    @property
-    def tasks(self) -> tuple[str, ...]:
-        return tuple(task for task, _ in self.probs)
-
     def prob(self, task: str) -> float:
         for name, p in self.probs:
             if name == task:
@@ -99,6 +93,15 @@ class TaskDistribution(_DistributionFields):
 def _normalized(weights: Mapping[str, float]) -> TaskDistribution:
     total = sum(weights.values())
     return TaskDistribution(tuple([(task, w / total) for task, w in weights.items()]))
+
+
+def check_tasks(tasks: Sequence[str]) -> None:
+    """Refuse an empty task list, and a task named twice."""
+    if not tasks:
+        raise ValueError("at least one task required")
+    if len(set(tasks)) < len(tasks):
+        repeated = next(task for i, task in enumerate(tasks) if task in tasks[:i])
+        raise ValueError(f"task {repeated!r} is named twice")
 
 
 def uniform(tasks: Sequence[str]) -> TaskDistribution:
@@ -130,9 +133,8 @@ class AccuracyHistory:
     """
 
     def __init__(self, tasks: Sequence[str]):
-        if not tasks:
-            raise ValueError("at least one task required")
         self.tasks = tuple(tasks)
+        check_tasks(self.tasks)
         self._checkpoints: list[int] = []
         self._series: dict[str, list[float]] = {task: [] for task in self.tasks}
 
@@ -224,8 +226,8 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
     """Plan one batch as the number of slots per task; a batch has no slot
     order.
 
-    With probability `replay_lambda` the whole batch is `REPLAY_TASK`
-    (whose content is a caller-provided stream): `{REPLAY_TASK: batch_size}`.
+    With probability `replay_lambda` the whole batch is replay (whose content
+    is a caller-provided stream), planned as `{}`: no task gets a slot.
     Otherwise every task of `dist` gets floor(batch_size * P(s)) slots and
     the leftover slots are awarded by a seeded systematic draw on the
     fractional remainders, so each task's chance of an extra slot equals its
@@ -241,7 +243,7 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
         raise ValueError("replay_lambda must be in [0, 1]")
     replay_draw, mark_draw = draws
     if replay_draw < replay_lambda:
-        return {REPLAY_TASK: batch_size}
+        return {}
 
     quotas = [(task, batch_size * p) for task, p in dist.probs]
     counts = {task: int(quota) for task, quota in quotas}

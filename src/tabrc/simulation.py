@@ -22,12 +22,12 @@ import math
 from typing import NamedTuple
 
 from .sampling import (
-    REPLAY_TASK,
     AccuracyHistory,
     SamplerConfig,
     Strategy,
     TaskDistribution,
     batch_draws,
+    check_tasks,
     compose_batch,
     on_checkpoint,
     uniform,
@@ -66,8 +66,7 @@ class SimulationConfig(_SimulationFields):
 
     def __new__(cls, *args, **kwargs) -> SimulationConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.tasks:
-            raise ValueError("at least one task required")
+        check_tasks(tuple(task.name for task in self.tasks))
         if self.batch_size < 1 or self.steps_per_checkpoint < 1 or self.checkpoints < 1:
             raise ValueError("batch size, steps per checkpoint and checkpoints must be positive")
         return self
@@ -101,8 +100,8 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
     """Run one simulation; the trace is a pure function of (config, seed).
 
     Batches within a checkpoint interval use the distribution computed at the
-    previous checkpoint (uniform before the first one); replay slots do not
-    train any task.
+    previous checkpoint (uniform before the first one); a replay batch,
+    planned with no slot, trains no task.
     """
     names = tuple(task.name for task in config.tasks)
     examples = dict.fromkeys(names, 0)
@@ -116,8 +115,7 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
             counts = compose_batch(dist, config.batch_size, config.sampler.replay_lambda,
                                    _step_draws(seed, step))
             for task, count in counts.items():
-                if task != REPLAY_TASK:
-                    examples[task] += count
+                examples[task] += count
         accuracies = {task.name: task.accuracy(examples[task.name]) for task in config.tasks}
         history.append(accuracies)
         dist = on_checkpoint(history, config.sampler)

@@ -27,7 +27,6 @@ class IngestError(Exception):
     def __init__(self, reason: str, detail: str = ""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-        self.detail = detail
 
 
 class MalformedRecord(IngestError):

@@ -198,19 +198,11 @@ def render_duration(duration: Duration) -> str:
 
 
 def compare_dates(a: Date, b: Date) -> int:
-    """Three-way comparison at the shared precision. Returns 0 when the two
-    dates cannot be distinguished at the precision both of them carry."""
-    if a.year != b.year:
-        return -1 if a.year < b.year else 1
-    if a.month is None or b.month is None:
-        return 0
-    if a.month != b.month:
-        return -1 if a.month < b.month else 1
-    if a.day is None or b.day is None:
-        return 0
-    if a.day != b.day:
-        return -1 if a.day < b.day else 1
-    return 0
+    """Three-way comparison at the precision both dates carry: 0 when they tie
+    there. Key prefixes hold only set fields, as a day requires a month."""
+    p = min(a.precision, b.precision)
+    ka, kb = a.key()[:p], b.key()[:p]
+    return (ka > kb) - (ka < kb)
 
 
 def _shift_months(year: int, month: int, day: int, count: int) -> tuple[int, int, int]:

@@ -15,6 +15,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -291,7 +292,7 @@ def test_criterion_8_determinism_and_throughput(tmp_path_factory):
     out_a, out_b = str(base / "a.jsonl"), str(base / "b.jsonl")
     generate_corpus(str(small), out_a, GenerationSettings(seed=SEED, workers=1))
     generate_corpus(str(small), out_b, GenerationSettings(seed=SEED, workers=2))
-    deterministic = open(out_a, "rb").read() == open(out_b, "rb").read()
+    deterministic = Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     dump = str(base / "big.jsonl")
     write_dump(dump, 10_000, seed=5, min_rows=10, max_rows=10)
@@ -337,7 +338,8 @@ def test_criterion_8_determinism_and_throughput(tmp_path_factory):
         for line in handle:
             ids.append(json.loads(line)["source"]["table_id"])
     order_ok = ids == sorted(ids)
-    rows_processed = sum(1 for _ in open(dump, encoding="utf-8")) * 10
+    with open(dump, encoding="utf-8") as handle:
+        rows_processed = sum(1 for _ in handle) * 10
 
     ok = deterministic and memory_ok and order_ok and rows_processed >= 100_000
     _verdict("8 determinism & throughput", ok,

@@ -20,9 +20,12 @@ from tabrc.generators import (
     _GENERATORS,
     _Blocks,
     _Product,
+    _cands_temporal_pairs,
     generate,
 )
+from tabrc.grammar import OPERATORS
 from tabrc.tables import ingest, raw_table_from_json
+from tabrc.values import Date
 
 K = GeneratorKind
 
@@ -390,6 +393,22 @@ class TestDateDifference:
 ALL_FIXTURES = [CHELSEA, BIRDS, LAUNCHES, ELECTIONS, CONCERTS, EMPLOYERS, EUROVISION, MINES]
 
 
+def _brute_force_temporal_pairs(table, *operators):
+    """Every anchor, a value held by one row of a column other than the
+    event date column, on a row with a date, paired with every later anchor
+    on another row that holds another value, then with each operator."""
+    date_col = table.event_date_column
+    if date_col is None:
+        return []
+    anchors = [(c, text, r) for c in range(table.n_cols) if c != date_col
+               for r, text in enumerate(table.column(c))
+               if text and table.column(c).count(text) == 1
+               and isinstance(table.parsed(r, date_col), Date)]
+    return [(first, second, *ops) for i, first in enumerate(anchors)
+            for second in anchors[i + 1:] if second[2] != first[2] and second[1] != first[1]
+            for ops in itertools.product(*operators)]
+
+
 class TestCandidateSequences:
     def test_product_decodes_like_itertools_product(self):
         for factors in [("ab",), ("ab", (1, 2, 3)), ("xyz", "", "pq"), ((), ), ((0,), "ab", (5, 6))]:
@@ -413,6 +432,27 @@ class TestCandidateSequences:
             for outside in (-1, len(expected)):
                 with pytest.raises(IndexError):
                     sequence[outside]
+
+    def test_temporal_pairs_match_a_brute_force_reference(self):
+        # Home and Away share team names, so a value can recur under another
+        # column on another row.
+        teams = ["Ajax", "Roma", "Lyon", "Celtic", "Porto", "Basel"]
+        shared = mk_table(["Home", "Away", "Date", "Round"],
+                          [[teams[i % 6], teams[(i + 1) % 6], f"{i + 1} May 1990", f"R{i}"]
+                           for i in range(10)])
+        tables = ([shared] + [typed(record) for record in ALL_FIXTURES]
+                  + [typed(make_table(i, seed=5)) for i in range(6)]
+                  + [typed(rough_table(i, seed=2)) for i in range(6)])
+        operators = OPERATORS[K.TEMPORAL_COMPARISON]
+        compared = 0
+        for table in tables:
+            for ops in ((), (operators,)):
+                sequence = _cands_temporal_pairs(table, *ops)
+                expected = _brute_force_temporal_pairs(table, *ops)
+                assert len(sequence) == len(expected)
+                assert [sequence[i] for i in range(len(sequence))] == expected
+                compared += len(expected)
+        assert compared
 
     def test_no_date_column_gives_no_temporal_candidates(self):
         table = mk_table(["Name", "Group"], [[f"n{i}", f"g{i % 3}"] for i in range(10)])

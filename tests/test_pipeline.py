@@ -71,19 +71,19 @@ class TestGenerateCorpus:
         out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         generate_corpus(dump, out1, GenerationSettings(seed=3))
         generate_corpus(dump, out2, GenerationSettings(seed=3))
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_seed_changes_output(self, dump, tmp_path):
         out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         generate_corpus(dump, out1, GenerationSettings(seed=3))
         generate_corpus(dump, out2, GenerationSettings(seed=4))
-        assert open(out1, "rb").read() != open(out2, "rb").read()
+        assert Path(out1).read_bytes() != Path(out2).read_bytes()
 
     def test_workers_preserve_bytes(self, dump, tmp_path):
         out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         generate_corpus(dump, out1, GenerationSettings(seed=3, workers=1))
         generate_corpus(dump, out2, GenerationSettings(seed=3, workers=3))
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_rejections_logged_not_fatal(self, tmp_path):
         path = tmp_path / "tables.jsonl"
@@ -108,13 +108,14 @@ class TestGenerateCorpus:
         assert reasons["short"] == "shape"
         assert reasons["line:2"] == "malformed"
 
-    def test_blank_lines_skipped_and_bad_json_logged_by_line(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blank_lines_skipped_and_bad_json_logged_by_line(self, tmp_path, workers):
         path = tmp_path / "tables.jsonl"
         first, second = make_table(0, seed=1), make_table(1, seed=1)
         first["id"], second["id"] = "first", "second"
         write_lines(path, [json.dumps(first), "", "not json", "   ", json.dumps(second)])
         out = str(tmp_path / "examples.jsonl")
-        summary = generate_corpus(str(path), out, GenerationSettings(seed=1))
+        summary = generate_corpus(str(path), out, GenerationSettings(seed=1, workers=workers))
         assert summary.tables_read == 3
         assert summary.tables_accepted == 2
         with open(out + ".rejects", encoding="utf-8") as handle:
@@ -175,7 +176,7 @@ class TestGenerateCorpus:
         summary = generate_corpus(str(path), out, GenerationSettings(seed=1))
         generate_corpus(str(only_good), expected, GenerationSettings(seed=1))
         assert (summary.tables_accepted, summary.tables_rejected) == (1, 1)
-        assert open(out, "rb").read() == open(expected, "rb").read()
+        assert Path(out).read_bytes() == Path(expected).read_bytes()
         with open(out + ".rejects", "rb") as handle:
             reject_id = b"\\ud800" if field == "id" else b"bad"
             assert handle.read() == reject_id + b"\tmalformed\n"
@@ -458,7 +459,7 @@ class TestCli:
         report = str(tmp_path / "stats.txt")
         assert main(["generate", "--input", dump, "--output", out, "--seed", "7"]) == 0
         assert main(["stats", "--input", out, "--output", report]) == 0
-        assert "pct_span_answers" in open(report).read()
+        assert "pct_span_answers" in Path(report).read_text()
 
     def test_stats_output_in_missing_directory_fails(self, dump, tmp_path, capsys):
         corpus = str(tmp_path / "examples.jsonl")
@@ -560,14 +561,14 @@ class TestCli:
         assert main(["generate", "--input", dump, "--output", out1]) == 0
         monkeypatch.delenv("TABRC_SEED")
         assert main(["generate", "--input", dump, "--output", out2, "--seed", "99"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_simulate_defaults(self, tmp_path):
         outdir = str(tmp_path / "sim")
         code = main(["simulate", "--strategy", "momentum", "--w", "4", "--k", "2",
                      "--eps", "0.002", "--checkpoints", "6", "--output", outdir])
         assert code == 0
-        trace = open(os.path.join(outdir, "trace_momentum_seed0.tsv")).read()
+        trace = Path(outdir, "trace_momentum_seed0.tsv").read_text()
         assert trace.startswith("checkpoint\ttask\taccuracy\tprobability\tentropy")
 
     def test_simulate_repeated_seed_runs_once(self, tmp_path, capsys):
@@ -601,7 +602,7 @@ class TestCli:
         code = main(["simulate", "--strategy", "error", "--history", str(feed),
                      "--output", outdir])
         assert code == 0
-        trace = open(os.path.join(outdir, "distribution_error.tsv")).read()
+        trace = Path(outdir, "distribution_error.tsv").read_text()
         assert "1\ta\t0.5" in trace
 
     def test_simulate_history_writes_the_feed_checkpoint_numbers(self, tmp_path):

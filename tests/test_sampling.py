@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabrc.sampling import (
-    REPLAY_TASK,
     AccuracyHistory,
     SamplerConfig,
     Strategy,
@@ -196,11 +195,12 @@ class TestComposeBatch:
     def test_lambda_one_always_replay(self):
         for seed in range(10):
             counts = compose_batch(self.DIST, 8, replay_lambda=1.0, draws=batch_draws(seed))
-            assert counts == {REPLAY_TASK: 8}
+            assert counts == {}
 
     def test_lambda_zero_never_replay(self):
         for seed in range(10):
-            assert REPLAY_TASK not in compose_batch(self.DIST, 8, 0.0, batch_draws(seed))
+            counts = compose_batch(self.DIST, 8, 0.0, batch_draws(seed))
+            assert set(counts) == {"a", "b", "c"} and sum(counts.values()) == 8
 
     def test_minimum_slot_guarantee(self):
         dist = TaskDistribution((("a", 0.9), ("b", 0.1)))
@@ -229,7 +229,7 @@ def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
     and the draws `simulation` memoizes must reproduce."""
     rng = random.Random(seed)
     if rng.random() < replay_lambda:
-        return {REPLAY_TASK: batch_size}
+        return {}
     quotas = [(task, batch_size * p) for task, p in dist.probs]
     counts = {task: int(quota) for task, quota in quotas}
     leftover = batch_size - sum(counts.values())
@@ -430,6 +430,18 @@ class TestReplay:
         assert len(history) == 1 and list(history.rows()) == [{"a": 0.1, "b": 0.9}]
         history.append({"a": 0.3, "b": 0.8})
         assert list(history.rows()) == [{"a": 0.1, "b": 0.9}, {"a": 0.3, "b": 0.8}]
+
+
+class TestAccuracyHistory:
+    @pytest.mark.parametrize("tasks, message", [
+        ([], "at least one task required"),
+        (["a", "a"], "task 'a' is named twice"),
+        (["a", "b", "a"], "task 'a' is named twice"),
+        (("b", "a", "b", "a"), "task 'b' is named twice"),
+    ])
+    def test_empty_or_repeated_task_list_refused(self, tasks, message):
+        with pytest.raises(ValueError, match=message):
+            AccuracyHistory(tasks)
 
 
 class TestEntropy:

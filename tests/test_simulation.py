@@ -36,6 +36,11 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(SamplerConfig(), tasks, **kwargs)
 
+    def test_repeated_task_name_refused(self):
+        tasks = (LearnerTask("a", 100.0), LearnerTask("a", 900.0), LearnerTask("b", 300.0))
+        with pytest.raises(ValueError, match="task 'a' is named twice"):
+            SimulationConfig(SamplerConfig(), tasks)
+
     def test_positional_and_keyword_build_the_same_config(self):
         sampler = SamplerConfig(Strategy.ERROR)
         by_position = SimulationConfig(sampler, self.TASKS, 32, 5, 7)
@@ -79,6 +84,12 @@ class TestRunSimulation:
         trace = run_simulation(config, seed=1)
         assert trace[-1].examples["a"] == 0
         assert trace[-1].accuracies["a"] == 0.0
+
+    def test_a_task_named_replay_trains(self):
+        tasks = [LearnerTask("replay", rate=100.0), LearnerTask("b", rate=300.0)]
+        config = config_for(Strategy.UNIFORM, tasks, batch_size=10, steps_per_checkpoint=5,
+                            checkpoints=3)
+        assert run_simulation(config, seed=0)[-1].examples == {"replay": 75, "b": 75}
 
     def test_accuracy_stays_below_ceiling_and_is_monotone(self):
         tasks = [LearnerTask("a", rate=50.0, ceiling=0.7), LearnerTask("b", rate=400.0)]

@@ -150,7 +150,35 @@ class TestDateDifference:
         assert date_difference(Date(2021, 1, 31), Date(2021, 2, 28)) == Duration(0, 1, 0)
 
 
+def _field_by_field_compare(a: Date, b: Date) -> int:
+    """The earlier body of `compare_dates`, kept as its reference."""
+    if a.year != b.year:
+        return -1 if a.year < b.year else 1
+    if a.month is None or b.month is None:
+        return 0
+    if a.month != b.month:
+        return -1 if a.month < b.month else 1
+    if a.day is None or b.day is None:
+        return 0
+    if a.day != b.day:
+        return -1 if a.day < b.day else 1
+    return 0
+
+
 class TestCompareDates:
+    # Every precision, with equal and unequal years, months and days.
+    DATES = ([Date(y) for y in (1990, 1991)]
+             + [Date(y, m) for y in (1990, 1991) for m in (1, 2, 12)]
+             + [Date(y, m, d) for y in (1990, 1991) for m in (1, 2, 12) for d in (1, 2, 28)])
+
+    def test_matches_the_field_by_field_reference(self):
+        precisions = set()
+        for a in self.DATES:
+            for b in self.DATES:
+                assert compare_dates(a, b) == _field_by_field_compare(a, b), (a, b)
+                precisions.add((a.precision, b.precision))
+        assert precisions == {(p, q) for p in (1, 2, 3) for q in (1, 2, 3)}
+
     def test_orders_full_dates(self):
         assert compare_dates(Date(1990, 11, 28), Date(1991, 2, 27)) == -1
 
