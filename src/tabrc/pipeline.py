@@ -10,7 +10,11 @@ flushed in input order, so output bytes depend only on (input, seed, flags).
 
 Example ids hash the table id, the generator and the template bindings;
 records whose id was already written are dropped and counted, which
-deduplicates repeated instantiations across the whole run.
+deduplicates repeated instantiations across the whole run. A line that
+repeats an earlier line verbatim, outer JSON whitespace aside, is still
+ingested but not generated: every record it would yield is a duplicate, so
+the first occurrence's records are counted as dropped instead. Output,
+rejects and counts are the same as if it were generated.
 """
 
 from __future__ import annotations
@@ -100,13 +104,14 @@ def table_examples(table: TypedTable, settings: GenerationSettings) -> Iterator[
 _ID_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
-def _process_line(settings: GenerationSettings, item: tuple[int, str]
-                  ) -> tuple[list[tuple[str, str]], tuple[str, str] | None]:
-    """Worker body: one non-blank input line to ((record id, record json)
-    pairs, rejection). The rejection is None for an accepted table and
-    (table id, reason) otherwise, where the table id is the record's id if
-    that is a non-empty string and line:N if not."""
-    line_no, text = item
+def _process_line(settings: GenerationSettings, item: tuple[int, str, bool]
+                  ) -> tuple[list[tuple[str, str]] | None, tuple[str, str] | None]:
+    """Worker body: one non-blank input line, and whether it repeats an
+    earlier line, to ((record id, record json) pairs, rejection). The
+    rejection is None for an accepted table and (table id, reason) otherwise,
+    where the table id is the record's id if that is a non-empty string and
+    line:N if not. An accepted repeat is not generated: its pairs are None."""
+    line_no, text, repeat = item
     line_id = f"line:{line_no}"
     # Beside bad syntax, `json.loads` raises a plain ValueError for an integer
     # too long to convert and RecursionError for nesting too deep to decode.
@@ -119,6 +124,8 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str]
     except IngestError as exc:
         table_id = obj.get("id") if isinstance(obj, dict) else None
         return [], (table_id if isinstance(table_id, str) and table_id else line_id, exc.reason)
+    if repeat:
+        return None, None
     return [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
 
 
@@ -145,11 +152,20 @@ def _in_order(executor, worker, items: Iterator, window: int) -> Iterator:
         yield pending.popleft().result()
 
 
+# Tasks in flight per pool worker. Rejects and repeats take a worker well
+# under a millisecond each, so at 2 per worker a worker ran dry for 40-50 ms
+# of a 200 ms `corpus-dirty` run on 2 cores while the parent waited on the
+# oldest table; 4 per worker removed that, and 8 removed no more.
+_TASKS_PER_WORKER = 4
+
+
 @contextlib.contextmanager
 def _results_in_order(worker, items: Iterator, workers: int) -> Iterator[Iterator]:
     """`worker` over `items` in input order: `map` at one worker, else a pool
-    with 2 tasks per worker in flight. One `shutdown` ends the block, cancels
-    queued tasks and waits for running ones; a dead worker is ChildProcessError."""
+    with `_TASKS_PER_WORKER` tasks per worker in flight: the parent holds no
+    more results than that and reads the input no further ahead. One
+    `shutdown` ends the block, cancels queued tasks and waits for running
+    ones; a dead worker is ChildProcessError."""
     if workers == 1:
         yield map(worker, items)
         return
@@ -158,7 +174,7 @@ def _results_in_order(worker, items: Iterator, workers: int) -> Iterator[Iterato
 
     executor = ProcessPoolExecutor(workers, initializer=_default_sigterm)
     try:
-        yield _in_order(executor, worker, items, 2 * workers)
+        yield _in_order(executor, worker, items, _TASKS_PER_WORKER * workers)
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a worker process died: {exc}") from exc
     finally:
@@ -177,6 +193,13 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     each table is its own task, so the heaviest tables do not queue behind
     each other in one worker's chunk. Blank and whitespace-only lines are
     skipped before they reach a worker, and line:N counts them too.
+
+    A line equal to an earlier one once outer JSON whitespace is stripped is
+    a repeat. It is ingested again, so a repeated reject is logged under its
+    own id, but an accepted repeat is not generated: every record it would
+    yield duplicates one of the first occurrence's, so the first occurrence's
+    record count is added to `duplicates`. The parent keeps a 16-byte digest
+    of each distinct line for this.
 
     Both files are written through `replacing`, the output inside the
     rejects, so the output is renamed into place first, after the last
@@ -200,20 +223,44 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                          f"({settings.min_rows}), got {settings.max_rows}")
     summary = GenerateSummary()
     seen_ids: set[int] = set()
-    worker = partial(_process_line, settings)
+    # Each distinct line's digest, to its record count once flushed.
+    line_records: dict[bytes, int] = {}
+    # The digests of the dispatched lines not yet flushed, oldest first.
+    in_flight: deque[bytes] = deque()
+
+    def tasks(src) -> Iterator[tuple[int, str, bool]]:
+        for line_no, text in enumerate(src, start=1):
+            if text.strip():
+                # Imported here, as in `derive_seed`: an empty dump hashes
+                # nothing, and a plain `import` of a loaded module is cheap.
+                import hashlib
+
+                # Only JSON's own whitespace is stripped, so two lines with
+                # one digest are accepted or rejected alike.
+                line = text.strip(" \t\n\r").encode("utf-8", "surrogateescape")
+                digest = hashlib.blake2b(line, digest_size=16).digest()
+                repeat = digest in line_records
+                line_records.setdefault(digest, 0)
+                in_flight.append(digest)
+                yield line_no, text, repeat
 
     with open(input_path, "r", encoding="utf-8", errors="surrogateescape") as src, \
             replacing(rejects_path, errors="backslashreplace") as rejects, \
             replacing(output_path) as out, \
-            _results_in_order(worker, (item for item in enumerate(src, start=1) if item[1].strip()),
+            _results_in_order(partial(_process_line, settings), tasks(src),
                               settings.workers) as results:
         for records, rejection in results:
+            digest = in_flight.popleft()
             summary.tables_read += 1
             if rejection is not None:
                 summary.tables_rejected += 1
                 rejects.write(f"{rejection[0].translate(_ID_ESCAPES)}\t{rejection[1]}\n")
                 continue
             summary.tables_accepted += 1
+            if records is None:
+                summary.duplicates += line_records[digest]
+                continue
+            line_records[digest] = len(records)
             for record_id, record_json in records:
                 key = int(record_id, 16)
                 if key in seen_ids:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .shared import Strategy
 
@@ -127,7 +127,7 @@ def error_sampling(latest_acc: Mapping[str, float]) -> TaskDistribution:
 class AccuracyHistory:
     """Aligned per-task held-out accuracy series, one entry per checkpoint.
 
-    `checkpoints` holds each entry's checkpoint number, 1, 2, 3, ... unless
+    Each entry is labelled with its checkpoint number, 1, 2, 3, ... unless
     `append` is given one. The numbers only label the entries: a momentum
     window counts entries, whatever their numbers.
     """
@@ -153,17 +153,8 @@ class AccuracyHistory:
             self._series[task].append(accuracies[task])
         self._checkpoints.append(len(self._checkpoints) + 1 if checkpoint is None else checkpoint)
 
-    @property
-    def checkpoints(self) -> list[int]:
-        return list(self._checkpoints)
-
     def __len__(self) -> int:
         return len(self._checkpoints)
-
-    def rows(self) -> Iterator[dict[str, float]]:
-        """Every checkpoint's accuracies, oldest first."""
-        for values in zip(*(self._series[task] for task in self.tasks)):
-            yield dict(zip(self.tasks, values))
 
     def latest(self) -> dict[str, float]:
         if not self._checkpoints:

@@ -283,7 +283,7 @@ class TestGenerateCorpus:
         assert tables[1]["id"] in processed
         assert len(processed) < 15
 
-    def test_pool_reads_at_most_two_tasks_per_worker_ahead(self):
+    def test_pool_reads_at_most_four_tasks_per_worker_ahead(self):
         read = []
 
         def items():
@@ -297,7 +297,7 @@ class TestGenerateCorpus:
                 assert result == str(taken - 1)
                 ahead.append(len(read) - taken)
         assert len(read) == 20
-        assert max(ahead) == 4
+        assert max(ahead) == 8
 
     def test_pool_forks_its_workers_on_the_first_table(self, tmp_path, monkeypatch):
         forks = []
@@ -316,6 +316,73 @@ class TestGenerateCorpus:
         write_lines(empty, [json.dumps(CHELSEA)])
         assert generate_corpus(str(empty), out, GenerationSettings(workers=2)).tables_read == 1
         assert forks == [os.getpid()] * 2
+
+
+class TestRepeatedLines:
+    """A line repeating an earlier one verbatim is ingested, not generated."""
+
+    @staticmethod
+    def lines():
+        accepted, other = make_table(0, seed=1), make_table(1, seed=1)
+        short = dict(make_table(2, seed=1), id="short")
+        short["rows"] = short["rows"][:5]
+        first = [json.dumps(accepted), json.dumps(short), "not json", json.dumps(other)]
+        # The first four repeat verbatim, the fourth inside outer whitespace;
+        # the last differs inside, so it is generated and its records dropped.
+        repeats = [first[0], first[1], first[2], " " + first[3] + "\t",
+                   json.dumps(accepted, separators=(",", ":"))]
+        return first, repeats, (accepted, other)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeats_change_nothing_but_the_work(self, tmp_path, workers):
+        first, repeats, (accepted, other) = self.lines()
+        path, without = tmp_path / "tables.jsonl", tmp_path / "distinct.jsonl"
+        write_lines(path, first + repeats)
+        write_lines(without, first + repeats[-1:])
+        out, expected = str(tmp_path / "examples.jsonl"), str(tmp_path / "expected.jsonl")
+        settings = GenerationSettings(seed=1, workers=workers)
+        summary = generate_corpus(str(path), out, settings)
+        generate_corpus(str(without), expected, settings)
+        assert Path(out).read_bytes() == Path(expected).read_bytes()
+        with open(out + ".rejects", encoding="utf-8") as handle:
+            assert handle.read() == ("short\tshape\nline:3\tmalformed\n"
+                                     "short\tshape\nline:7\tmalformed\n")
+        counts = [len(list(table_examples(ingest(raw_table_from_json(t)), settings)))
+                  for t in (accepted, other)]
+        assert (summary.tables_read, summary.tables_accepted, summary.tables_rejected) == (9, 5, 4)
+        # The accepted line's records are dropped twice: once for its verbatim
+        # repeat and once for the repeat that differs inside.
+        assert summary.duplicates == 2 * counts[0] + counts[1]
+        assert summary.examples == len(read_lines(out))
+
+    def test_each_distinct_accepted_line_is_generated_once(self, tmp_path, monkeypatch):
+        first, repeats, _ = self.lines()
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, first + repeats)
+        generated = []
+        real = pipeline.table_examples
+
+        def spy(table, settings):
+            generated.append(table.meta.id)
+            return real(table, settings)
+
+        monkeypatch.setattr(pipeline, "table_examples", spy)
+        generate_corpus(str(path), str(tmp_path / "examples.jsonl"), GenerationSettings(seed=1))
+        assert generated == [json.loads(first[0])["id"], json.loads(first[3])["id"],
+                             json.loads(first[0])["id"]]
+
+    def test_repeat_of_a_reject_that_parses_is_generated(self, tmp_path):
+        # A no-break space is whitespace to `str.strip` but not to JSON: the
+        # first line is malformed and the second, without it, is generated.
+        good = json.dumps(make_table(0, seed=1))
+        path, only_good = tmp_path / "tables.jsonl", tmp_path / "good.jsonl"
+        write_lines(path, [good + "\u00a0", good])
+        write_lines(only_good, [good])
+        out, expected = str(tmp_path / "examples.jsonl"), str(tmp_path / "expected.jsonl")
+        summary = generate_corpus(str(path), out, GenerationSettings(seed=1))
+        generate_corpus(str(only_good), expected, GenerationSettings(seed=1))
+        assert (summary.tables_accepted, summary.tables_rejected, summary.duplicates) == (1, 1, 0)
+        assert Path(out).read_bytes() == Path(expected).read_bytes()
 
 
 # sha256 of the golden corpus below, under seed-stream v2 (lazy partial

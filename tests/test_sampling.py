@@ -34,6 +34,17 @@ def history_of(series: dict[str, list[float]]) -> AccuracyHistory:
     return history
 
 
+def checkpoints_of(history: AccuracyHistory) -> list[int]:
+    """Each entry's checkpoint number, oldest first."""
+    return list(history._checkpoints)
+
+
+def rows_of(history: AccuracyHistory) -> list[dict[str, float]]:
+    """Every checkpoint's accuracies, oldest first."""
+    return [dict(zip(history.tasks, values))
+            for values in zip(*(history._series[task] for task in history.tasks))]
+
+
 class TestUniform:
     def test_sixteen_tasks(self):
         dist = uniform(TASKS16)
@@ -282,7 +293,7 @@ class TestFeedInterfaces:
     def test_read_feed(self):
         history = read_accuracy_feed(self.FEED.splitlines())
         assert len(history) == 4
-        assert [row["a"] for row in history.rows()] == [0.8, 0.8, 0.8, 0.8]
+        assert [row["a"] for row in rows_of(history)] == [0.8, 0.8, 0.8, 0.8]
 
     def test_repeated_record_names_its_line(self):
         lines = ["# header", "1\ta\t0.5", "1\tb\t0.5", "1\ta\t0.9"]
@@ -303,8 +314,8 @@ class TestFeedInterfaces:
         feed = {2: (0.5, 0.5), 5: (0.9, 0.6), -3: (0.1, 0.7)}
         lines = [f"{i}\t{task}\t{acc}" for i, accs in feed.items() for task, acc in zip("ab", accs)]
         history = read_accuracy_feed(lines)
-        assert history.checkpoints == [-3, 2, 5]
-        assert [row["a"] for row in history.rows()] == [0.1, 0.5, 0.9]
+        assert checkpoints_of(history) == [-3, 2, 5]
+        assert [row["a"] for row in rows_of(history)] == [0.1, 0.5, 0.9]
         trace = replay_feed(history, SamplerConfig(strategy=Strategy.ERROR))
         assert [checkpoint for checkpoint, _ in trace] == [-3, 2, 5]
         assert trace[0][1].prob("a") == pytest.approx(0.9 / 1.2)
@@ -382,7 +393,7 @@ def _reference_replay(history: AccuracyHistory, config: SamplerConfig) -> list[s
     partial = AccuracyHistory(history.tasks)
     seen = []
     lines = []
-    for checkpoint, row in zip(history.checkpoints, history.rows()):
+    for checkpoint, row in zip(checkpoints_of(history), rows_of(history)):
         partial.append(row)
         seen.append(row)
         if config.strategy is not Strategy.MOMENTUM:
@@ -417,19 +428,19 @@ class TestReplay:
         history = history_of({"a": [0.1, 0.4, 0.2], "b": [0.9, 0.5, 0.6]})
         replay_feed(history, SamplerConfig(strategy=Strategy.MOMENTUM, window=2, smoothing=1))
         assert len(history) == 3
-        assert history.checkpoints == [1, 2, 3]
+        assert checkpoints_of(history) == [1, 2, 3]
         assert history.latest() == {"a": 0.2, "b": 0.6}
         history.append({"a": 0.3, "b": 0.7})
         assert history.latest() == {"a": 0.3, "b": 0.7}
-        assert [row["a"] for row in history.rows()] == [0.1, 0.4, 0.2, 0.3]
+        assert [row["a"] for row in rows_of(history)] == [0.1, 0.4, 0.2, 0.3]
 
     def test_failed_append_leaves_the_history_as_it_was(self):
         history = history_of({"a": [0.1], "b": [0.9]})
         with pytest.raises(ValueError, match="accuracy out of range for b: 1.5"):
             history.append({"a": 0.2, "b": 1.5})
-        assert len(history) == 1 and list(history.rows()) == [{"a": 0.1, "b": 0.9}]
+        assert len(history) == 1 and rows_of(history) == [{"a": 0.1, "b": 0.9}]
         history.append({"a": 0.3, "b": 0.8})
-        assert list(history.rows()) == [{"a": 0.1, "b": 0.9}, {"a": 0.3, "b": 0.8}]
+        assert rows_of(history) == [{"a": 0.1, "b": 0.9}, {"a": 0.3, "b": 0.8}]
 
 
 class TestAccuracyHistory:
