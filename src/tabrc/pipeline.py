@@ -2,11 +2,13 @@
 
 Generation streams the input dump line by line: each accepted table is
 expanded through the selected generators, contexts are built, and one JSON
-record per example is appended to the output. Nothing but the current table,
-its rendered fact pool and the set of already-seen example ids is held in
-memory, so a dump of any length processes under a bounded footprint. With
-more than one worker, tables are processed in parallel but records are
-flushed in input order, so output bytes depend only on (input, seed, flags).
+record per example is appended to the output. A table and its rendered fact
+pool are held only while that table is generated. The parent also holds the
+id of every example written, so that memory grows with the output, and a
+16-byte digest of each distinct line. With N workers above one, tables are
+generated in parallel in forked worker processes, and the parent also holds
+up to 4 x N lines read ahead and their results; records are still flushed
+in input order, so output bytes depend only on (input, seed, flags).
 
 Example ids hash the table id, the generator and the template bindings;
 records whose id was already written are dropped and counted, which
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import marshal
 import os
 import signal
 from collections import deque
 from functools import partial
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from .facts import FactKind, FactPool, build_context
 from .generators import Triplet, generate
@@ -129,56 +132,194 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str, bool]
     return [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
 
 
-def _default_sigterm() -> None:
-    """Worker initializer: SIGTERM kills the worker, whatever the parent set."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-def _in_order(executor, worker, items: Iterator, window: int) -> Iterator:
-    """`worker` over `items` in input order, with `window` tasks in flight."""
-    pending = deque()
-    for item in items:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        # SIGTERM waits while a task is submitted: the first submit forks the
-        # workers, and a SystemExit amid it would strand one.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        try:
-            pending.append(executor.submit(worker, item))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    while pending:
-        yield pending.popleft().result()
-
-
-# Tasks in flight per pool worker. Rejects and repeats take a worker well
-# under a millisecond each, so at 2 per worker a worker ran dry for 40-50 ms
-# of a 200 ms `corpus-dirty` run on 2 cores while the parent waited on the
-# oldest table; 4 per worker removed that, and 8 removed no more.
+# Tasks read ahead per pool worker. A worker runs one table at a time, and
+# the tables read ahead wait in the parent, so the workers keep going while
+# the parent waits on a slow table. 4 per worker keeps both workers fed on
+# `corpus-dirty`'s mix of heavy tables and sub-millisecond rejects; 1, 2
+# and 8 per worker were within noise of it on 2 cores.
 _TASKS_PER_WORKER = 4
+
+
+class _WorkerTraceback(Exception):
+    """A worker's traceback, as the cause of the error re-raised from it."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+class _Worker(NamedTuple):
+    pid: int
+    tasks: int  # the write end of the worker's task pipe
+    results: int  # the read end of its result pipe
+
+
+def _send(fd: int, body: bytes) -> None:
+    """Write one frame, `body` after its 8-byte length, to a pipe."""
+    frame = memoryview(len(body).to_bytes(8, "little") + body)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _read(fd: int, size: int) -> bytearray | None:
+    """`size` bytes from a pipe, or None if it ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return None
+        view = view[got:]
+    return data
+
+
+def _receive(fd: int) -> bytearray | None:
+    """The body of one frame from a pipe, or None if the pipe ends first."""
+    header = _read(fd, 8)
+    return None if header is None else _read(fd, int.from_bytes(header, "little"))
+
+
+def _failure(exc: Exception) -> tuple[bytes, str]:
+    """The exception being handled, pickled, and its traceback text. One that
+    does not survive pickling becomes a RuntimeError naming it."""
+    import pickle
+    import traceback
+
+    text = traceback.format_exc()
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(exc).__qualname__}: {exc}"))
+    return data, text
+
+
+def _serve(worker, tasks: int, results: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life. It closes the parent's pipe ends, then
+    answers each marshalled task frame from `tasks` with an (ok, value) frame
+    on `results`, where a failed task's value is `_failure`'s, until `tasks`
+    ends. It leaves through `os._exit`, so nothing it inherited is flushed,
+    closed or cleaned up twice; a send to a parent that has gone ends it."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        for fd in inherited:
+            os.close(fd)
+        while (task := _receive(tasks)) is not None:
+            try:
+                body = marshal.dumps((True, worker(marshal.loads(task))))
+            except Exception as exc:
+                body = marshal.dumps((False, _failure(exc)))
+            _send(results, body)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork(worker, running: list[_Worker]) -> None:
+    """Fork one more worker and add it to `running`. SIGTERM waits across
+    the fork, so the parent records every child it makes, and the child runs
+    no handler of the parent's."""
+    tasks_r, tasks_w = os.pipe()
+    results_r, results_w = os.pipe()
+    inherited = [tasks_w, results_r, *(fd for w in running for fd in (w.tasks, w.results))]
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _serve(worker, tasks_r, results_w, inherited)
+        running.append(_Worker(pid, tasks_w, results_r))
+    except BaseException:
+        os.close(tasks_w)
+        os.close(results_r)
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(tasks_r)
+        os.close(results_w)
+
+
+def _forked_in_order(worker, items: Iterator, workers: int, running: list[_Worker]) -> Iterator:
+    """`worker` over `items` in input order on `workers` forked workers,
+    forked on the first item and added to `running`. Each worker has one
+    task at a time, so the parent never writes to a worker that is itself
+    writing, and the input is read no more than `_TASKS_PER_WORKER` tasks
+    per worker ahead of the result being yielded."""
+    # Imported here: one worker never needs it, and every command would pay.
+    import select
+
+    poller = select.poll()
+    idle: list[_Worker] = []
+    busy: dict[int, tuple[_Worker, int]] = {}  # results fd -> (worker, task index)
+    queued: deque = deque()  # (task index, item), read but not handed out
+    done: dict = {}  # task index -> (ok, value), received but not yielded
+
+    def hand_out() -> None:
+        while queued and idle:
+            child = idle.pop()
+            index, item = queued.popleft()
+            try:
+                _send(child.tasks, marshal.dumps(item))
+            except BrokenPipeError:
+                raise ChildProcessError("a worker process died") from None
+            busy[child.results] = child, index
+
+    def result(index: int):
+        while index not in done:
+            for fd, _ in poller.poll():
+                body = _receive(fd)
+                if body is None:
+                    raise ChildProcessError("a worker process died")
+                child, task = busy.pop(fd)
+                done[task] = marshal.loads(body)
+                idle.append(child)
+            hand_out()
+        ok, value = done.pop(index)
+        if not ok:
+            import pickle
+
+            raise pickle.loads(value[0]) from _WorkerTraceback(value[1])
+        return value
+
+    window = _TASKS_PER_WORKER * workers
+    read = taken = 0
+    for item in items:
+        if not running:
+            for _ in range(workers):
+                _fork(worker, running)
+                poller.register(running[-1].results, select.POLLIN)
+            idle.extend(running)
+        queued.append((read, item))
+        read += 1
+        hand_out()
+        if read - taken > window:
+            yield result(taken)
+            taken += 1
+    while taken < read:
+        yield result(taken)
+        taken += 1
 
 
 @contextlib.contextmanager
 def _results_in_order(worker, items: Iterator, workers: int) -> Iterator[Iterator]:
-    """`worker` over `items` in input order: `map` at one worker, else a pool
-    with `_TASKS_PER_WORKER` tasks per worker in flight: the parent holds no
-    more results than that and reads the input no further ahead. One
-    `shutdown` ends the block, cancels queued tasks and waits for running
-    ones; a dead worker is ChildProcessError."""
+    """`worker` over `items` in input order: `map` at one worker, else
+    `_forked_in_order`. A failed task's exception is re-raised with the
+    worker's traceback as its cause, and a worker that dies is
+    ChildProcessError. Leaving the block closes every pipe and waits for
+    every worker: an idle one reads the end of its tasks, and a busy one
+    finishes its table and fails to send it."""
     if workers == 1:
         yield map(worker, items)
         return
-    # Imported here: one worker never needs it, and every command would pay.
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    executor = ProcessPoolExecutor(workers, initializer=_default_sigterm)
+    running: list[_Worker] = []
     try:
-        yield _in_order(executor, worker, items, _TASKS_PER_WORKER * workers)
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"a worker process died: {exc}") from exc
+        yield _forked_in_order(worker, items, workers, running)
     finally:
-        executor.shutdown(cancel_futures=True)
+        for child in running:
+            os.close(child.tasks)
+            os.close(child.results)
+        for child in running:
+            os.waitpid(child.pid, 0)
 
 
 def generate_corpus(input_path: str, output_path: str, settings: GenerationSettings,

@@ -263,8 +263,9 @@ def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
     """Parse a checkpoint feed of tab-separated (checkpoint, task, accuracy)
     records, grouped by checkpoint number in ascending order. A checkpoint
     records every task the feed names exactly once, and the history keeps
-    the numbers. An error names the line, or the checkpoint for one that
-    lacks a task or holds an accuracy outside [0, 1]."""
+    the numbers. An error names the line, also for an empty task name, or
+    the checkpoint for one that lacks a task or holds an accuracy outside
+    [0, 1]."""
     grouped: dict[int, dict[str, float]] = {}
     for number, line in enumerate(lines, start=1):
         text = line.strip()
@@ -275,6 +276,8 @@ def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
             if len(fields) != 3:
                 raise ValueError(f"expected 3 tab-separated fields: {text!r}")
             index, task, acc = int(fields[0]), fields[1], float(fields[2])
+            if not task:
+                raise ValueError("empty task name")
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
         checkpoint = grouped.setdefault(index, {})

@@ -3,11 +3,11 @@
 `import tabrc` loads no submodule; its public names load on first use. Each
 command loads only its own modules: `stats` the statistics module, `simulate`
 the sampling and simulation modules, `generate` the generation stack. The
-value types are `NamedTuple`s and the worker pool (`concurrent.futures`,
-which loads `multiprocessing`) is imported only when `generate` runs with
-more than one worker, so no command loads `dataclasses` or, at one worker,
-either pool module. Nothing here is timed; `python -X importtime -m
-tabrc.cli stats --input FILE` shows where the time of one command goes.
+value types are `NamedTuple`s, and `generate` forks its own workers over
+pipes, so no command loads `dataclasses`, `multiprocessing` or
+`concurrent.futures`, at any number of workers. Nothing here is timed;
+`python -X importtime -m tabrc.cli stats --input FILE` shows where the time
+of one command goes.
 """
 
 import json
@@ -102,12 +102,12 @@ def test_every_public_name_resolves_and_is_listed():
     assert names == PUBLIC_NAMES
 
 
-def _generate(tmp_path):
+def _generate(tmp_path, *args):
     dump = tmp_path / "dump.jsonl"
     dump.write_text(json.dumps(CHELSEA) + "\n", encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
     loaded = _loaded_by("generate", "--input", str(dump), "--output", str(corpus),
-                        "--egs", "counting")
+                        "--egs", "counting", *args)
     assert corpus.read_text(encoding="utf-8")
     return corpus, loaded
 
@@ -117,6 +117,13 @@ def test_generate_loads_no_schedule_module(tmp_path):
     assert "tabrc.generators" in loaded
     assert not loaded & SCHEDULE_MODULES
     assert "tabrc.stats" not in loaded
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures" not in loaded
+
+
+def test_generate_with_workers_loads_no_pool_module(tmp_path):
+    _, loaded = _generate(tmp_path, "--workers", "2")
+    assert "tabrc.generators" in loaded
     assert "multiprocessing" not in loaded
     assert "concurrent.futures" not in loaded
 

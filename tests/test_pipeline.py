@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import json
@@ -228,7 +229,8 @@ class TestGenerateCorpus:
         assert read_lines(out) == []
 
     def test_settings_survive_pickling(self):
-        # The worker pool pickles the settings into every task.
+        # Forked workers inherit the settings rather than receive them, but
+        # they stay a plain value that a caller may pickle.
         settings = GenerationSettings(seed=5, cap=None, kinds=(GeneratorKind.COUNTING,),
                                       min_rows=3, max_rows=30, workers=2)
         assert pickle.loads(pickle.dumps(settings)) == settings
@@ -316,6 +318,74 @@ class TestGenerateCorpus:
         write_lines(empty, [json.dumps(CHELSEA)])
         assert generate_corpus(str(empty), out, GenerationSettings(workers=2)).tables_read == 1
         assert forks == [os.getpid()] * 2
+
+    @pytest.mark.parametrize("fault", [None, "raises", "dies"])
+    def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch, fault):
+        tables = [make_table(i, seed=1) for i in range(6)]
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, [json.dumps(t) for t in tables])
+        real = pipeline.table_examples
+
+        def faulty(table, settings):
+            if table.meta.id == tables[2]["id"]:
+                if fault == "dies":
+                    os._exit(1)
+                raise RuntimeError("injected fault")
+            return real(table, settings)
+
+        if fault is not None:
+            monkeypatch.setattr(pipeline, "table_examples", faulty)
+        expected = {None: contextlib.nullcontext(), "raises": pytest.raises(RuntimeError),
+                    "dies": pytest.raises(ChildProcessError)}[fault]
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with expected as raised:
+            generate_corpus(str(path), str(tmp_path / "out.jsonl"),
+                            GenerationSettings(seed=1, workers=2))
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        if fault == "raises":
+            # The worker's traceback is the cause of the error re-raised.
+            assert str(raised.value) == "injected fault"
+            assert "in faulty" in str(raised.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_that_does_not_pickle_is_named(self):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def failing(item):
+            raise Unpicklable(item, "more")
+
+        with pytest.raises(RuntimeError, match="Unpicklable: 0 and more$"):
+            with pipeline._results_in_order(failing, iter(range(3)), 2) as results:
+                list(results)
+
+    def test_tables_larger_than_a_pipe_buffer(self, tmp_path):
+        # Each line and each result exceeds a 64 KiB pipe buffer, and there
+        # are more tables than workers.
+        tables = [dict(make_table(i, seed=1), page_title="P" * 70_000) for i in range(4)]
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, [json.dumps(t) for t in tables])
+        outputs = []
+
+        def timed_out(signum, frame):
+            raise TimeoutError("a run did not finish in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        try:
+            for workers in (1, 2):
+                out = tmp_path / f"out{workers}.jsonl"
+                generate_corpus(str(path), str(out), GenerationSettings(
+                    seed=1, cap=3, kinds=(GeneratorKind.COUNTING,), workers=workers))
+                outputs.append(out.read_bytes())
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        lines = outputs[0].splitlines()
+        assert len(lines) == 4 * 3 and all(b"P" * 70_000 in line for line in lines)
+        assert outputs[1] == outputs[0]
 
 
 class TestRepeatedLines:
@@ -729,6 +799,7 @@ class TestCli:
                      "line 2: invalid literal for int() with base 10: '1.5'", id="checkpoint-1.5"),
         pytest.param("1\ta\tx\n", "line 1: could not convert string to float: 'x'",
                      id="accuracy-not-a-number"),
+        pytest.param("1\ta\t0.5\n1\t\t0.5\n", "line 2: empty task name", id="empty-task-name"),
         pytest.param("1\ta\t0.5\n1\tb\t1.5\n",
                      "checkpoint 1: accuracy out of range for b: 1.5", id="accuracy-1.5"),
         pytest.param("1\ta\t0.5\n1\tb\t0.5\n2\ta\t0.6\n",
