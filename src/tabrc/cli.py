@@ -15,7 +15,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterator
 
-from .shared import MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, replacing
+from .shared import MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, check_not_input, replacing
 
 if TYPE_CHECKING:
     from .sampling import AccuracyHistory, SamplerConfig
@@ -154,8 +154,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.output != "-" and os.path.realpath(args.output) == os.path.realpath(args.input):
-        raise ValueError(f"output path is the input path: {args.output}")
+    if args.output != "-":
+        check_not_input("output", args.output, args.input)
     # A byte that is not UTF-8 becomes a lone surrogate: inside a JSON
     # string it is kept, elsewhere its line counts as malformed.
     with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -217,10 +217,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tasks = config.tasks
     if tasks and sampler.strategy is Strategy.MOMENTUM:
         check_eps(sampler.eps, len(tasks))
+    if args.history is not None:
+        path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
+        check_not_input("output", path, args.history)
     os.makedirs(args.output, exist_ok=True)
 
     if args.history is not None:
-        path = os.path.join(args.output, f"distribution_{args.strategy}.tsv")
         with replacing(path) as out:
             out.writelines(_replay_lines(history, sampler))
         print(f"wrote {path}", file=sys.stderr)

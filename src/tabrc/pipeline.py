@@ -32,7 +32,8 @@ from typing import Iterator, NamedTuple, NoReturn
 
 from .facts import FactKind, FactPool, build_context
 from .generators import Triplet, generate
-from .shared import MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, GeneratorKind, derive_seed, replacing
+from .shared import (MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, GeneratorKind, check_not_input,
+                     derive_seed, replacing)
 from .tables import IngestError, TypedTable, ingest, raw_table_from_json
 
 ALL_KINDS = tuple(GeneratorKind)
@@ -193,18 +194,36 @@ def _failure(exc: Exception) -> tuple[bytes, str]:
     return data, text
 
 
-def _serve(worker, tasks: int, results: int, inherited: list[int]) -> NoReturn:
-    """A forked worker's whole life. It closes the parent's pipe ends, then
-    answers each marshalled task frame from `tasks` with an (ok, value) frame
-    on `results`, where a failed task's value is `_failure`'s, until `tasks`
-    ends. It leaves through `os._exit`, so nothing it inherited is flushed,
-    closed or cleaned up twice; a send to a parent that has gone ends it."""
+def _place(index: int) -> None:
+    """Move this process to CPU `index` (modulo their number) of its
+    affinity mask, then give it the whole mask back. Forked workers start on
+    their parent's CPU; this starts worker i on a CPU of its own and leaves
+    no affinity behind, so the kernel may still move it. Where affinity
+    cannot be set, the worker stays where it is."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with contextlib.suppress(OSError):
+        allowed = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
+        finally:
+            os.sched_setaffinity(0, allowed)
+
+
+def _serve(worker, index: int, tasks: int, results: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life. It closes the parent's pipe ends and
+    `_place`s itself as worker `index`, then answers each marshalled task
+    frame from `tasks` with an (ok, value) frame on `results`, where a
+    failed task's value is `_failure`'s, until `tasks` ends. It leaves
+    through `os._exit`, so nothing it inherited is flushed, closed or
+    cleaned up twice; a send to a parent that has gone ends it."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         for fd in inherited:
             os.close(fd)
+        _place(index)
         while (task := _receive(tasks)) is not None:
             try:
                 body = marshal.dumps((True, worker(marshal.loads(task))))
@@ -227,7 +246,7 @@ def _fork(worker, running: list[_Worker]) -> None:
     try:
         pid = os.fork()
         if pid == 0:
-            _serve(worker, tasks_r, results_w, inherited)
+            _serve(worker, len(running), tasks_r, results_w, inherited)
         running.append(_Worker(pid, tasks_w, results_r))
     except BaseException:
         os.close(tasks_w)
@@ -350,9 +369,8 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
-    for flag, path in (("output", output_path), ("rejects", rejects_path)):
-        if os.path.realpath(path) == os.path.realpath(input_path):
-            raise ValueError(f"{flag} path is the input path: {path}")
+    check_not_input("output", output_path, input_path)
+    check_not_input("rejects", rejects_path, input_path)
     if os.path.realpath(rejects_path) == os.path.realpath(output_path):
         raise ValueError(f"rejects path is the output path: {output_path}")
     if settings.cap is not None and settings.cap < 1:

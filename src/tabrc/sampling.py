@@ -10,24 +10,25 @@ Three strategies are provided:
   a sliding window of checkpoints, floored at eps, with uniform sampling
   during the first `window` checkpoints.
 
-Distributions update only at checkpoint boundaries; batch composition reads
-an immutable snapshot, so batches may be composed concurrently with the next
-update.
+Distributions update only at checkpoint boundaries, so `compose_batch`
+plans a whole checkpoint interval from one immutable snapshot: it splits the
+batch size over the tasks once, then places each step's leftover slots.
 
 A recorded feed is read and checked once, by `read_accuracy_feed`.
 `replay_feed` then copies its rows, unchecked, into a second history one
 checkpoint at a time, and momentum slices each task's window out of its
 series by index.
 
-A batch plan reads the two draws that `batch_draws` takes from its step
-seed. This module keeps no cache; `simulation` memoizes the draws that the
-two-task preset's six runs of one seed share.
+Each step's plan reads the two draws that `batch_draws` takes from its
+step seed. This module keeps no cache; `simulation` memoizes the draws that
+the two-task preset's six runs of one seed share.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .shared import Strategy
@@ -213,11 +214,11 @@ def batch_draws(seed: int) -> tuple[float, float]:
 
 
 def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
-                  draws: tuple[float, float]) -> dict[str, int]:
-    """Plan one batch as the number of slots per task; a batch has no slot
-    order.
+                  draws: Sequence[tuple[float, float]]) -> list[dict[str, int]]:
+    """Plan the batches of one checkpoint interval, one plan per step draw.
+    A plan is the number of slots per task; a batch has no slot order.
 
-    With probability `replay_lambda` the whole batch is replay (whose content
+    With probability `replay_lambda` a whole batch is replay (whose content
     is a caller-provided stream), planned as `{}`: no task gets a slot.
     Otherwise every task of `dist` gets floor(batch_size * P(s)) slots and
     the leftover slots are awarded by a seeded systematic draw on the
@@ -225,38 +226,48 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
     remainder and expected slot counts stay exactly batch_size * P(s). Ties
     between equal remainders are thereby broken by the draws.
 
-    `draws` is the pair `batch_draws` gives for the step's seed: the replay
-    draw, then the systematic draw's mark.
+    Each of `draws` is the pair `batch_draws` gives for a step's seed: the
+    replay draw, then the systematic draw's mark. The distribution is fixed
+    over the interval, so the floor counts, leftover and remainders are
+    computed once per call; each step's plan is its own dict, equal to
+    what a call with that step's draw alone would give.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if not 0.0 <= replay_lambda <= 1.0:  # NaN fails every comparison
         raise ValueError("replay_lambda must be in [0, 1]")
-    replay_draw, mark_draw = draws
-    if replay_draw < replay_lambda:
-        return {}
-
     quotas = [(task, batch_size * p) for task, p in dist.probs]
-    counts = {task: int(quota) for task, quota in quotas}
-    leftover = batch_size - sum(counts.values())
-    if leftover:
-        remainders = [(task, quota - int(quota)) for task, quota in quotas]
-        total = sum(r for _, r in remainders)
+    floor = {task: int(quota) for task, quota in quotas}
+    leftover = batch_size - sum(floor.values())
+    if not leftover:
+        return [{} if replay_draw < replay_lambda else floor.copy() for replay_draw, _ in draws]
+    remainders = [(task, quota - int(quota)) for task, quota in quotas]
+    total = sum(r for _, r in remainders)
+    step = total / leftover
+    # each task with the running sum of the remainders up to it
+    bounds = list(zip([task for task, _ in remainders], accumulate(r for _, r in remainders)))
+    by_remainder = [task for task, _r in sorted(remainders, key=lambda item: -item[1])]
+    plans = []
+    for replay_draw, mark_draw in draws:
+        if replay_draw < replay_lambda:
+            plans.append({})
+            continue
+        counts = floor.copy()
+        unawarded = leftover
         mark = mark_draw * total / leftover
-        step = total / leftover
-        cumulative = 0.0
-        for task, remainder in remainders:
-            cumulative += remainder
-            while mark < cumulative and leftover:
+        for task, cumulative in bounds:
+            while mark < cumulative and unawarded:
                 counts[task] += 1
-                leftover -= 1
+                unawarded -= 1
                 mark += step
+            if not unawarded:
+                break
         # float shortfall can leave a slot unawarded; give it to the largest
         # remainders
-        if leftover:
-            for task, _r in sorted(remainders, key=lambda item: -item[1])[:leftover]:
-                counts[task] += 1
-    return counts
+        for task in by_remainder[:unawarded]:
+            counts[task] += 1
+        plans.append(counts)
+    return plans
 
 
 def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:

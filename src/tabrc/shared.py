@@ -1,6 +1,7 @@
 """Names that more than one command needs: the generator kinds, the sampling
-strategies, `generate`'s defaults, seed derivation and `replacing`, the one
-way a command writes a file.
+strategies, `generate`'s defaults, seed derivation, `check_not_input`, which
+keeps a command from writing over its input, and `replacing`, the one way a
+command writes a file.
 
 This module imports nothing else from `tabrc`, so `stats` can list the
 sixteen kinds and `simulate` can derive seeds without loading the generators.
@@ -57,6 +58,13 @@ def derive_seed(*parts: object) -> int:
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def check_not_input(flag: str, path: str, input_path: str) -> None:
+    """Refuse a command's output `path` that names its input file, also
+    through a symbolic link: writing it would replace the input."""
+    if os.path.realpath(path) == os.path.realpath(input_path):
+        raise ValueError(f"{flag} path is the input path: {path}")
 
 
 @contextlib.contextmanager

@@ -100,20 +100,20 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
     """Run one simulation; the trace is a pure function of (config, seed).
 
     Batches within a checkpoint interval use the distribution computed at the
-    previous checkpoint (uniform before the first one); a replay batch,
-    planned with no slot, trains no task.
+    previous checkpoint (uniform before the first one), so one
+    `compose_batch` call plans the interval's steps; a replay batch, planned
+    with no slot, trains no task.
     """
     names = tuple(task.name for task in config.tasks)
     examples = dict.fromkeys(names, 0)
     history = AccuracyHistory(names)
     dist = uniform(names)
     trace: list[CheckpointRecord] = []
-    step = 0
+    steps = config.steps_per_checkpoint
     for index in range(1, config.checkpoints + 1):
-        for _ in range(config.steps_per_checkpoint):
-            step += 1
-            counts = compose_batch(dist, config.batch_size, config.sampler.replay_lambda,
-                                   _step_draws(seed, step))
+        first = (index - 1) * steps + 1  # steps count from 1 across the run
+        draws = [_step_draws(seed, step) for step in range(first, first + steps)]
+        for counts in compose_batch(dist, config.batch_size, config.sampler.replay_lambda, draws):
             for task, count in counts.items():
                 examples[task] += count
         accuracies = {task.name: task.accuracy(examples[task.name]) for task in config.tasks}

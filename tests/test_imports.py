@@ -10,6 +10,7 @@ pipes, so no command loads `dataclasses`, `multiprocessing` or
 of one command goes.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -43,6 +44,10 @@ import tabrc.oracle
 print(json.dumps([loaded, names, "dataclasses" in sys.modules]))
 """
 
+# What `generate` imports only where it needs them: `select` for workers
+# above one, `pickle` and `traceback` for a worker's failure.
+LAZY_MODULES = ("select", "pickle", "traceback")
+
 # Runs one command in a fresh interpreter and prints its exit code and the
 # modules it loaded, as the last line of standard output.
 _COMMAND_PROBE = """
@@ -50,8 +55,8 @@ import json, sys
 from tabrc.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tabrc.")
-                               or m in ("multiprocessing", "concurrent.futures"))]))
-"""
+                               or m in ("multiprocessing", "concurrent.futures", *%r))]))
+""" % (LAZY_MODULES,)
 
 
 def _python(code, *args):
@@ -61,10 +66,18 @@ def _python(code, *args):
                           text=True, timeout=60, check=True).stdout
 
 
+@functools.cache
+def _bare_modules():
+    """The modules a bare interpreter loads when started as the probes are."""
+    return frozenset(_python("import sys\nprint('\\n'.join(sys.modules))").split())
+
+
 def _loaded_by(*args):
+    """The modules the probe reports for one command, less those a bare
+    interpreter loads anyway."""
     code, modules = json.loads(_python(_COMMAND_PROBE, *args).splitlines()[-1])
     assert code == 0, args
-    return set(modules)
+    return set(modules) - _bare_modules()
 
 
 def test_cli_import_loads_no_dataclasses_or_multiprocessing():
@@ -119,6 +132,7 @@ def test_generate_loads_no_schedule_module(tmp_path):
     assert "tabrc.stats" not in loaded
     assert "multiprocessing" not in loaded
     assert "concurrent.futures" not in loaded
+    assert "select" not in loaded  # one worker polls no pipe
 
 
 def test_generate_with_workers_loads_no_pool_module(tmp_path):
@@ -126,6 +140,8 @@ def test_generate_with_workers_loads_no_pool_module(tmp_path):
     assert "tabrc.generators" in loaded
     assert "multiprocessing" not in loaded
     assert "concurrent.futures" not in loaded
+    # A run in which no worker fails unpickles and formats nothing.
+    assert not loaded & {"pickle", "traceback"}
 
 
 def test_stats_loads_no_generation_module(tmp_path):

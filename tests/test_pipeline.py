@@ -319,6 +319,41 @@ class TestGenerateCorpus:
         assert generate_corpus(str(empty), out, GenerationSettings(workers=2)).tables_read == 1
         assert forks == [os.getpid()] * 2
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_worker_keeps_the_parents_cpu_mask(self):
+        def own_mask(_item):
+            return sorted(os.sched_getaffinity(0))
+
+        with pipeline._results_in_order(own_mask, iter(range(6)), 2) as results:
+            masks = list(results)
+        assert masks == [sorted(os.sched_getaffinity(0))] * 6
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_two_workers_on_a_one_cpu_mask_write_the_same_bytes(self, tmp_path):
+        tables = [make_table(i, seed=1) for i in range(6)]
+        path = tmp_path / "tables.jsonl"
+        write_lines(path, [json.dumps(t) for t in tables])
+        # In a child process, so the test run keeps its own mask.
+        probe = (
+            "import os, sys\n"
+            "from tabrc.cli import main\n"
+            "cpu = min(os.sched_getaffinity(0))\n"
+            "os.sched_setaffinity(0, {cpu})\n"
+            "code = main(sys.argv[1:])\n"
+            "assert os.sched_getaffinity(0) == {cpu}\n"
+            "sys.exit(code)\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}.jsonl"
+            subprocess.run([sys.executable, "-c", probe, "generate", "--input", str(path),
+                            "--output", str(out), "--seed", "1", "--workers", str(workers)],
+                           env=env, check=True, timeout=120, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[1] == outputs[0]
+
     @pytest.mark.parametrize("fault", [None, "raises", "dies"])
     def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch, fault):
         tables = [make_table(i, seed=1) for i in range(6)]
@@ -911,6 +946,31 @@ class TestCli:
         assert Path(dump).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == sorted({os.path.basename(dump),
                                                        os.path.basename(target)})
+
+    @pytest.mark.parametrize("strategy", ["momentum", "error"])
+    @pytest.mark.parametrize("where", ["output-dir", "default-output", "via-link"])
+    def test_simulate_history_naming_its_output_fails_and_keeps_it(self, tmp_path, capsys,
+                                                                   monkeypatch, strategy, where):
+        # The replay writes OUTPUT/distribution_STRATEGY.tsv, which must not
+        # be the feed it reads.
+        monkeypatch.chdir(tmp_path)
+        feed = tmp_path / "hist" / f"distribution_{strategy}.tsv"
+        feed.parent.mkdir()
+        feed.write_text("1\ta\t0.5\n1\tb\t0.6\n2\ta\t0.7\n2\tb\t0.6\n")
+        before = feed.read_bytes()
+        args = ["simulate", "--strategy", strategy, "--history", str(feed)]
+        if where == "output-dir":
+            args += ["--output", "hist"]
+        elif where == "default-output":
+            monkeypatch.chdir(feed.parent)
+        else:
+            os.symlink(feed.parent, tmp_path / "alias")
+            args += ["--output", "alias"]
+        listing = sorted(os.listdir(feed.parent))
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: output path is the input path: ")
+        assert feed.read_bytes() == before
+        assert sorted(os.listdir(feed.parent)) == listing
 
     def test_dead_worker_exits_2_and_keeps_earlier_files(self, tmp_path):
         # A worker that dies on the third table: the run must end, not wait

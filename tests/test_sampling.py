@@ -194,50 +194,58 @@ class TestOnCheckpoint:
 class TestComposeBatch:
     DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
 
+    @staticmethod
+    def plan(dist, batch_size, replay_lambda, seed):
+        """The plan of the one step of a one-step interval."""
+        [counts] = compose_batch(dist, batch_size, replay_lambda, [batch_draws(seed)])
+        return counts
+
     def test_exact_proportions(self):
-        counts = compose_batch(self.DIST, 10, replay_lambda=0.0, draws=batch_draws(1))
+        counts = self.plan(self.DIST, 10, replay_lambda=0.0, seed=1)
         assert counts == {"a": 5, "b": 3, "c": 2}
 
     def test_largest_remainder_tiebreak(self):
         dist = TaskDistribution((("a", 0.5), ("b", 0.5)))
-        counts = compose_batch(dist, 3, 0.0, batch_draws(4))
+        counts = self.plan(dist, 3, 0.0, 4)
         assert sorted(counts.values()) == [1, 2]
 
     def test_lambda_one_always_replay(self):
-        for seed in range(10):
-            counts = compose_batch(self.DIST, 8, replay_lambda=1.0, draws=batch_draws(seed))
-            assert counts == {}
+        plans = compose_batch(self.DIST, 8, replay_lambda=1.0,
+                              draws=[batch_draws(seed) for seed in range(10)])
+        assert plans == [{}] * 10
 
     def test_lambda_zero_never_replay(self):
-        for seed in range(10):
-            counts = compose_batch(self.DIST, 8, 0.0, batch_draws(seed))
+        for counts in compose_batch(self.DIST, 8, 0.0, [batch_draws(seed) for seed in range(10)]):
             assert set(counts) == {"a", "b", "c"} and sum(counts.values()) == 8
 
     def test_minimum_slot_guarantee(self):
         dist = TaskDistribution((("a", 0.9), ("b", 0.1)))
-        counts = compose_batch(dist, 10, 0.0, batch_draws(2))
+        counts = self.plan(dist, 10, 0.0, 2)
         assert counts["b"] >= 1
 
     def test_deterministic(self):
-        assert (compose_batch(self.DIST, 16, 0.5, batch_draws(9))
-                == compose_batch(self.DIST, 16, 0.5, batch_draws(9)))
+        assert self.plan(self.DIST, 16, 0.5, 9) == self.plan(self.DIST, 16, 0.5, 9)
+
+    def test_an_empty_interval_plans_nothing(self):
+        assert compose_batch(self.DIST, 16, 0.5, []) == []
 
     def test_expected_slots_monte_carlo(self):
         # E[slots(task)] = batch * P(task) * (1 - lambda) within 1% at 1e5 draws
         batch, lam = 8, 0.25
         totals = Counter()
         draws = 100_000
-        for seed in range(draws):
-            totals.update(compose_batch(self.DIST, batch, lam, batch_draws(seed)))
+        for counts in compose_batch(self.DIST, batch, lam, [batch_draws(s) for s in range(draws)]):
+            totals.update(counts)
         for task, p in self.DIST.probs:
             expected = batch * p * (1 - lam)
             assert totals[task] / draws == pytest.approx(expected, rel=0.01)
 
 
 def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
-    """`compose_batch` planned straight from a step seed, with a new
-    generator seeded on every call: what `compose_batch(..., batch_draws(seed))`
-    and the draws `simulation` memoizes must reproduce."""
+    """One step's plan straight from its seed, with a new generator seeded
+    on every call: what `compose_batch` must give for that step's
+    `batch_draws(seed)` in any interval, and for the draws `simulation`
+    memoizes."""
     rng = random.Random(seed)
     if rng.random() < replay_lambda:
         return {}
@@ -263,24 +271,29 @@ def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
 
 
 class TestBatchDrawMemo:
-    """The pair `batch_draws` gives, which `simulation` memoizes per step,
-    plans the batch a fresh generator would."""
+    """The pairs `batch_draws` gives, which `simulation` memoizes per step,
+    plan the batches a fresh generator would, also when one call plans a
+    whole interval of steps."""
 
     # 10 splits evenly over these shares; 7 and 13 leave slots over.
     DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
+    SEEDS = range(2048)
 
     def test_counts_match_a_fresh_generator(self):
-        for seed in range(2048):
-            draws = batch_draws(seed)
-            for replay_lambda in (0.0, 0.5, 1.0):
-                for batch_size in (10, 7, 13):
-                    assert (compose_batch(self.DIST, batch_size, replay_lambda, draws)
-                            == fresh_compose_batch(self.DIST, batch_size, replay_lambda, seed))
+        # One call over every seed's draws, so a plan that leaked into the
+        # next step (a shared or mutated floor dict) shows as a mismatch.
+        draws = [batch_draws(seed) for seed in self.SEEDS]
+        for replay_lambda in (0.0, 0.5, 1.0):
+            for batch_size in (10, 7, 13):
+                plans = compose_batch(self.DIST, batch_size, replay_lambda, draws)
+                assert plans == [fresh_compose_batch(self.DIST, batch_size, replay_lambda, seed)
+                                 for seed in self.SEEDS]
+                assert len({id(plan) for plan in plans}) == len(plans)
 
     @pytest.mark.parametrize("replay_lambda", [-0.1, 1.5, math.nan])
     def test_replay_lambda_outside_the_unit_interval_is_refused(self, replay_lambda):
         with pytest.raises(ValueError, match="replay_lambda"):
-            compose_batch(self.DIST, 8, replay_lambda, batch_draws(1))
+            compose_batch(self.DIST, 8, replay_lambda, [batch_draws(1)])
 
 
 class TestFeedInterfaces:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tabrc.sampling import SamplerConfig, Strategy
+from tabrc.sampling import SamplerConfig, Strategy, compose_batch
 from tabrc.simulation import (
     FAST_TASK,
     SLOW_TASK,
@@ -124,6 +124,20 @@ class TestRunSimulation:
         # Same seed, so the memo ends holding the preset's later steps only.
         self._longer_than_the_memo(seed=4)
         assert cold == warm == preset_trace()
+
+    def test_one_compose_batch_call_plans_each_checkpoint(self, monkeypatch):
+        intervals = []
+
+        def counted(dist, batch_size, replay_lambda, draws):
+            intervals.append(len(draws))
+            return compose_batch(dist, batch_size, replay_lambda, draws)
+
+        monkeypatch.setattr("tabrc.simulation.compose_batch", counted)
+        config = config_for(Strategy.MOMENTUM, [LearnerTask("a", 100.0), LearnerTask("b", 900.0)],
+                            batch_size=7, steps_per_checkpoint=3, checkpoints=5,
+                            replay_lambda=0.5)
+        run_simulation(config, 11)
+        assert intervals == [3] * 5
 
     def test_step_memo_holds_one_preset_run_and_stays_bounded(self):
         self._longer_than_the_memo(seed=7)
