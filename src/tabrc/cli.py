@@ -61,7 +61,13 @@ def _default_seed() -> int:
 def _parse_seeds(spec: str) -> list[int]:
     """The comma-separated seeds; a repeated seed counts once, where it first
     appears. An empty list runs nothing, which times start-up alone."""
-    return list(dict.fromkeys(int(s) for s in spec.split(",") if s.strip()))
+    seeds = []
+    for item in filter(str.strip, spec.split(",")):
+        try:
+            seeds.append(int(item))
+        except ValueError:
+            raise ValueError(f"--seeds takes comma-separated integers, got {item.strip()!r}") from None
+    return list(dict.fromkeys(seeds))
 
 
 def build_parser() -> argparse.ArgumentParser:

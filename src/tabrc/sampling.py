@@ -19,15 +19,14 @@ A recorded feed is read and checked once, by `read_accuracy_feed`.
 checkpoint at a time, and momentum slices each task's window out of its
 series by index.
 
-Each step's plan reads the two draws that `batch_draws` takes from its
-step seed. This module keeps no cache; `simulation` memoizes the draws that
-the two-task preset's six runs of one seed share.
+Each step's plan reads two draws that the caller takes from its run's one
+generator, the replay draw and then the mark. This module draws nothing and
+keeps no cache.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -205,14 +204,6 @@ def on_checkpoint(history: AccuracyHistory, config: SamplerConfig) -> TaskDistri
     return momentum_sampling(history, config)
 
 
-def batch_draws(seed: int) -> tuple[float, float]:
-    """The first two outputs of `random.Random(seed)`: the replay draw and
-    the systematic-draw mark. Both are taken whether or not the mark is
-    used, so a stored pair equals what a fresh generator would give."""
-    rng = random.Random(seed)
-    return rng.random(), rng.random()
-
-
 def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
                   draws: Sequence[tuple[float, float]]) -> list[dict[str, int]]:
     """Plan the batches of one checkpoint interval, one plan per step draw.
@@ -226,8 +217,9 @@ def compose_batch(dist: TaskDistribution, batch_size: int, replay_lambda: float,
     remainder and expected slot counts stay exactly batch_size * P(s). Ties
     between equal remainders are thereby broken by the draws.
 
-    Each of `draws` is the pair `batch_draws` gives for a step's seed: the
-    replay draw, then the systematic draw's mark. The distribution is fixed
+    Each of `draws` is one step's two floats in [0, 1), as a generator gives
+    them in turn: the replay draw, then the systematic draw's mark, taken
+    whether or not the mark is used. The distribution is fixed
     over the interval, so the floor counts, leftover and remainders are
     computed once per call; each step's plan is its own dict, equal to
     what a call with that step's draw alone would give.

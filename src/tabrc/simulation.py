@@ -10,15 +10,16 @@ The harness feeds batch plans from the sampler into the learners, evaluates
 at every checkpoint, and records accuracy, the refreshed distribution and
 its entropy. Everything is a pure function of (config, seed).
 
-A step's batch draws depend only on (seed, step), so the two-task preset's
-six runs of one seed share them through `_step_draws`, the one memo of the
-schedule side, which holds exactly one preset run's steps.
+Each run draws its batches from one generator seeded by the run seed alone,
+two floats per step whatever the step's batch turns out to be, so every run
+of one seed sees the same draws at every step: the two-task preset's six
+runs share common random numbers without a memo.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import random
 from typing import NamedTuple
 
 from .sampling import (
@@ -26,7 +27,6 @@ from .sampling import (
     SamplerConfig,
     Strategy,
     TaskDistribution,
-    batch_draws,
     check_tasks,
     compose_batch,
     on_checkpoint,
@@ -81,21 +81,6 @@ class CheckpointRecord(NamedTuple):
     total_examples: int
 
 
-# The two-task preset's shape, which `two_task_config` builds it from. Its six
-# runs of one seed ask for the same steps, one run after another: an LRU of one
-# run's steps holds each step until the next run asks for it, and a smaller one
-# evicts each step first.
-PRESET_CHECKPOINTS = 60
-PRESET_STEPS_PER_CHECKPOINT = 10
-
-
-@functools.lru_cache(maxsize=PRESET_CHECKPOINTS * PRESET_STEPS_PER_CHECKPOINT, typed=True)
-def _step_draws(seed: int, step: int) -> tuple[float, float]:
-    """The batch draws of one step; typed, because `derive_seed` writes True
-    and 1 differently."""
-    return batch_draws(derive_seed(seed, "batch", step))
-
-
 def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord]:
     """Run one simulation; the trace is a pure function of (config, seed).
 
@@ -103,16 +88,20 @@ def run_simulation(config: SimulationConfig, seed: int) -> list[CheckpointRecord
     previous checkpoint (uniform before the first one), so one
     `compose_batch` call plans the interval's steps; a replay batch, planned
     with no slot, trains no task.
+
+    The run's one generator gives each step two floats, the replay draw and
+    then the mark, even when the batch is a replay or leaves no slot over, so
+    the draws of a step depend on the seed and the step alone.
     """
     names = tuple(task.name for task in config.tasks)
     examples = dict.fromkeys(names, 0)
     history = AccuracyHistory(names)
     dist = uniform(names)
     trace: list[CheckpointRecord] = []
-    steps = config.steps_per_checkpoint
+    draw = random.Random(derive_seed(seed, "batch")).random
+    steps = range(config.steps_per_checkpoint)
     for index in range(1, config.checkpoints + 1):
-        first = (index - 1) * steps + 1  # steps count from 1 across the run
-        draws = [_step_draws(seed, step) for step in range(first, first + steps)]
+        draws = [(draw(), draw()) for _ in steps]
         for counts in compose_batch(dist, config.batch_size, config.sampler.replay_lambda, draws):
             for task, count in counts.items():
                 examples[task] += count
@@ -213,8 +202,7 @@ def two_task_config(strategy: Strategy, noisy: bool) -> SimulationConfig:
     sampler = SamplerConfig(strategy=strategy, window=4, smoothing=2, eps=0.002,
                             replay_lambda=0.0)
     return SimulationConfig(sampler=sampler, tasks=tasks, batch_size=50,
-                            steps_per_checkpoint=PRESET_STEPS_PER_CHECKPOINT,
-                            checkpoints=PRESET_CHECKPOINTS)
+                            steps_per_checkpoint=10, checkpoints=60)
 
 
 def two_task_report(seed: int) -> TwoTaskReport:

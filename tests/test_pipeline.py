@@ -750,6 +750,15 @@ class TestCli:
         assert os.listdir(outdir) == ["trace_momentum_seed1.tsv"]
         assert capsys.readouterr().err.count("wrote ") == 1
 
+    def test_simulate_bad_seed_names_the_flag_and_no_seed_runs_nothing(self, tmp_path, capsys):
+        code = main(["simulate", "--seeds", "1, x", "--output", str(tmp_path / "bad")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seeds takes comma-separated integers, got 'x'\n"
+        assert not (tmp_path / "bad").exists()
+        code = main(["simulate", "--seeds", "", "--output", str(tmp_path / "none")])
+        assert code == 0
+        assert os.listdir(tmp_path / "none") == []
+
     def test_simulate_one_task_entropy_is_zero(self, tmp_path, capsys):
         outdir = tmp_path / "sim"
         code = main(["simulate", "--num-tasks", "1", "--checkpoints", "3", "--output", str(outdir)])

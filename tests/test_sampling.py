@@ -11,7 +11,6 @@ from tabrc.sampling import (
     SamplerConfig,
     Strategy,
     TaskDistribution,
-    batch_draws,
     compose_batch,
     error_sampling,
     format_distribution_trace,
@@ -191,13 +190,19 @@ class TestOnCheckpoint:
         assert mom.prob("a") == 0.5  # both plateaued
 
 
+def fresh_draws(seed):
+    """A fresh generator's first two floats: one step's replay draw and mark."""
+    rng = random.Random(seed)
+    return rng.random(), rng.random()
+
+
 class TestComposeBatch:
     DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
 
     @staticmethod
     def plan(dist, batch_size, replay_lambda, seed):
         """The plan of the one step of a one-step interval."""
-        [counts] = compose_batch(dist, batch_size, replay_lambda, [batch_draws(seed)])
+        [counts] = compose_batch(dist, batch_size, replay_lambda, [fresh_draws(seed)])
         return counts
 
     def test_exact_proportions(self):
@@ -211,11 +216,11 @@ class TestComposeBatch:
 
     def test_lambda_one_always_replay(self):
         plans = compose_batch(self.DIST, 8, replay_lambda=1.0,
-                              draws=[batch_draws(seed) for seed in range(10)])
+                              draws=[fresh_draws(seed) for seed in range(10)])
         assert plans == [{}] * 10
 
     def test_lambda_zero_never_replay(self):
-        for counts in compose_batch(self.DIST, 8, 0.0, [batch_draws(seed) for seed in range(10)]):
+        for counts in compose_batch(self.DIST, 8, 0.0, [fresh_draws(seed) for seed in range(10)]):
             assert set(counts) == {"a", "b", "c"} and sum(counts.values()) == 8
 
     def test_minimum_slot_guarantee(self):
@@ -234,7 +239,7 @@ class TestComposeBatch:
         batch, lam = 8, 0.25
         totals = Counter()
         draws = 100_000
-        for counts in compose_batch(self.DIST, batch, lam, [batch_draws(s) for s in range(draws)]):
+        for counts in compose_batch(self.DIST, batch, lam, [fresh_draws(s) for s in range(draws)]):
             totals.update(counts)
         for task, p in self.DIST.probs:
             expected = batch * p * (1 - lam)
@@ -244,8 +249,7 @@ class TestComposeBatch:
 def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
     """One step's plan straight from its seed, with a new generator seeded
     on every call: what `compose_batch` must give for that step's
-    `batch_draws(seed)` in any interval, and for the draws `simulation`
-    memoizes."""
+    `fresh_draws(seed)` in any interval."""
     rng = random.Random(seed)
     if rng.random() < replay_lambda:
         return {}
@@ -270,10 +274,10 @@ def fresh_compose_batch(dist, batch_size, replay_lambda, seed):
     return counts
 
 
-class TestBatchDrawMemo:
-    """The pairs `batch_draws` gives, which `simulation` memoizes per step,
-    plan the batches a fresh generator would, also when one call plans a
-    whole interval of steps."""
+class TestIntervalPlans:
+    """Each step's two draws, the replay draw and then the mark as a
+    generator gives them, plan the batches that generator would, also when
+    one call plans a whole interval of steps."""
 
     # 10 splits evenly over these shares; 7 and 13 leave slots over.
     DIST = TaskDistribution((("a", 0.5), ("b", 0.3), ("c", 0.2)))
@@ -282,7 +286,7 @@ class TestBatchDrawMemo:
     def test_counts_match_a_fresh_generator(self):
         # One call over every seed's draws, so a plan that leaked into the
         # next step (a shared or mutated floor dict) shows as a mismatch.
-        draws = [batch_draws(seed) for seed in self.SEEDS]
+        draws = [fresh_draws(seed) for seed in self.SEEDS]
         for replay_lambda in (0.0, 0.5, 1.0):
             for batch_size in (10, 7, 13):
                 plans = compose_batch(self.DIST, batch_size, replay_lambda, draws)
@@ -293,7 +297,7 @@ class TestBatchDrawMemo:
     @pytest.mark.parametrize("replay_lambda", [-0.1, 1.5, math.nan])
     def test_replay_lambda_outside_the_unit_interval_is_refused(self, replay_lambda):
         with pytest.raises(ValueError, match="replay_lambda"):
-            compose_batch(self.DIST, 8, replay_lambda, [batch_draws(1)])
+            compose_batch(self.DIST, 8, replay_lambda, [fresh_draws(1)])
 
 
 class TestFeedInterfaces:

@@ -15,7 +15,6 @@ from tabrc.simulation import (
     trace_lines,
     two_task_config,
     two_task_report,
-    _step_draws,
 )
 
 
@@ -104,27 +103,6 @@ class TestRunSimulation:
         assert trace[2].accuracies["a"] < 0.7
         assert trace[-1].accuracies["a"] <= 0.7
 
-    @staticmethod
-    def _preset_steps():
-        preset = two_task_config(Strategy.UNIFORM, noisy=False)
-        return preset.checkpoints * preset.steps_per_checkpoint
-
-    def _longer_than_the_memo(self, seed):
-        config = config_for(Strategy.UNIFORM, [LearnerTask("a", rate=100.0)], batch_size=3,
-                            steps_per_checkpoint=10, checkpoints=self._preset_steps() // 10 + 12)
-        run_simulation(config, seed)
-
-    def test_preset_trace_is_the_same_with_the_memo_cold_warm_and_overrun(self):
-        def preset_trace():
-            return trace_lines(run_simulation(two_task_config(Strategy.MOMENTUM, True), 4))
-
-        _step_draws.cache_clear()
-        cold = preset_trace()
-        warm = preset_trace()
-        # Same seed, so the memo ends holding the preset's later steps only.
-        self._longer_than_the_memo(seed=4)
-        assert cold == warm == preset_trace()
-
     def test_one_compose_batch_call_plans_each_checkpoint(self, monkeypatch):
         intervals = []
 
@@ -139,10 +117,32 @@ class TestRunSimulation:
         run_simulation(config, 11)
         assert intervals == [3] * 5
 
-    def test_step_memo_holds_one_preset_run_and_stays_bounded(self):
-        self._longer_than_the_memo(seed=7)
-        assert _step_draws.cache_info().maxsize == self._preset_steps()
-        assert _step_draws.cache_info().currsize == self._preset_steps()
+    def test_runs_of_one_seed_receive_the_same_draws(self, monkeypatch):
+        """Common random numbers: every run of one seed is handed the same
+        draws at every step, whatever its strategy, condition or replay share."""
+        runs = []
+
+        def recorded_run(config, seed):
+            runs.append([])
+            return run_simulation(config, seed)
+
+        def recorded_compose(dist, batch_size, replay_lambda, draws):
+            runs[-1].extend(draws)
+            return compose_batch(dist, batch_size, replay_lambda, draws)
+
+        monkeypatch.setattr("tabrc.simulation.run_simulation", recorded_run)
+        monkeypatch.setattr("tabrc.simulation.compose_batch", recorded_compose)
+        two_task_report(3)
+        assert len(runs) == 6 and len(runs[0]) == 60 * 10
+        assert all(draws == runs[0] for draws in runs)
+
+        tasks = [LearnerTask(f"t{i}", rate=100.0 * (i + 1)) for i in range(3)]
+        for strategy, seed in ((Strategy.MOMENTUM, 3), (Strategy.UNIFORM, 3),
+                               (Strategy.MOMENTUM, 4)):
+            recorded_run(config_for(strategy, tasks, replay_lambda=0.5), seed)
+        momentum, uniform, other_seed = runs[-3:]
+        assert len(momentum) == 40 * 10
+        assert momentum == uniform != other_seed
 
 
 class TestTwoTaskReport:
@@ -165,6 +165,12 @@ class TestTwoTaskReport:
         final = report.noisy[Strategy.MOMENTUM].trace[-1]
         assert final.entropy == pytest.approx(math.log(2), abs=0.01)
 
+    def test_verdicts_hold_across_the_preset_seeds(self):
+        # Every 400th of seeds 0-19,999, the range the benchmark's presets
+        # draw from, so a seed-stream change that fails a verdict there shows.
+        failing = [seed for seed in range(0, 20000, 400) if not two_task_report(seed).all_hold()]
+        assert failing == []
+
     def test_report_lines_contain_verdicts(self):
         lines = report_lines(two_task_report(seed=0))
         verdicts = [line for line in lines if line.startswith("verdict")]
@@ -174,20 +180,21 @@ class TestTwoTaskReport:
 
 class TestPinnedOutput:
     # sha256 of outputs that batch composition and the two-task verdicts feed
-    # into; code changes that keep behaviour must keep these bytes.
+    # into; code changes that keep behaviour must keep these bytes. Pinned at
+    # schedule stream v2: one generator per run, two floats per step.
     @staticmethod
     def _sha256(lines):
         return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
     def test_two_task_report_pinned(self):
         assert self._sha256(report_lines(two_task_report(0))) == (
-            "971d26c412ea3092817d9c24bbf507566f2ea5c9c6706971dd78a38585cce66d")
+            "4a4f5fbe1d58da5c170de33d5064c24ae27bd368b4a4051a607874fb72efce2a")
 
     def test_momentum_trace_with_replay_pinned(self):
         tasks = [LearnerTask(f"task{i:02d}", rate=100.0 + 20.0 * i) for i in range(16)]
         config = config_for(Strategy.MOMENTUM, tasks, replay_lambda=0.5)
         assert self._sha256(trace_lines(run_simulation(config, 5))) == (
-            "53e90774179a8d93cb5c62935b1deceaaf52152613d78e19f0f13df9fa1b3176")
+            "d01a6b9002ae43fc4931cdabea60e7e4444e846bcdedaff4e17dbc47242d7e0d")
 
     def test_every_two_task_trace_pinned(self):
         # All six runs' checkpoints, so a change that keeps the verdicts but
@@ -196,7 +203,7 @@ class TestPinnedOutput:
         lines = [line for outcomes in (report.gold, report.noisy) for strategy in Strategy
                  for line in trace_lines(outcomes[strategy].trace)]
         assert self._sha256(lines) == (
-            "a32f2b5f1c0498b3dc12ab03644c2adc3e8a36cf2c7341e2ec9dbe4382e7e29b")
+            "e1df66c9f4fe34eeda5d8c75780b4b3b0a196923e4ad95b9ad4e6187e30d8a92")
 
 
 class TestEntropyBehavior:
