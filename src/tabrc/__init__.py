@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it provides.
 _SOURCES = {
-    "facts": ("Context", "ContextConfig", "Fact", "FactKind", "FactPlan", "FactPool", "GoldSpec",
+    "facts": ("Context", "Fact", "FactKind", "FactPlan", "FactPool", "GoldSpec",
               "build_context"),
     "generators": ("Answer", "AnswerKind", "Instantiation", "Triplet", "generate"),
     "grammar": ("Template",),

@@ -130,12 +130,6 @@ class Context(NamedTuple):
     rendered: str
 
 
-class ContextConfig(NamedTuple):
-    distractors_min: int = DISTRACTORS_MIN
-    distractors_max: int = DISTRACTORS_MAX
-    word_cap: int = CONTEXT_WORD_CAP
-
-
 def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
     first = plan.rows[0]
     text = render_fact(table.column_name(plan.subject),
@@ -221,16 +215,15 @@ def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Ite
     yield from _sampled(rng, fallback)
 
 
-def build_context(pool: FactPool, gold: GoldSpec, seed: int,
-                  config: ContextConfig = ContextConfig()) -> Context:
+def build_context(pool: FactPool, gold: GoldSpec, seed: int) -> Context:
     """Assemble the context for one example on `pool.table`.
 
-    Gold facts are always all present; the distractor count is drawn from the
-    configured range, trimmed when the table runs out of disjoint material or
-    the word cap is reached. Distractors are taken lazily from
-    `_distractor_order`, one draw per fact tried (seed-stream v2), and the
-    search stops once not even the pool's shortest fact fits. The final
-    order is a seed-determined shuffle.
+    Gold facts are always all present; the distractor count is drawn from
+    `DISTRACTORS_MIN` to `DISTRACTORS_MAX`, trimmed when the table runs out
+    of disjoint material or `CONTEXT_WORD_CAP` is reached. Distractors are
+    taken lazily from `_distractor_order`, one draw per fact tried
+    (seed-stream v2), and the search stops once not even the pool's shortest
+    fact fits. The final order is a seed-determined shuffle.
     """
     table = pool.table
     rng = random.Random(seed)
@@ -242,18 +235,17 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int,
         gold_facts.append(fact)
         words += fact_words
 
-    wanted = rng.randint(config.distractors_min, config.distractors_max)
+    wanted = rng.randint(DISTRACTORS_MIN, DISTRACTORS_MAX)
     distractors: list[Fact] = []
-    if wanted > 0:
-        for entry in _distractor_order(pool, gold, rng):
-            if words + entry.words > config.word_cap:
-                if words + pool.shortest > config.word_cap:
-                    break  # no candidate left can fit
-                continue
-            words += entry.words
-            distractors.append(entry.fact)
-            if len(distractors) >= wanted:
-                break
+    for entry in _distractor_order(pool, gold, rng):
+        if words + entry.words > CONTEXT_WORD_CAP:
+            if words + pool.shortest > CONTEXT_WORD_CAP:
+                break  # no candidate left can fit
+            continue
+        words += entry.words
+        distractors.append(entry.fact)
+        if len(distractors) >= wanted:
+            break
 
     facts = gold_facts + distractors
     rng.shuffle(facts)

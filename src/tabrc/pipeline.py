@@ -17,6 +17,10 @@ repeats an earlier line verbatim, outer JSON whitespace aside, is still
 ingested but not generated: every record it would yield is a duplicate, so
 the first occurrence's records are counted as dropped instead. Output,
 rejects and counts are the same as if it were generated.
+
+A table whose ingest or generation raises is rejected as
+internal_error:<class name> at any worker count; only a worker that dies
+ends the run.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import marshal
 import os
 import signal
+import sys
 from collections import deque
 from functools import partial
 from typing import Iterator, NamedTuple, NoReturn
@@ -114,7 +119,9 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str, bool]
     earlier line, to ((record id, record json) pairs, rejection). The
     rejection is None for an accepted table and (table id, reason) otherwise,
     where the table id is the record's id if that is a non-empty string and
-    line:N if not. An accepted repeat is not generated: its pairs are None."""
+    line:N if not. An accepted repeat is not generated: its pairs are None.
+    Any `Exception` from ingest or generation but an `IngestError` rejects
+    the table as internal_error:<class name>, its traceback on stderr."""
     line_no, text, repeat = item
     line_id = f"line:{line_no}"
     # Beside bad syntax, `json.loads` raises a plain ValueError for an integer
@@ -123,14 +130,25 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str, bool]
         obj = json.loads(text)
     except (ValueError, RecursionError):
         return [], (line_id, "malformed")
+    table_id = obj.get("id") if isinstance(obj, dict) else None
+    if not (isinstance(table_id, str) and table_id):
+        table_id = line_id
     try:
         table = ingest(raw_table_from_json(obj), settings.min_rows, settings.max_rows)
+        if repeat:
+            return None, None
+        return [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
     except IngestError as exc:
-        table_id = obj.get("id") if isinstance(obj, dict) else None
-        return [], (table_id if isinstance(table_id, str) and table_id else line_id, exc.reason)
-    if repeat:
-        return None, None
-    return [(r["id"], _RECORD_JSON(r)) for r in table_examples(table, settings)], None
+        return [], (table_id, exc.reason)
+    except Exception as exc:
+        # Imported here: a run in which no table fails formats nothing.
+        import traceback
+
+        reason = f"internal_error:{type(exc).__name__}"
+        sys.stderr.write(f"{table_id.translate(_ID_ESCAPES)}\t{reason}\n{traceback.format_exc()}")
+        # A worker leaves through `os._exit`, which flushes nothing.
+        sys.stderr.flush()
+        return [], (table_id, reason)
 
 
 # Tasks read ahead per pool worker. A worker runs one table at a time, and
@@ -139,13 +157,6 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str, bool]
 # `corpus-dirty`'s mix of heavy tables and sub-millisecond rejects; 1, 2
 # and 8 per worker were within noise of it on 2 cores.
 _TASKS_PER_WORKER = 4
-
-
-class _WorkerTraceback(Exception):
-    """A worker's traceback, as the cause of the error re-raised from it."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
 
 
 class _Worker(NamedTuple):
@@ -179,21 +190,6 @@ def _receive(fd: int) -> bytearray | None:
     return None if header is None else _read(fd, int.from_bytes(header, "little"))
 
 
-def _failure(exc: Exception) -> tuple[bytes, str]:
-    """The exception being handled, pickled, and its traceback text. One that
-    does not survive pickling becomes a RuntimeError naming it."""
-    import pickle
-    import traceback
-
-    text = traceback.format_exc()
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__qualname__}: {exc}"))
-    return data, text
-
-
 def _place(index: int) -> None:
     """Move this process to CPU `index` (modulo their number) of its
     affinity mask, then give it the whole mask back. Forked workers start on
@@ -213,10 +209,11 @@ def _place(index: int) -> None:
 def _serve(worker, index: int, tasks: int, results: int, inherited: list[int]) -> NoReturn:
     """A forked worker's whole life. It closes the parent's pipe ends and
     `_place`s itself as worker `index`, then answers each marshalled task
-    frame from `tasks` with an (ok, value) frame on `results`, where a
-    failed task's value is `_failure`'s, until `tasks` ends. It leaves
-    through `os._exit`, so nothing it inherited is flushed, closed or
-    cleaned up twice; a send to a parent that has gone ends it."""
+    frame from `tasks` with a frame of the marshalled result on `results`,
+    until `tasks` ends. It leaves through `os._exit`, so nothing it
+    inherited is flushed, closed or cleaned up twice; a send to a parent
+    that has gone ends it, and so does anything `worker` raises, which the
+    parent sees as the worker's death."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -225,11 +222,7 @@ def _serve(worker, index: int, tasks: int, results: int, inherited: list[int]) -
             os.close(fd)
         _place(index)
         while (task := _receive(tasks)) is not None:
-            try:
-                body = marshal.dumps((True, worker(marshal.loads(task))))
-            except Exception as exc:
-                body = marshal.dumps((False, _failure(exc)))
-            _send(results, body)
+            _send(results, marshal.dumps(worker(marshal.loads(task))))
         code = 0
     finally:
         os._exit(code)
@@ -271,7 +264,7 @@ def _forked_in_order(worker, items: Iterator, workers: int, running: list[_Worke
     idle: list[_Worker] = []
     busy: dict[int, tuple[_Worker, int]] = {}  # results fd -> (worker, task index)
     queued: deque = deque()  # (task index, item), read but not handed out
-    done: dict = {}  # task index -> (ok, value), received but not yielded
+    done: dict = {}  # task index -> result, received but not yielded
 
     def hand_out() -> None:
         while queued and idle:
@@ -293,12 +286,7 @@ def _forked_in_order(worker, items: Iterator, workers: int, running: list[_Worke
                 done[task] = marshal.loads(body)
                 idle.append(child)
             hand_out()
-        ok, value = done.pop(index)
-        if not ok:
-            import pickle
-
-            raise pickle.loads(value[0]) from _WorkerTraceback(value[1])
-        return value
+        return done.pop(index)
 
     window = _TASKS_PER_WORKER * workers
     read = taken = 0
@@ -322,11 +310,11 @@ def _forked_in_order(worker, items: Iterator, workers: int, running: list[_Worke
 @contextlib.contextmanager
 def _results_in_order(worker, items: Iterator, workers: int) -> Iterator[Iterator]:
     """`worker` over `items` in input order: `map` at one worker, else
-    `_forked_in_order`. A failed task's exception is re-raised with the
-    worker's traceback as its cause, and a worker that dies is
-    ChildProcessError. Leaving the block closes every pipe and waits for
-    every worker: an idle one reads the end of its tasks, and a busy one
-    finishes its table and fails to send it."""
+    `_forked_in_order`. What `worker` raises goes through `map` at one
+    worker and ends its worker above one, and a worker that ends before
+    sending its task's result is ChildProcessError. Leaving the block closes
+    every pipe and waits for every worker: an idle one reads the end of its
+    tasks, and a busy one finishes its table and fails to send it."""
     if workers == 1:
         yield map(worker, items)
         return
@@ -358,14 +346,15 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     a repeat. It is ingested again, so a repeated reject is logged under its
     own id, but an accepted repeat is not generated: every record it would
     yield duplicates one of the first occurrence's, so the first occurrence's
-    record count is added to `duplicates`. The parent keeps a 16-byte digest
-    of each distinct line for this.
+    record count is added to `duplicates`, or its internal_error reject is
+    logged again. The parent keeps a 16-byte digest of each distinct line.
 
     Both files are written through `replacing`, the output inside the
     rejects, so the output is renamed into place first, after the last
     record; a run that fails leaves any earlier output and rejects file as
-    they were and no temporary file behind, also when a worker raises or dies
-    (a ChildProcessError). A path named twice is a ValueError.
+    they were and no temporary file behind, also when a worker dies (a
+    ChildProcessError) or anything but an `Exception` escapes a table. A
+    path named twice is a ValueError.
     """
     if rejects_path is None:
         rejects_path = output_path + ".rejects"
@@ -382,8 +371,9 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
                          f"({settings.min_rows}), got {settings.max_rows}")
     summary = GenerateSummary()
     seen_ids: set[int] = set()
-    # Each distinct line's digest, to its record count once flushed.
-    line_records: dict[bytes, int] = {}
+    # Each distinct line's digest, once flushed, to its record count or its
+    # rejection, which an accepted repeat takes if generation failed.
+    line_records: dict[bytes, int | tuple[str, str]] = {}
     # The digests of the dispatched lines not yet flushed, oldest first.
     in_flight: deque[bytes] = deque()
 
@@ -411,15 +401,19 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
         for records, rejection in results:
             digest = in_flight.popleft()
             summary.tables_read += 1
+            if records is None:
+                records, first = (), line_records[digest]
+                if isinstance(first, int):
+                    summary.duplicates += first
+                else:
+                    rejection = first
+            else:
+                line_records[digest] = len(records) if rejection is None else rejection
             if rejection is not None:
                 summary.tables_rejected += 1
                 rejects.write(f"{rejection[0].translate(_ID_ESCAPES)}\t{rejection[1]}\n")
                 continue
             summary.tables_accepted += 1
-            if records is None:
-                summary.duplicates += line_records[digest]
-                continue
-            line_records[digest] = len(records)
             for record_id, record_json in records:
                 key = int(record_id, 16)
                 if key in seen_ids:

@@ -2,9 +2,9 @@ import random
 
 from fixtures import chelsea
 from roughgen import rough_table
+from tabrc import facts
 from tabrc.facts import (
     FACT_SEPARATOR,
-    ContextConfig,
     FactKind,
     FactPlan,
     FactPool,
@@ -143,8 +143,16 @@ def _rough_golds():
     return t, [triplet.gold for kind in GeneratorKind for triplet in generate(t, kind, 3, cap=2)]
 
 
+def _limit(monkeypatch, distractors, word_cap):
+    """Make `build_context` want exactly `distractors` distractors under a
+    cap of `word_cap` words."""
+    monkeypatch.setattr(facts, "DISTRACTORS_MIN", distractors)
+    monkeypatch.setattr(facts, "DISTRACTORS_MAX", distractors)
+    monkeypatch.setattr(facts, "CONTEXT_WORD_CAP", word_cap)
+
+
 # Large enough that every candidate distractor is taken.
-TAKE_ALL = ContextConfig(distractors_min=10**6, distractors_max=10**6, word_cap=10**9)
+TAKE_ALL = (10**6, 10**9)
 
 
 class TestBuildContext:
@@ -170,7 +178,7 @@ class TestBuildContext:
         orders = {tuple(f.text for f in build_context(FactPool(t), gold, seed=s).facts) for s in range(8)}
         assert len(orders) > 1
 
-    def test_distractors_avoid_gold_cells(self):
+    def test_distractors_avoid_gold_cells(self, monkeypatch):
         # Inputs: a single-key gold pair, a two-key conjunction plan, and the
         # golds of every generator on a rough table with blank and n/a cells.
         # The candidates are exactly the pool facts whose cells miss the gold
@@ -187,18 +195,14 @@ class TestBuildContext:
                 for fact in ctx.facts:
                     if fact.kind is FactKind.DISTRACTOR:
                         assert not (fact.cells & gold.cells)
-            ctx = build_context(pool, gold, seed=1, config=TAKE_ALL)
+            with monkeypatch.context() as patched:
+                _limit(patched, *TAKE_ALL)
+                ctx = build_context(pool, gold, seed=1)
             taken = {fact.text for fact in ctx.facts if fact.kind is FactKind.DISTRACTOR}
             facts = [entry.fact for run in pool.runs.values() for entry in run]
             disjoint = {fact.text for fact in facts if not (fact.cells & gold.cells)}
             assert taken == disjoint
             assert len(taken) < len(facts)
-
-    def test_zero_distractors_config(self):
-        t, gold = _gold()
-        ctx = build_context(FactPool(t), gold, seed=3, config=ContextConfig(0, 0))
-        assert all(f.kind is FactKind.GOLD for f in ctx.facts)
-        assert len(ctx.facts) == 2
 
     def test_distractor_count_within_range(self):
         t, gold = _gold()
@@ -218,25 +222,25 @@ class TestBuildContext:
             total += sum(1 for f in ctx.facts if f.kind is FactKind.DISTRACTOR)
         assert abs(total / builds - 5.0) < 0.1
 
-    def test_word_cap_trims_distractors_only(self):
+    def test_word_cap_trims_distractors_only(self, monkeypatch):
         t, gold = _gold()
-        tight = ContextConfig(distractors_min=8, distractors_max=8, word_cap=40)
-        ctx = build_context(FactPool(t), gold, seed=2, config=tight)
+        _limit(monkeypatch, 8, 40)
+        ctx = build_context(FactPool(t), gold, seed=2)
         gold_count = sum(1 for f in ctx.facts if f.kind is FactKind.GOLD)
         assert gold_count == 2
         assert len(ctx.rendered.split()) <= 40 + 10  # gold facts are never dropped
         distractors = sum(1 for f in ctx.facts if f.kind is FactKind.DISTRACTOR)
         assert distractors < 8
 
-    def test_word_cap_leaves_no_fitting_fact_unused(self):
+    def test_word_cap_leaves_no_fitting_fact_unused(self, monkeypatch):
         # Short of the wanted count, a context stops only when no disjoint
         # pool fact left would fit under the cap.
         t, gold = _gold()
         pool = FactPool(t)
         for cap in (40, 60, 80):
-            tight = ContextConfig(distractors_min=8, distractors_max=8, word_cap=cap)
+            _limit(monkeypatch, 8, cap)
             for seed in range(20):
-                ctx = build_context(pool, gold, seed=seed, config=tight)
+                ctx = build_context(pool, gold, seed=seed)
                 taken = {f.text for f in ctx.facts if f.kind is FactKind.DISTRACTOR}
                 if len(taken) == 8:
                     continue

@@ -247,22 +247,27 @@ class TestGenerateCorpus:
 
         real = pipeline.table_examples
 
+        class Fatal(BaseException):
+            """A fault that no table's isolation catches."""
+
         def failing(table, settings):
             if table.meta.id == tables[1]["id"]:
-                raise RuntimeError("injected fault")
+                if workers == 1:
+                    raise Fatal("injected fault")
+                os._exit(1)
             return real(table, settings)
 
         # Forked pool workers inherit the patched module.
         monkeypatch.setattr(pipeline, "table_examples", failing)
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with pytest.raises(Fatal if workers == 1 else ChildProcessError):
             generate_corpus(str(path), out, GenerationSettings(seed=2, workers=workers))
         after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
         assert after == before
 
 
     def test_failing_table_stops_the_worker_pool(self, tmp_path, monkeypatch):
-        # The error ends the run at once: the workers do not work through
-        # the rest of the queued dump first.
+        # A worker that dies ends the run at once: the other worker does not
+        # work through the rest of the queued dump first.
         tables = [make_table(i, seed=1) for i in range(30)]
         path = tmp_path / "tables.jsonl"
         write_lines(path, [json.dumps(t) for t in tables])
@@ -273,12 +278,12 @@ class TestGenerateCorpus:
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(table.meta.id + "\n")
             if table.meta.id == tables[1]["id"]:
-                raise RuntimeError("injected fault")
+                os._exit(1)
             time.sleep(0.1)
             return real(table, settings)
 
         monkeypatch.setattr(pipeline, "table_examples", slow_or_failing)
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with pytest.raises(ChildProcessError):
             generate_corpus(str(path), str(tmp_path / "examples.jsonl"),
                             GenerationSettings(seed=1, workers=2))
         processed = log.read_text(encoding="utf-8").splitlines()
@@ -370,31 +375,35 @@ class TestGenerateCorpus:
 
         if fault is not None:
             monkeypatch.setattr(pipeline, "table_examples", faulty)
-        expected = {None: contextlib.nullcontext(), "raises": pytest.raises(RuntimeError),
-                    "dies": pytest.raises(ChildProcessError)}[fault]
+        expected = pytest.raises(ChildProcessError) if fault == "dies" \
+            else contextlib.nullcontext()
         open_fds = sorted(os.listdir("/proc/self/fd"))
-        with expected as raised:
+        with expected:
             generate_corpus(str(path), str(tmp_path / "out.jsonl"),
                             GenerationSettings(seed=1, workers=2))
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
         if fault == "raises":
-            # The worker's traceback is the cause of the error re-raised.
-            assert str(raised.value) == "injected fault"
-            assert "in faulty" in str(raised.value.__cause__)
+            # The table that raises is rejected and the run goes on.
+            assert (tmp_path / "out.jsonl.rejects").read_text() == (
+                f"{tables[2]['id']}\tinternal_error:RuntimeError\n")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_error_that_does_not_pickle_is_named(self):
-        class Unpicklable(Exception):
-            def __init__(self, a, b):
-                super().__init__(f"{a} and {b}")
-
+    def test_exception_escaping_a_worker_ends_the_run(self):
+        # Only `_process_line` turns an error into a reject: one that escapes
+        # the function a worker runs ends that worker, and so the run.
         def failing(item):
-            raise Unpicklable(item, "more")
+            if item == 1:
+                raise RuntimeError("injected fault")
+            return item
 
-        with pytest.raises(RuntimeError, match="Unpicklable: 0 and more$"):
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(ChildProcessError):
             with pipeline._results_in_order(failing, iter(range(3)), 2) as results:
                 list(results)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_tables_larger_than_a_pipe_buffer(self, tmp_path):
         # Each line and each result exceeds a 64 KiB pipe buffer, and there
@@ -1123,6 +1132,37 @@ class TestCli:
         assert main(["stats", "--input", str(corpus), "--output", str(report)]) == 0
         text = report.read_text(encoding="utf-8")
         assert "examples: 1\n" in text and "malformed_lines: 1\n" in text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_that_raises_costs_only_itself(self, tmp_path, capfd, monkeypatch, workers):
+        # A table whose generation raises is rejected as internal_error with
+        # its traceback on stderr, and a verbatim repeat of it is rejected
+        # again without being generated; the other tables are untouched.
+        tables = [make_table(i, seed=1) for i in range(4)]
+        bad = tables[1]
+        path, without = tmp_path / "tables.jsonl", tmp_path / "without.jsonl"
+        write_lines(path, [json.dumps(t) for t in tables + [bad]])
+        write_lines(without, [json.dumps(t) for t in tables if t is not bad])
+        real = pipeline.table_examples
+
+        def failing(table, settings):
+            if table.meta.id == bad["id"]:
+                raise RuntimeError("injected fault")
+            return real(table, settings)
+
+        monkeypatch.setattr(pipeline, "table_examples", failing)
+        out, expected = tmp_path / "examples.jsonl", tmp_path / "expected.jsonl"
+        assert main(["generate", "--input", str(path), "--output", str(out), "--seed", "1",
+                     "--workers", str(workers)]) == 0
+        err = capfd.readouterr().err
+        assert main(["generate", "--input", str(without), "--output", str(expected),
+                     "--seed", "1"]) == 0
+        assert out.read_bytes() == expected.read_bytes() != b""
+        assert (tmp_path / "examples.jsonl.rejects").read_text() == (
+            f"{bad['id']}\tinternal_error:RuntimeError\n" * 2)
+        assert "5 read, 3 accepted, 2 rejected" in err
+        assert err.count("Traceback (most recent call last)") == 1
+        assert "in failing" in err and "RuntimeError: injected fault" in err
 
     @pytest.mark.parametrize("to_stdout", [False, True])
     def test_stats_lone_surrogate_category_escaped(self, tmp_path, capsys, to_stdout):
