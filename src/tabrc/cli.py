@@ -15,7 +15,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterator
 
-from .shared import MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, check_not_input, replacing
+from .shared import (MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, check_not_input, replacing,
+                     to_stderr)
 
 if TYPE_CHECKING:
     from .sampling import AccuracyHistory, SamplerConfig
@@ -150,12 +151,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     summary = _entry("generate_corpus")(args.input, args.output, settings, args.rejects)
-    print(
-        f"tables: {summary.tables_read} read, {summary.tables_accepted} accepted, "
-        f"{summary.tables_rejected} rejected; examples: {summary.examples} "
-        f"({summary.duplicates} duplicates dropped)",
-        file=sys.stderr,
-    )
+    to_stderr(f"tables: {summary.tables_read} read, {summary.tables_accepted} accepted, "
+              f"{summary.tables_rejected} rejected; examples: {summary.examples} "
+              f"({summary.duplicates} duplicates dropped)\n")
     return 0
 
 
@@ -231,7 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.history is not None:
         with replacing(path) as out:
             out.writelines(_replay_lines(history, sampler))
-        print(f"wrote {path}", file=sys.stderr)
+        to_stderr(f"wrote {path}\n")
         return 0
 
     from .simulation import report_lines, trace_lines
@@ -255,7 +253,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         path = os.path.join(args.output, f"trace_{args.strategy}_seed{seed}.tsv")
         with replacing(path) as out:
             out.write("\n".join(trace_lines(trace)) + "\n")
-        print(f"wrote {path} (final entropy {trace[-1].entropy:.4f})", file=sys.stderr)
+        to_stderr(f"wrote {path} (final entropy {trace[-1].entropy:.4f})\n")
     return 0
 
 
@@ -272,15 +270,15 @@ def _replay_lines(history: AccuracyHistory, sampler: SamplerConfig) -> Iterator[
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Every command runs inside `_sigterm_exits`, so
     SIGTERM exits with 143 through the cleanup of its `replacing` blocks,
-    and this is the one place where an OSError or ValueError becomes
-    `error: …` on stderr and exit status 2."""
+    and this is the one place where an OSError or ValueError becomes exit
+    status 2 and `error: …` on stderr, if stderr takes it (`to_stderr`)."""
     args = build_parser().parse_args(argv)
     command = {"generate": _cmd_generate, "stats": _cmd_stats}.get(args.command, _cmd_simulate)
     try:
         with _sigterm_exits():
             return command(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        to_stderr(f"error: {exc}\n")
         return 2
 
 

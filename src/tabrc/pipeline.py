@@ -30,7 +30,6 @@ import json
 import marshal
 import os
 import signal
-import sys
 from collections import deque
 from functools import partial
 from typing import Iterator, NamedTuple, NoReturn
@@ -38,7 +37,7 @@ from typing import Iterator, NamedTuple, NoReturn
 from .facts import FactKind, FactPool, build_context
 from .generators import Triplet, generate
 from .shared import (MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, GeneratorKind, check_not_input,
-                     derive_seed, replacing)
+                     derive_seed, replacing, to_stderr)
 from .tables import IngestError, TypedTable, ingest, raw_table_from_json
 
 ALL_KINDS = tuple(GeneratorKind)
@@ -145,9 +144,8 @@ def _process_line(settings: GenerationSettings, item: tuple[int, str, bool]
         import traceback
 
         reason = f"internal_error:{type(exc).__name__}"
-        sys.stderr.write(f"{table_id.translate(_ID_ESCAPES)}\t{reason}\n{traceback.format_exc()}")
-        # A worker leaves through `os._exit`, which flushes nothing.
-        sys.stderr.flush()
+        # Flushed: a worker leaves through `os._exit`, which flushes nothing.
+        to_stderr(f"{table_id.translate(_ID_ESCAPES)}\t{reason}\n{traceback.format_exc()}")
         return [], (table_id, reason)
 
 

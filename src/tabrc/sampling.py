@@ -14,10 +14,10 @@ Distributions update only at checkpoint boundaries, so `compose_batch`
 plans a whole checkpoint interval from one immutable snapshot: it splits the
 batch size over the tasks once, then places each step's leftover slots.
 
-A recorded feed is read and checked once, by `read_accuracy_feed`.
-`replay_feed` then copies its rows, unchecked, into a second history one
-checkpoint at a time, and momentum slices each task's window out of its
-series by index.
+A history holds one row per checkpoint, its accuracies in task order. A
+recorded feed is read and checked once, by `read_accuracy_feed`;
+`replay_feed` then appends its rows, unchecked, to a second history one at a
+time, and momentum reads each task's window as a column of the rows.
 
 Each step's plan reads two draws that the caller takes from its run's one
 generator, the replay draw and then the mark. This module draws nothing and
@@ -90,9 +90,9 @@ class TaskDistribution(_DistributionFields):
         return sum(-p * math.log(p) for _, p in self.probs if p > 0)
 
 
-def _normalized(weights: Mapping[str, float]) -> TaskDistribution:
-    total = sum(weights.values())
-    return TaskDistribution(tuple([(task, w / total) for task, w in weights.items()]))
+def _normalized(tasks: Iterable[str], weights: Sequence[float]) -> TaskDistribution:
+    total = sum(weights)
+    return TaskDistribution(tuple(zip(tasks, [w / total for w in weights])))
 
 
 def check_tasks(tasks: Sequence[str]) -> None:
@@ -114,43 +114,45 @@ def uniform(tasks: Sequence[str]) -> TaskDistribution:
 def error_sampling(latest_acc: Mapping[str, float]) -> TaskDistribution:
     """P(s) proportional to the error 1 - Acc(s); uniform when every task is
     at accuracy 1."""
-    deltas = {}
+    errors = []
     for task, acc in latest_acc.items():
         if not 0.0 <= acc <= 1.0:
             raise ValueError(f"accuracy out of range for {task}: {acc}")
-        deltas[task] = 1.0 - acc
-    if sum(deltas.values()) == 0:
+        errors.append(1.0 - acc)
+    if sum(errors) == 0:
         return uniform(tuple(latest_acc))
-    return _normalized(deltas)
+    return _normalized(tuple(latest_acc), errors)
 
 
 class AccuracyHistory:
-    """Aligned per-task held-out accuracy series, one entry per checkpoint.
+    """Held-out accuracies, one row per checkpoint: a tuple in `tasks` order.
 
-    Each entry is labelled with its checkpoint number, 1, 2, 3, ... unless
-    `append` is given one. The numbers only label the entries: a momentum
-    window counts entries, whatever their numbers.
+    Each row is labelled with its checkpoint number, 1, 2, 3, ... unless
+    `append` is given one. The numbers only label the rows: a momentum
+    window counts rows, whatever their numbers.
     """
 
     def __init__(self, tasks: Sequence[str]):
         self.tasks = tuple(tasks)
         check_tasks(self.tasks)
+        self._task_set = frozenset(self.tasks)
         self._checkpoints: list[int] = []
-        self._series: dict[str, list[float]] = {task: [] for task in self.tasks}
+        self._rows: list[tuple[float, ...]] = []
 
     def append(self, accuracies: Mapping[str, float], checkpoint: int | None = None) -> None:
-        if set(accuracies) != set(self.tasks):
+        """Store the row if every task has exactly one accuracy in [0, 1]."""
+        if accuracies.keys() != self._task_set:
             missing = [task for task in self.tasks if task not in accuracies]
-            extra = sorted(set(accuracies) - set(self.tasks))
+            extra = sorted(set(accuracies) - self._task_set)
             raise ValueError("checkpoint must report every task exactly once; "
                              + "; ".join([f"missing {task!r}" for task in missing]
                                          + [f"unknown {task!r}" for task in extra]))
-        for task in self.tasks:
-            value = accuracies[task]
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"accuracy out of range for {task}: {value}")
-        for task in self.tasks:
-            self._series[task].append(accuracies[task])
+        row = tuple(map(accuracies.__getitem__, self.tasks))
+        if not all([0.0 <= value <= 1.0 for value in row]):  # NaN fails every comparison
+            task, value = next((task, value) for task, value in zip(self.tasks, row)
+                               if not 0.0 <= value <= 1.0)
+            raise ValueError(f"accuracy out of range for {task}: {value}")
+        self._rows.append(row)
         self._checkpoints.append(len(self._checkpoints) + 1 if checkpoint is None else checkpoint)
 
     def __len__(self) -> int:
@@ -159,7 +161,7 @@ class AccuracyHistory:
     def latest(self) -> dict[str, float]:
         if not self._checkpoints:
             raise ValueError("no checkpoints recorded")
-        return {task: self._series[task][-1] for task in self.tasks}
+        return dict(zip(self.tasks, self._rows[-1]))
 
 
 def check_eps(eps: float, num_tasks: int) -> None:
@@ -172,27 +174,25 @@ def check_eps(eps: float, num_tasks: int) -> None:
 def momentum_sampling(history: AccuracyHistory, config: SamplerConfig) -> TaskDistribution:
     """Sample in proportion to the absolute accuracy change over the last
     `window` checkpoints, comparing the mean of the `smoothing` newest
-    entries against the mean of the `smoothing` oldest entries in the
+    rows against the mean of the `smoothing` oldest rows in the
     window. Uniform during the first `window` checkpoints; every task keeps
     at least the eps floor, so plateaued runs return exactly uniform."""
     t = len(history)
     check_eps(config.eps, len(history.tasks))
     if t < config.window:
         return uniform(history.tasks)
-    weights = {}
     k, eps = config.smoothing, config.eps
-    start = t - config.window  # the window's oldest entry
-    for task in history.tasks:
-        series = history._series[task]
-        head = sum(series[t - k:t]) / k
-        tail = sum(series[start:start + k]) / k
-        weights[task] = max(abs(head - tail), eps)
-    if max(weights.values()) <= eps:
+    start = t - config.window  # the window's oldest row
+    # a column per task, in task order: its k newest and its k oldest accuracies
+    heads = zip(*history._rows[t - k:t])
+    tails = zip(*history._rows[start:start + k])
+    weights = [max(abs(sum(head) / k - sum(tail) / k), eps) for head, tail in zip(heads, tails)]
+    if max(weights) <= eps:
         # plateaued run: no weight is below the floor, so every task sits on
         # it, which is exactly uniform (avoid float noise from dividing equal
         # weights)
         return uniform(history.tasks)
-    return _normalized(weights)
+    return _normalized(history.tasks, weights)
 
 
 def on_checkpoint(history: AccuracyHistory, config: SamplerConfig) -> TaskDistribution:
@@ -270,23 +270,26 @@ def read_accuracy_feed(lines: Iterable[str]) -> AccuracyHistory:
     the checkpoint for one that lacks a task or holds an accuracy outside
     [0, 1]."""
     grouped: dict[int, dict[str, float]] = {}
+    label = None  # the checkpoint field of the line before
     for number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        fields = text.split("\t")
         try:
-            if len(fields) != 3:
-                raise ValueError(f"expected 3 tab-separated fields: {text!r}")
-            index, task, acc = int(fields[0]), fields[1], float(fields[2])
+            field, task, acc = text.split("\t")
+            if field != label:
+                index, label = int(field), field
+                checkpoint = grouped.setdefault(index, {})
+            value = float(acc)
             if not task:
                 raise ValueError("empty task name")
         except ValueError as exc:
+            if text.count("\t") != 2:
+                exc = f"expected 3 tab-separated fields: {text!r}"
             raise ValueError(f"line {number}: {exc}") from None
-        checkpoint = grouped.setdefault(index, {})
         if task in checkpoint:
             raise ValueError(f"line {number}: checkpoint {index} records task {task!r} again")
-        checkpoint[task] = acc
+        checkpoint[task] = value
     if not grouped:
         raise ValueError("empty accuracy feed")
     history = AccuracyHistory(sorted(set().union(*grouped.values())))
@@ -303,16 +306,15 @@ def replay_feed(history: AccuracyHistory, config: SamplerConfig) -> list[tuple[i
     returning the distribution after each checkpoint, labelled with the
     feed's own checkpoint number.
 
-    Each row of `history`, which `read_accuracy_feed` checked, is written
-    onto the lists of a second history, unchecked, and the strategy sees
-    that second history after each row."""
+    Each row of `history`, which `read_accuracy_feed` checked, is appended
+    as it is to a second history, unchecked, and the strategy sees that
+    second history after each row."""
     replayed = AccuracyHistory(history.tasks)
-    columns = [(replayed._series[task].append, history._series[task]) for task in history.tasks]
+    add_row, add_checkpoint = replayed._rows.append, replayed._checkpoints.append
     trace = []
-    for row, checkpoint in enumerate(history._checkpoints):
-        for append, series in columns:
-            append(series[row])
-        replayed._checkpoints.append(checkpoint)
+    for checkpoint, row in zip(history._checkpoints, history._rows):
+        add_row(row)
+        add_checkpoint(checkpoint)
         trace.append((checkpoint, on_checkpoint(replayed, config)))
     return trace
 

@@ -1,7 +1,7 @@
 """Names that more than one command needs: the generator kinds, the sampling
 strategies, `generate`'s defaults, seed derivation, `check_not_input`, which
-keeps a command from writing over its input, and `replacing`, the one way a
-command writes a file.
+keeps a command from writing over its input, `replacing`, the one way a
+command writes a file, and `to_stderr`, the one way it writes to stderr.
 
 This module imports nothing else from `tabrc`, so `stats` can list the
 sixteen kinds and `simulate` can derive seeds without loading the generators.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
 from enum import Enum
 from typing import Iterator, TextIO
 
@@ -86,3 +87,14 @@ def replacing(path: str, errors: str = "strict") -> Iterator[TextIO]:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
+
+
+def to_stderr(text: str) -> None:
+    """Write and flush `text` to stderr if it takes it; a failed write sets
+    `sys.stderr` to None, so neither a later line nor the exit flush retries."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            sys.stderr = None

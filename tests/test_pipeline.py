@@ -861,6 +861,28 @@ class TestCli:
         pytest.param("1\ta\t0.5\n2\ta\t0.6\n2\tb\t0.6\n",
                      "checkpoint 1: checkpoint must report every task exactly once; missing 'b'",
                      id="first-checkpoint-lacks-a-task"),
+        pytest.param("1\ta\tnan\n1\tb\t0.5\n",
+                     "checkpoint 1: accuracy out of range for a: nan", id="accuracy-nan"),
+        pytest.param("1\ta\t0.5\n1\tb\tinf\n",
+                     "checkpoint 1: accuracy out of range for b: inf", id="accuracy-inf"),
+        pytest.param("1\ta\t1.5\n1\tb\t0.5\n2\ta\tx\n",
+                     "line 3: could not convert string to float: 'x'",
+                     id="line-error-after-checkpoint-error"),
+        pytest.param("1\ta\t1.5\n1\tb\t0.5\n2\ta\t0.5\n",
+                     "checkpoint 1: accuracy out of range for a: 1.5",
+                     id="range-error-before-a-later-missing-task"),
+        pytest.param("1\ta\t0.5\n1\tb\t0.5\n2\ta\t1.5\n",
+                     "checkpoint 2: checkpoint must report every task exactly once; missing 'b'",
+                     id="missing-task-before-range-error"),
+        pytest.param("2\ta\t0.5\n1\ta\t0.5\n1\tb\t1.5\n",
+                     "checkpoint 1: accuracy out of range for b: 1.5",
+                     id="checkpoints-out-of-order-checked-in-order"),
+        pytest.param("1\ta\t-0.0\n1\tb\t0.5\n2\ta\t0.5\n",
+                     "checkpoint 2: checkpoint must report every task exactly once; missing 'b'",
+                     id="accuracy-minus-zero-accepted"),
+        pytest.param("1\ta\t0.5\n2\ta\t0.5\n1\ta\t0.6\n",
+                     "line 3: checkpoint 1 records task 'a' again",
+                     id="task-repeated-on-non-adjacent-lines"),
     ])
     def test_simulate_feed_error_names_its_place(self, tmp_path, capsys, feed, message):
         (tmp_path / "feed.tsv").write_text(feed)
@@ -1085,6 +1107,43 @@ class TestCli:
                 proc.wait()
         assert os.listdir(outdir) == ["distribution_momentum.tsv"]
         assert earlier.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    def test_lost_stderr_changes_no_status_or_file(self, tmp_path, stderr):
+        # With fd 2 closed, or open for reading only so that every write to
+        # it fails, the stderr lines are lost and nothing else changes.
+        write_lines(tmp_path / "tables.jsonl", [json.dumps(make_table(i, seed=4)) for i in range(2)])
+        (tmp_path / "feed.tsv").write_text("1\ta\t0.5\n1\tb\t0.5\n2\ta\t0.6\n2\tb\t0.7\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run(*args, lost):
+            command = [sys.executable, "-m", "tabrc.cli", *args]
+            with open(os.devnull, "rb") as read_only:
+                if not lost:
+                    streams = {"stderr": subprocess.PIPE}
+                elif stderr == "closed":
+                    command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+                    streams = {}
+                else:
+                    streams = {"stderr": read_only}
+                proc = subprocess.run(command, env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                                      timeout=60, **streams)
+            return proc.returncode, proc.stdout
+
+        for workers in ("1", "2"):
+            for lost, out in ((False, "normal.jsonl"), (True, "lost.jsonl")):
+                assert run("generate", "--input", "tables.jsonl", "--output", out,
+                           "--workers", workers, lost=lost) == (0, b"")
+            for name in ("{}.jsonl", "{}.jsonl.rejects"):
+                normal = (tmp_path / name.format("normal")).read_bytes()
+                assert (tmp_path / name.format("lost")).read_bytes() == normal
+        for lost, outdir in ((False, "normal"), (True, "lost")):
+            assert run("simulate", "--history", "feed.tsv", "--output", outdir, lost=lost) == (0, b"")
+        name = "distribution_momentum.tsv"
+        assert (tmp_path / "lost" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+        assert run("generate", "--input", "missing.jsonl", "--output", "x.jsonl", lost=True) == (2, b"")
 
     @pytest.mark.parametrize("bad_line, reject_id", [
         pytest.param(b'{"id": "t\xff"}', b"t\\udcff", id="in-a-string"),

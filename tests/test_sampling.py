@@ -40,8 +40,7 @@ def checkpoints_of(history: AccuracyHistory) -> list[int]:
 
 def rows_of(history: AccuracyHistory) -> list[dict[str, float]]:
     """Every checkpoint's accuracies, oldest first."""
-    return [dict(zip(history.tasks, values))
-            for values in zip(*(history._series[task] for task in history.tasks))]
+    return [dict(zip(history.tasks, row)) for row in history._rows]
 
 
 class TestUniform:
@@ -375,8 +374,9 @@ class TestFeedInterfaces:
 
 def _feeds():
     """A feed and a config for one replay: 1-5 tasks, 1-40 checkpoints
-    numbered with gaps and negatives and listed in any order, plateaus (a
-    row repeating the one before) and accuracies of exactly 0 and 1."""
+    numbered with gaps and negatives and listed in any order, their lines
+    contiguous or interleaved with other checkpoints' lines, plateaus (a row
+    repeating the one before) and accuracies of exactly 0 and 1."""
     @st.composite
     def build(draw):
         n_tasks = draw(st.integers(min_value=1, max_value=5))
@@ -393,6 +393,8 @@ def _feeds():
                 rows.append([draw(accuracy) for _ in tasks])
         lines = [f"{number}\t{task}\t{acc!r}" for number, row in zip(numbers, rows)
                  for task, acc in zip(tasks, row)]
+        if draw(st.booleans()):
+            lines = draw(st.permutations(lines))
         window = draw(st.integers(min_value=1, max_value=6))
         config = SamplerConfig(
             strategy=draw(st.sampled_from(list(Strategy))),

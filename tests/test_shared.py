@@ -1,8 +1,11 @@
-"""`shared.replacing`, the one way a command writes a file, and a guard that
-keeps it the only one."""
+"""`shared.replacing`, the one way a command writes a file, a guard that
+keeps it the only one, and `shared.to_stderr`."""
 
 import ast
+import errno
+import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,21 @@ class TestReplacing:
                 open(missing)
         assert raised.value.filename == missing
         assert os.listdir(tmp_path) == []
+
+
+class TestToStderr:
+    def test_a_failed_write_drops_the_stream(self, monkeypatch):
+        # A stream that keeps what it could not write, as a buffered one may,
+        # would fail again when the interpreter flushes it at exit.
+        class Unwritable(io.StringIO):
+            def flush(self):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        shared.to_stderr("lost\n")
+        assert sys.stderr is None
+        shared.to_stderr("lost as well\n")
+        assert sys.stderr is None
 
 
 def _mode(call: ast.Call) -> ast.expr | None:
