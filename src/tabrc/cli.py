@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import gc
 import importlib
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NoReturn
 
 from .shared import (MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, check_not_input, replacing,
                      to_stderr)
@@ -169,6 +171,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     report = "\n".join(stats.lines()) + "\n"
     report = report.encode("utf-8", "backslashreplace").decode("utf-8")
     if args.output == "-":
+        # With fd 1 closed at start-up, `sys.stdout` is None.
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.write(report)
     else:
         with replacing(args.output) as handle:
@@ -282,5 +287,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry point: run `main`, then exit with its status.
+
+    Before the process exits, `gc.freeze()` moves every object into the
+    permanent generation, so the interpreter's finalization does not collect
+    the module graph's reference cycles; the OS takes the memory back.
+    `atexit` handlers and the flush of stdout and stderr still run. `main`
+    never freezes, so a caller that runs it in process keeps its garbage
+    collectable."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

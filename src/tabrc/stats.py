@@ -23,6 +23,11 @@ ANSWER_BUCKETS = {
 }
 
 
+# The largest fact count a record may give: the largest integer up to which
+# a float holds every integer exactly.
+MAX_FACT_COUNT = 2 ** 53
+
+
 class _Running:
     __slots__ = ("n", "total", "sq")
 
@@ -124,8 +129,11 @@ def corpus_stats(lines: Iterable[str]) -> CorpusStats:
                 raise TypeError("text field is not a string")
             if category is not None and not isinstance(category, str):
                 raise TypeError("category is not a string")
-            if not all(isinstance(n, (int, float)) for n in (gold_count, distractor_count)):
-                raise TypeError("fact count is not a number")
+            # `type`, not `isinstance`, which would let a bool through; the
+            # range refuses NaN and infinities and keeps the running sums finite.
+            if not all(type(n) in (int, float) and 0 <= n <= MAX_FACT_COUNT
+                       for n in (gold_count, distractor_count)):
+                raise ValueError("fact count is not a number from 0 to 2**53")
         except (ValueError, RecursionError, KeyError, TypeError):
             malformed += 1
             continue

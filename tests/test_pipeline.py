@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +9,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -32,6 +35,14 @@ def write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as out:
         for line in lines:
             out.write(line + "\n")
+
+
+def cli_env():
+    """The environment of a subprocess that imports `tabrc` from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def read_lines(path):
@@ -347,9 +358,7 @@ class TestGenerateCorpus:
             "code = main(sys.argv[1:])\n"
             "assert os.sched_getaffinity(0) == {cpu}\n"
             "sys.exit(code)\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         outputs = []
         for workers in (1, 2):
             out = tmp_path / f"out{workers}.jsonl"
@@ -580,10 +589,22 @@ class TestCorpusStats:
             dict(good, question=["How", "many?"]),
             dict(good, gold_fact_count="x"),
             dict(good, source="s"),
+            # Counts that are not a number of facts: a bool, a negative
+            # number, NaN, an infinity and an integer too large for a float.
+            dict(good, gold_fact_count=True),
+            dict(good, distractor_count=-1),
+            dict(good, gold_fact_count=float("nan")),
+            dict(good, distractor_count=float("inf")),
+            dict(good, gold_fact_count=10 ** 400),
         ]
-        for bad in bad_records:
-            stats = corpus_stats([json.dumps(good), json.dumps(bad)])
+        bad_lines = [json.dumps(bad) for bad in bad_records]
+        # `json.loads` reads a float literal too large for a float as inf.
+        bad_lines.append(json.dumps(dict(good, distractor_count=0)).replace(
+            '"distractor_count": 0', '"distractor_count": 1e400'))
+        for bad in bad_lines:
+            stats = corpus_stats([json.dumps(good), bad])
             assert (stats.examples, stats.malformed_lines) == (1, 1), bad
+            assert stats.gold_facts == (1.0, 0.0) and stats.distractor_facts == (0.0, 0.0), bad
 
     def test_lone_surrogate_in_question_counted(self):
         # JSON can escape a lone surrogate; such a question is still text.
@@ -935,9 +956,7 @@ class TestCli:
         write_lines(dump, [json.dumps(make_table(i, seed=4)) for i in range(600)])
         out = tmp_path / "out.jsonl"
         out.write_text("earlier output\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         # Its own session, so that the process group also names its workers.
         proc = subprocess.Popen(
             [sys.executable, "-m", "tabrc.cli", "generate", "--input", str(dump),
@@ -1032,9 +1051,7 @@ class TestCli:
             "    return real(table, settings)\n"
             "pipeline.table_examples = dying\n"
             "sys.exit(main(sys.argv[2:]))\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         # Its own session, so that the process group also names its workers.
         proc = subprocess.Popen(
             [sys.executable, "-c", probe, tables[2]["id"], "generate", "--input", str(dump),
@@ -1084,9 +1101,7 @@ class TestCli:
         outdir.mkdir()
         earlier = outdir / "distribution_momentum.tsv"
         earlier.write_text("earlier output\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "tabrc.cli", "simulate", "--history", str(feed),
              "--output", str(outdir)], env=env, stderr=subprocess.PIPE)
@@ -1114,9 +1129,7 @@ class TestCli:
         # it fails, the stderr lines are lost and nothing else changes.
         write_lines(tmp_path / "tables.jsonl", [json.dumps(make_table(i, seed=4)) for i in range(2)])
         (tmp_path / "feed.tsv").write_text("1\ta\t0.5\n1\tb\t0.5\n2\ta\t0.6\n2\tb\t0.7\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
 
         def run(*args, lost):
             command = [sys.executable, "-m", "tabrc.cli", *args]
@@ -1144,6 +1157,80 @@ class TestCli:
         name = "distribution_momentum.tsv"
         assert (tmp_path / "lost" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
         assert run("generate", "--input", "missing.jsonl", "--output", "x.jsonl", lost=True) == (2, b"")
+
+    def test_stats_to_closed_stdout_exits_2(self, tmp_path):
+        # With fd 1 closed, `sys.stdout` is None: the report cannot go out,
+        # which is an error like a full device, not a crash.
+        write_lines(tmp_path / "examples.jsonl", [json.dumps(TestCorpusStats.GOOD)])
+        command = [sys.executable, "-m", "tabrc.cli", "stats", "--input", "examples.jsonl",
+                   "--output", "-"]
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], env=cli_env(),
+                              cwd=tmp_path, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == "error: [Errno 9] standard output is closed\n"
+
+    def test_stats_through_a_pipe_delivers_the_whole_report(self, dump, tmp_path, capsys):
+        # The process exit path (`cli.run`) freezes the collector after
+        # `main`; the report still reaches a pipe whole, with exit 0.
+        corpus = str(tmp_path / "examples.jsonl")
+        assert main(["generate", "--input", dump, "--output", corpus]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--input", corpus, "--output", "-"]) == 0
+        expected = capsys.readouterr().out.encode()
+        proc = subprocess.run([sys.executable, "-m", "tabrc.cli", "stats", "--input", corpus,
+                               "--output", "-"], env=cli_env(), capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+    def test_run_freezes_after_main_and_exits_with_its_status(self, tmp_path):
+        # `atexit` handlers run after `run` has frozen the collector.
+        probe = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                 "from tabrc.cli import run\n"
+                 "sys.argv[1:] = ['stats', '--input', 'missing.jsonl']\n"
+                 "run()\n")
+        proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "frozen True\n")
+        assert proc.stderr.startswith("error: ")
+
+    def test_main_in_process_freezes_nothing(self, dump, tmp_path, capsys):
+        # Tests and the benchmark's traced runs call `main` again and again;
+        # a freeze there would keep their garbage for good.
+        before = gc.get_freeze_count()
+        assert main(["generate", "--input", dump, "--output", str(tmp_path / "x.jsonl")]) == 0
+        assert main(["stats", "--input", str(tmp_path / "x.jsonl")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_main_off_the_main_thread_sets_no_handler(self, tmp_path):
+        # Only the main thread can set a signal handler: in another thread
+        # the command runs without its SIGTERM handler and leaves the main
+        # thread's alone.
+        corpus, report = tmp_path / "examples.jsonl", tmp_path / "stats.txt"
+        write_lines(corpus, [json.dumps(TestCorpusStats.GOOD)])
+        before = signal.getsignal(signal.SIGTERM)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(
+            main(["stats", "--input", str(corpus), "--output", str(report)])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert codes == [0]
+        assert "examples: 1\n" in report.read_text(encoding="utf-8")
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_console_script_is_the_main_block_entry_point(self):
+        # `tabrc` installed from pyproject.toml and `python -m tabrc.cli`
+        # end a command the same way.
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as handle:
+            script = tomllib.load(handle)["project"]["scripts"]["tabrc"]
+        tree = ast.parse((root / "src" / "tabrc" / "cli.py").read_text(encoding="utf-8"))
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        [statement] = block.body
+        assert isinstance(statement.value, ast.Call) and not statement.value.args
+        assert script == f"tabrc.cli:{ast.unparse(statement.value.func)}" == "tabrc.cli:run"
 
     @pytest.mark.parametrize("bad_line, reject_id", [
         pytest.param(b'{"id": "t\xff"}', b"t\\udcff", id="in-a-string"),
