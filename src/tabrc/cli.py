@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import gc
 import importlib
 import os
@@ -18,7 +17,7 @@ import sys
 from typing import TYPE_CHECKING, Iterator, NoReturn
 
 from .shared import (MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, Strategy, check_not_input, replacing,
-                     to_stderr)
+                     to_stderr, to_stdout)
 
 if TYPE_CHECKING:
     from .sampling import AccuracyHistory, SamplerConfig
@@ -171,10 +170,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     report = "\n".join(stats.lines()) + "\n"
     report = report.encode("utf-8", "backslashreplace").decode("utf-8")
     if args.output == "-":
-        # With fd 1 closed at start-up, `sys.stdout` is None.
-        if sys.stdout is None:
-            raise OSError(errno.EBADF, "standard output is closed")
-        sys.stdout.write(report)
+        to_stdout(report)
     else:
         with replacing(args.output) as handle:
             handle.write(report)
@@ -248,7 +244,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 out.write("\n".join(lines) + "\n")
             for line in lines:
                 if line.startswith("verdict"):
-                    print(f"seed {seed}: {line}")
+                    to_stdout(f"seed {seed}: {line}\n")
             if not report.all_hold():
                 failures += 1
         return 1 if failures else 0

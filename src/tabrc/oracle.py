@@ -1,27 +1,33 @@
 """Independent brute-force interpreters for generated examples.
 
-Two interpreters, deliberately kept apart from the generation code path:
+Two readers, deliberately kept apart from the generation code path, answer
+the same structured query:
 
-- the table interpreter parses the question string back into a structured
-  query (using only the question grammar, the table titles and the column
-  names) and recomputes the answer by scanning every table row with plain
-  loops;
-- the fact interpreter answers the same query from the rendered context
-  facts alone, treating each fact as a complete statement about the rows
-  sharing its key value. It is used to check that gold facts suffice and
-  that distractor facts never matter.
+- the table reader parses the question string back into a `Query` (using
+  only the question grammar, the table titles and the column names) and
+  finds the cells the question reads by scanning rows with plain loops;
+- the fact reader finds the same texts in the rendered context facts alone,
+  treating each fact as a complete statement about the rows sharing its key
+  value. It is used to check that gold facts suffice and that distractor
+  facts never matter.
 
-Shared plumbing: number/date parsing, canonical rendering, and the surface
-grammar in `grammar`. The generators write questions and facts from its
-templates, operator words and fact shapes, and the readers used here are
+Each reader only finds texts. One set of private functions (`_compared`,
+`_winners`, `_aggregated`, `_quantified`, `_elapsed`, with `_parsed`,
+`_spans` and `_yes_no`) parses them and decides the answer for both, so a
+question kind has one meaning here. Where the readers differ on purpose,
+the difference stays in the reader, with a test in tests/test_oracle.py.
+
+Shared with generation: number/date parsing, canonical rendering, and the
+surface grammar in `grammar`. The generators write questions and facts from
+its templates, operator words and fact shapes, and the readers used here are
 derived from the same ones (tests/test_grammar.py checks the round trip).
-What a reading means is not shared: all selection, aggregation and
-comparison logic (each operator word's direction included) is re-implemented
-here, and date differences are recomputed by greedy month walking instead of
-the arithmetic used at generation time.
+What a reading means is not shared with generation: all selection,
+aggregation and comparison logic (each operator word's direction included)
+is re-implemented here, and date differences are recomputed by greedy month
+walking instead of the arithmetic used at generation time.
 
-Both interpreters return None when they cannot derive an answer; callers
-treat that as a failure of the example under test.
+Both readers return None when they cannot derive an answer; callers treat
+that as a failure of the example under test.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ import calendar
 import datetime
 import functools
 import re
-from decimal import Decimal
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .generators import AnswerKind, GeneratorKind
 from .grammar import TEMPLATES, ParsedFact, column_surfaces, parse_fact, pluralize, question_regex
@@ -64,6 +69,10 @@ class QuestionParseError(ValueError):
     pass
 
 
+# An answer kind and its values, or None for no answer.
+_Answer = tuple[AnswerKind, tuple[str, ...]] | None
+
+
 @functools.lru_cache(maxsize=64)
 def _compiled_patterns(column_names: tuple[str, ...], table_title: str,
                        page_title: str) -> dict[GeneratorKind, list[re.Pattern]]:
@@ -91,35 +100,20 @@ def parse_question(table: TypedTable, kind: GeneratorKind, question: str) -> Que
 
 
 # ---------------------------------------------------------------------------
-# Shared scanning helpers (intentionally simple loops).
+# Deciding: one meaning per question kind, from the cell texts a reader found.
 # ---------------------------------------------------------------------------
 
-
-def _rows_matching(table: TypedTable, col: str, value: str) -> list[int]:
-    c = table.column_index(col)
-    return [r for r in range(table.n_rows) if table.raw(r, c) == value]
-
-
-def _number_at(table: TypedTable, r: int, col: str) -> Decimal | None:
-    try:
-        return parse_number(table.raw(r, table.column_index(col)))
-    except NotANumber:
-        return None
+_COMPOSITION = (GeneratorKind.COMPOSITION_2HOP, GeneratorKind.COMPOSITION_3HOP)
+_QUANTIFIED = (GeneratorKind.QUANTIFIER_EVERY, GeneratorKind.QUANTIFIER_MOST)
+_NUMBER_COMPARED = (GeneratorKind.NUMBER_COMPARISON, GeneratorKind.NUMBER_BOOLEAN_COMPARISON)
+_TEMPORAL = (GeneratorKind.TEMPORAL_COMPARISON, GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON,
+             GeneratorKind.DATE_DIFFERENCE)
+_BOOLEAN = (GeneratorKind.NUMBER_BOOLEAN_COMPARISON, GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON)
+_RANKED = (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE)
+_AGGREGATED = (GeneratorKind.ARITHMETIC_SUPERLATIVE, GeneratorKind.ARITHMETIC_ADDITION)
 
 
-def _date_at(table: TypedTable, r: int, col: str) -> Date | None:
-    try:
-        return parse_date(table.raw(r, table.column_index(col)))
-    except NotADate:
-        return None
-
-
-def _event_column(table: TypedTable) -> str | None:
-    c = table.event_date_column
-    return table.column_name(c) if c is not None else None
-
-
-def _distinct(values: list[str]) -> list[str]:
+def _distinct(values: Iterable[str]) -> list[str]:
     seen: set[str] = set()
     out = []
     for value in values:
@@ -127,6 +121,44 @@ def _distinct(values: list[str]) -> list[str]:
             seen.add(value)
             out.append(value)
     return out
+
+
+def _parsed(texts: Iterable[str], parse: Callable[[str], object]) -> list | None:
+    """Each text's parse, or None as soon as one text does not parse."""
+    out = []
+    for text in texts:
+        try:
+            out.append(parse(text))
+        except (NotANumber, NotADate):
+            return None
+    return out
+
+
+def _date_key(text: str) -> tuple[int, int, int]:
+    return parse_date(text).key()
+
+
+def _spans(texts: Sequence[str]) -> _Answer:
+    return (AnswerKind.SPAN_LIST, tuple(_distinct(texts))) if texts else None
+
+
+def _yes_no(verdict: bool) -> _Answer:
+    return AnswerKind.YES_NO, ("yes" if verdict else "no",)
+
+
+def _counted(texts: Iterable[str]) -> _Answer:
+    names = set(texts)
+    return (AnswerKind.NUMBER, (str(len(names)),)) if names else None
+
+
+def _quantified(query: Query, texts: list[str]) -> _Answer:
+    """every / most: whether all / more than half of the texts are val:2."""
+    if not texts:
+        return None
+    matches = sum(1 for text in texts if text == query.vals["v2"])
+    if query.kind is GeneratorKind.QUANTIFIER_EVERY:
+        return _yes_no(matches == len(texts))
+    return _yes_no(matches * 2 > len(texts))
 
 
 def _compare_keys(a: Date, b: Date) -> int:
@@ -139,6 +171,65 @@ def _compare_keys(a: Date, b: Date) -> int:
     if a.day is None or b.day is None:
         return 0
     return (a.day > b.day) - (a.day < b.day)
+
+
+def _compared(query: Query, a: str | None, b: str | None) -> _Answer:
+    """The four comparisons, from the two anchors' value texts: no answer
+    unless both parse and differ (dates at the precision both carry)."""
+    if a is None or b is None:
+        return None
+    if query.kind in _NUMBER_COMPARED:
+        numbers = _parsed((a, b), parse_number)
+        order = numbers and (numbers[0] > numbers[1]) - (numbers[0] < numbers[1])
+        bigger, other = query.operator == "higher", "v1_2"
+    else:
+        dates = _parsed((a, b), parse_date)
+        order = dates and _compare_keys(*dates)
+        bigger, other = query.operator in ("later", "more recently than when"), "v2"
+    if not order:
+        return None
+    a_wins = (order > 0) == bigger
+    if query.kind in _BOOLEAN:
+        return _yes_no(a_wins)
+    return AnswerKind.SPAN_LIST, (query.vals["v1"] if a_wins else query.vals[other],)
+
+
+def _winners(query: Query, pairs: Iterable[tuple[str, tuple[str, ...]]]) -> _Answer:
+    """number / temporal superlative: the names with the highest (latest) or
+    lowest (earliest) value, from (name, value texts) pairs; a pair whose
+    texts do not all parse is skipped."""
+    parse = _date_key if query.kind is GeneratorKind.TEMPORAL_SUPERLATIVE else parse_number
+    bigger = query.operator in ("highest", "latest")
+    best = None
+    winners: list[str] = []
+    for name, texts in pairs:
+        for key in _parsed(texts, parse) or ():
+            if best is None or (key > best if bigger else key < best):
+                best, winners = key, [name]
+            elif key == best:
+                winners.append(name)
+    return _spans(winners)
+
+
+def _aggregated(query: Query, texts: Sequence[str]) -> _Answer:
+    """arithmetic superlative and addition over the values of one filter
+    group, which needs at least two; dates must share one precision."""
+    if len(texts) < 2:
+        return None
+    op = query.operator
+    if query.kind is GeneratorKind.ARITHMETIC_ADDITION or op in ("highest", "lowest"):
+        numbers = _parsed(texts, parse_number)
+        if numbers is None:
+            return None
+        if query.kind is GeneratorKind.ARITHMETIC_ADDITION:
+            value = sum(numbers)
+        else:
+            value = max(numbers) if op == "highest" else min(numbers)
+        return AnswerKind.NUMBER, (render_number(value),)
+    dates = _parsed(texts, parse_date)
+    if dates is None or len({d.precision for d in dates}) != 1:
+        return None
+    return AnswerKind.DATE, (render_date((max if op == "latest" else min)(dates, key=Date.key)),)
 
 
 def _plus_months(start: datetime.date, count: int) -> datetime.date:
@@ -174,179 +265,94 @@ def walked_duration(a: Date, b: Date) -> Duration | None:
     return Duration(months // 12, months % 12, days)
 
 
+def _elapsed(a: str | None, b: str | None, ties: bool) -> _Answer:
+    """date difference between two date texts of one precision; a tie (a
+    zero duration) answers only if `ties`."""
+    dates = None if a is None or b is None else _parsed((a, b), parse_date)
+    duration = dates and walked_duration(*dates)
+    if duration is None or not (ties or any(duration)):
+        return None
+    return AnswerKind.DURATION, (render_duration(duration),)
+
+
 # ---------------------------------------------------------------------------
-# Table-level interpreter.
+# Table reader: finds the cells by scanning rows with plain loops.
 # ---------------------------------------------------------------------------
 
 
-def table_answer(table: TypedTable, query: Query) -> tuple[AnswerKind, tuple[str, ...]] | None:
+def _rows_matching(table: TypedTable, col: str, value: str) -> list[int]:
+    c = table.column_index(col)
+    return [r for r in range(table.n_rows) if table.raw(r, c) == value]
+
+
+def _cells(table: TypedTable, rows: list[int], col: str) -> list[str]:
+    c = table.column_index(col)
+    return [table.raw(r, c) for r in rows]
+
+
+def _anchor_cell(table: TypedTable, col: str, val: str, target: str) -> str | None:
+    """The `target` cell of the one row whose `col` cell is `val`."""
+    rows = _rows_matching(table, col, val)
+    return table.raw(rows[0], table.column_index(target)) if len(rows) == 1 else None
+
+
+def table_answer(table: TypedTable, query: Query) -> _Answer:
     """Answer a query by scanning the table. Returns None when the question
     has no well-defined answer on this table."""
-    kind = query.kind
-    cols, vals, op = query.cols, query.vals, query.operator
+    kind, cols, vals = query.kind, query.cols, query.vals
 
-    if kind in (GeneratorKind.COMPOSITION_2HOP, GeneratorKind.COMPOSITION_3HOP):
-        rows = _rows_matching(table, cols["c2"], vals["v2"])
-        target = table.column_index(cols["c1"])
-        picked = [table.raw(r, target) for r in rows if table.raw(r, target)]
-        if not picked:
+    if kind in _QUANTIFIED:
+        c1, c2 = table.column_index(cols["c1"]), table.column_index(cols["c2"])
+        return _quantified(query, [table.raw(r, c2) for r in range(table.n_rows)
+                                   if table.raw(r, c1) and table.raw(r, c2)])
+
+    if kind in _NUMBER_COMPARED:
+        if "c1" in cols:
+            anchor = cols["c1"]
+        else:
+            anchors = [name for name in table.column_names
+                       if _rows_matching(table, name, vals["v1"])
+                       and _rows_matching(table, name, vals["v1_2"])]
+            if len(anchors) != 1:
+                return None
+            anchor, = anchors
+        return _compared(query, _anchor_cell(table, anchor, vals["v1"], cols["c2"]),
+                         _anchor_cell(table, anchor, vals["v1_2"], cols["c2"]))
+
+    if kind in _TEMPORAL:
+        c = table.event_date_column
+        if c is None:
             return None
-        return AnswerKind.SPAN_LIST, tuple(_distinct(picked))
+        a = _anchor_cell(table, cols["c1"], vals["v1"], table.column_name(c))
+        b = _anchor_cell(table, cols["c2"], vals["v2"], table.column_name(c))
+        if kind is GeneratorKind.DATE_DIFFERENCE:
+            return _elapsed(a, b, ties=False)
+        return _compared(query, a, b)
 
+    if kind in _RANKED:
+        c1, c2 = table.column_index(cols["c1"]), table.column_index(cols["c2"])
+        return _winners(query, [(table.raw(r, c1), (table.raw(r, c2),))
+                                for r in range(table.n_rows) if table.raw(r, c1)])
+
+    # The rest read the col:1 cells of the rows whose col:2 cell is val:2.
+    rows = _rows_matching(table, cols["c2"], vals["v2"])
+    if kind in _AGGREGATED:
+        return _aggregated(query, _cells(table, rows, cols["c1"]))
     if kind is GeneratorKind.CONJUNCTION:
         c3 = table.column_index(cols["c3"])
-        target = table.column_index(cols["c1"])
-        rows = [r for r in _rows_matching(table, cols["c2"], vals["v2"])
-                if table.raw(r, c3) == vals["v3"]]
-        picked = [table.raw(r, target) for r in rows if table.raw(r, target)]
-        if not picked:
-            return None
-        return AnswerKind.SPAN_LIST, tuple(_distinct(picked))
-
-    if kind is GeneratorKind.QUANTIFIER_ONLY:
-        c1 = table.column_index(cols["c1"])
-        rows = _rows_matching(table, cols["c2"], vals["v2"])
-        names = {table.raw(r, c1) for r in rows if table.raw(r, c1)}
-        if not names or vals["v1"] not in names:
-            return None
-        return AnswerKind.YES_NO, ("yes" if names == {vals["v1"]} else "no",)
-
-    if kind in (GeneratorKind.QUANTIFIER_EVERY, GeneratorKind.QUANTIFIER_MOST):
-        c1 = table.column_index(cols["c1"])
-        c2 = table.column_index(cols["c2"])
-        scope = [r for r in range(table.n_rows) if table.raw(r, c1) and table.raw(r, c2)]
-        if not scope:
-            return None
-        matches = sum(1 for r in scope if table.raw(r, c2) == vals["v2"])
-        if kind is GeneratorKind.QUANTIFIER_EVERY:
-            verdict = matches == len(scope)
-        else:
-            verdict = matches * 2 > len(scope)
-        return AnswerKind.YES_NO, ("yes" if verdict else "no",)
-
-    if kind in (GeneratorKind.NUMBER_COMPARISON, GeneratorKind.NUMBER_BOOLEAN_COMPARISON):
-        if "c1" in cols:
-            anchor_cols = [cols["c1"]]
-        else:
-            anchor_cols = [name for name in table.column_names
-                           if _rows_matching(table, name, vals["v1"])
-                           and _rows_matching(table, name, vals["v1_2"])]
-            if len(anchor_cols) != 1:
-                return None
-        rows_a = _rows_matching(table, anchor_cols[0], vals["v1"])
-        rows_b = _rows_matching(table, anchor_cols[0], vals["v1_2"])
-        if len(rows_a) != 1 or len(rows_b) != 1:
-            return None
-        qa = _number_at(table, rows_a[0], cols["c2"])
-        qb = _number_at(table, rows_b[0], cols["c2"])
-        if qa is None or qb is None or qa == qb:
-            return None
-        a_wins = (qa > qb) == (op == "higher")
-        if kind is GeneratorKind.NUMBER_BOOLEAN_COMPARISON:
-            return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v1_2"],)
-
-    if kind in (GeneratorKind.TEMPORAL_COMPARISON, GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON):
-        event = _event_column(table)
-        if event is None:
-            return None
-        rows_a = _rows_matching(table, cols["c1"], vals["v1"])
-        rows_b = _rows_matching(table, cols["c2"], vals["v2"])
-        if len(rows_a) != 1 or len(rows_b) != 1:
-            return None
-        da = _date_at(table, rows_a[0], event)
-        db = _date_at(table, rows_b[0], event)
-        if da is None or db is None:
-            return None
-        order = _compare_keys(da, db)
-        if order == 0:
-            return None
-        a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
-        if kind is GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON:
-            return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v2"],)
-
-    if kind in (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE):
-        temporal = kind is GeneratorKind.TEMPORAL_SUPERLATIVE
-        c1 = table.column_index(cols["c1"])
-        best_key = None
-        winners: list[str] = []
-        bigger = op in ("highest", "latest")
-        for r in range(table.n_rows):
-            target = table.raw(r, c1)
-            if not target:
-                continue
-            if temporal:
-                date = _date_at(table, r, cols["c2"])
-                key = date.key() if date else None
-            else:
-                key = _number_at(table, r, cols["c2"])
-            if key is None:
-                continue
-            if best_key is None or (key > best_key if bigger else key < best_key):
-                best_key = key
-                winners = [target]
-            elif key == best_key:
-                winners.append(target)
-        if best_key is None or len(winners) < 1:
-            return None
-        return AnswerKind.SPAN_LIST, tuple(_distinct(winners))
-
-    if kind is GeneratorKind.ARITHMETIC_SUPERLATIVE:
-        rows = _rows_matching(table, cols["c2"], vals["v2"])
-        if len(rows) < 2:
-            return None
-        if op in ("highest", "lowest"):
-            numbers = [_number_at(table, r, cols["c1"]) for r in rows]
-            if any(n is None for n in numbers):
-                return None
-            chosen = max(numbers) if op == "highest" else min(numbers)
-            return AnswerKind.NUMBER, (render_number(chosen),)
-        dates = [_date_at(table, r, cols["c1"]) for r in rows]
-        if any(d is None for d in dates) or len({d.precision for d in dates}) != 1:
-            return None
-        chosen = (max if op == "latest" else min)(dates, key=Date.key)
-        return AnswerKind.DATE, (render_date(chosen),)
-
-    if kind is GeneratorKind.ARITHMETIC_ADDITION:
-        rows = _rows_matching(table, cols["c2"], vals["v2"])
-        if len(rows) < 2:
-            return None
-        numbers = [_number_at(table, r, cols["c1"]) for r in rows]
-        if any(n is None for n in numbers):
-            return None
-        return AnswerKind.NUMBER, (render_number(sum(numbers)),)
-
+        rows = [r for r in rows if table.raw(r, c3) == vals["v3"]]
+    names = [name for name in _cells(table, rows, cols["c1"]) if name]
     if kind is GeneratorKind.COUNTING:
-        c1 = table.column_index(cols["c1"])
-        rows = _rows_matching(table, cols["c2"], vals["v2"])
-        names = {table.raw(r, c1) for r in rows if table.raw(r, c1)}
-        if not names:
+        return _counted(names)
+    if kind is GeneratorKind.QUANTIFIER_ONLY:
+        if vals["v1"] not in names:
             return None
-        return AnswerKind.NUMBER, (str(len(names)),)
-
-    if kind is GeneratorKind.DATE_DIFFERENCE:
-        event = _event_column(table)
-        if event is None:
-            return None
-        rows_a = _rows_matching(table, cols["c1"], vals["v1"])
-        rows_b = _rows_matching(table, cols["c2"], vals["v2"])
-        if len(rows_a) != 1 or len(rows_b) != 1:
-            return None
-        da = _date_at(table, rows_a[0], event)
-        db = _date_at(table, rows_b[0], event)
-        if da is None or db is None or da.precision != db.precision or da.key() == db.key():
-            return None
-        duration = walked_duration(da, db)
-        if duration is None:
-            return None
-        return AnswerKind.DURATION, (render_duration(duration),)
-
-    raise ValueError(f"unhandled kind {kind}")
+        return _yes_no(set(names) == {vals["v1"]})
+    return _spans(names)  # composition and conjunction
 
 
 # ---------------------------------------------------------------------------
-# Fact-level interpreter.
+# Fact reader: finds the values in the facts that state them.
 # ---------------------------------------------------------------------------
 
 
@@ -386,72 +392,47 @@ def _single(facts: list[ParsedFact]) -> ParsedFact | None:
     return facts[0] if len(facts) == 1 else None
 
 
-def _numbers(values: tuple[str, ...]) -> list[Decimal] | None:
-    out = []
-    for value in values:
-        try:
-            out.append(parse_number(value))
-        except NotANumber:
-            return None
-    return out
+def _one_value(facts: list[ParsedFact]) -> str | None:
+    """The value of the one fact, when there is one fact with one value."""
+    fact = _single(facts)
+    return fact.values[0] if fact is not None and len(fact.values) == 1 else None
 
 
-def _dates(values: tuple[str, ...]) -> list[Date] | None:
-    out = []
-    for value in values:
-        try:
-            out.append(parse_date(value))
-        except NotADate:
-            return None
-    return out
+def _chained(facts: list[ParsedFact], surface: str, value: str) -> list[ParsedFact]:
+    """The simple facts keyed by `value` under a surface that can denote the
+    column `surface` names."""
+    return [f for f in _simple_facts(facts)
+            if f.conditions[0][1] == value and _surfaces_agree(f.conditions[0][0], surface)]
 
 
-def _anchor_date(facts: list[ParsedFact], col: str, val: str) -> Date | None:
-    fact = _single([f for f in _simple_facts(facts)
-                    if f.conditions[0][1] == val and _surface_is(f.conditions[0][0], col)])
-    if fact is None or len(fact.values) != 1:
-        return None
-    dates = _dates(fact.values)
-    return dates[0] if dates else None
-
-
-def facts_answer(query: Query, fact_texts: list[str]) -> tuple[AnswerKind, tuple[str, ...]] | None:
+def facts_answer(query: Query, fact_texts: list[str]) -> _Answer:
     """Answer a query from rendered facts alone (no table access). Facts are
     closed-world: a fact's value list is the complete set for its key."""
     facts = [parsed for parsed in (parse_fact(t) for t in fact_texts) if parsed is not None]
-    kind, cols, vals, op = query.kind, query.cols, query.vals, query.operator
+    kind, cols, vals = query.kind, query.cols, query.vals
 
-    if kind in (GeneratorKind.COMPOSITION_2HOP, GeneratorKind.COMPOSITION_3HOP):
-        hops = 2 if kind is GeneratorKind.COMPOSITION_2HOP else 3
+    if kind in _COMPOSITION:
         first = _single(_facts_for(facts, None, cols["c2"], vals["v2"]))
         if first is None:
             return None
         frontier = [(first.subject, value) for value in first.values]
+        hops = 2 if kind is GeneratorKind.COMPOSITION_2HOP else 3
         for _ in range(hops - 2):
             step = []
             for surface, value in frontier:
-                nxt = _single([
-                    f for f in _simple_facts(facts)
-                    if f.conditions[0][1] == value and _surfaces_agree(f.conditions[0][0], surface)
-                ])
+                nxt = _single(_chained(facts, surface, value))
                 if nxt is None:
                     return None
                 step.extend((nxt.subject, v) for v in nxt.values)
             frontier = step
         answer: list[str] = []
         for surface, value in frontier:
-            final = _single([
-                f for f in _simple_facts(facts)
-                if f.conditions[0][1] == value
-                and _surfaces_agree(f.conditions[0][0], surface)
-                and _surface_is(f.subject, cols["c1"])
-            ])
+            final = _single([f for f in _chained(facts, surface, value)
+                             if _surface_is(f.subject, cols["c1"])])
             if final is None:
                 return None
             answer.extend(final.values)
-        if not answer:
-            return None
-        return AnswerKind.SPAN_LIST, tuple(_distinct(answer))
+        return _spans(answer)
 
     if kind is GeneratorKind.CONJUNCTION:
         combined = [
@@ -461,133 +442,45 @@ def facts_answer(query: Query, fact_texts: list[str]) -> tuple[AnswerKind, tuple
             and _surface_is(f.conditions[1][0], cols["c3"]) and f.conditions[1][1] == vals["v3"]
         ]
         if combined:
-            if len(combined) > 1:
-                return None
-            return AnswerKind.SPAN_LIST, tuple(_distinct(list(combined[0].values)))
+            return _spans(combined[0].values) if len(combined) == 1 else None
         fact_a = _single(_facts_for(facts, cols["c1"], cols["c2"], vals["v2"]))
         fact_b = _single(_facts_for(facts, cols["c1"], cols["c3"], vals["v3"]))
         if fact_a is None or fact_b is None:
             return None
         allowed = set(fact_b.values)
-        picked = [v for v in fact_a.values if v in allowed]
-        if not picked:
-            return None
-        return AnswerKind.SPAN_LIST, tuple(_distinct(picked))
+        return _spans([v for v in fact_a.values if v in allowed])
 
-    if kind is GeneratorKind.QUANTIFIER_ONLY:
-        fact = _single(_facts_for(facts, cols["c1"], cols["c2"], vals["v2"]))
-        if fact is None:
-            return None
-        return AnswerKind.YES_NO, ("yes" if set(fact.values) == {vals["v1"]} else "no",)
+    if kind in _QUANTIFIED:
+        return _quantified(query, [v for f in _facts_for(facts, cols["c2"], cols["c1"], None)
+                                   for v in f.values])
 
-    if kind in (GeneratorKind.QUANTIFIER_EVERY, GeneratorKind.QUANTIFIER_MOST):
-        scan = _facts_for(facts, cols["c2"], cols["c1"], None)
-        total = sum(len(f.values) for f in scan)
-        if total == 0:
-            return None
-        matches = sum(sum(1 for v in f.values if v == vals["v2"]) for f in scan)
-        if kind is GeneratorKind.QUANTIFIER_EVERY:
-            verdict = matches == total
-        else:
-            verdict = matches * 2 > total
-        return AnswerKind.YES_NO, ("yes" if verdict else "no",)
+    if kind in _NUMBER_COMPARED:
+        return _compared(query, _one_value(_facts_for(facts, cols["c2"], None, vals["v1"])),
+                         _one_value(_facts_for(facts, cols["c2"], None, vals["v1_2"])))
 
-    if kind in (GeneratorKind.NUMBER_COMPARISON, GeneratorKind.NUMBER_BOOLEAN_COMPARISON):
-        quantities = []
-        for val in (vals["v1"], vals["v1_2"]):
-            fact = _single([f for f in _simple_facts(facts)
-                            if f.conditions[0][1] == val and _surface_is(f.subject, cols["c2"])])
-            if fact is None or len(fact.values) != 1:
-                return None
-            numbers = _numbers(fact.values)
-            if numbers is None:
-                return None
-            quantities.append(numbers[0])
-        qa, qb = quantities
-        if qa == qb:
-            return None
-        a_wins = (qa > qb) == (op == "higher")
-        if kind is GeneratorKind.NUMBER_BOOLEAN_COMPARISON:
-            return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v1_2"],)
+    if kind in _TEMPORAL:
+        a = _one_value(_facts_for(facts, None, cols["c1"], vals["v1"]))
+        b = _one_value(_facts_for(facts, None, cols["c2"], vals["v2"]))
+        if kind is GeneratorKind.DATE_DIFFERENCE:
+            return _elapsed(a, b, ties=True)
+        return _compared(query, a, b)
 
-    if kind in (GeneratorKind.TEMPORAL_COMPARISON, GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON):
-        da = _anchor_date(facts, cols["c1"], vals["v1"])
-        db = _anchor_date(facts, cols["c2"], vals["v2"])
-        if da is None or db is None:
-            return None
-        order = _compare_keys(da, db)
-        if order == 0:
-            return None
-        a_wins = order > 0 if op in ("later", "more recently than when") else order < 0
-        if kind is GeneratorKind.TEMPORAL_BOOLEAN_COMPARISON:
-            return AnswerKind.YES_NO, ("yes" if a_wins else "no",)
-        return AnswerKind.SPAN_LIST, (vals["v1"] if a_wins else vals["v2"],)
+    if kind in _RANKED:
+        # A same-column-pair distractor can only verbalize rows whose value
+        # cell does not parse (in-scope cells are gold cells), so skipping it
+        # mirrors the generation-time scope.
+        return _winners(query, [(f.conditions[0][1], f.values)
+                                for f in _facts_for(facts, cols["c2"], cols["c1"], None)])
 
-    if kind in (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE):
-        scan = _facts_for(facts, cols["c2"], cols["c1"], None)
-        if not scan:
-            return None
-        temporal = kind is GeneratorKind.TEMPORAL_SUPERLATIVE
-        best = None
-        winners: list[str] = []
-        bigger = op in ("highest", "latest")
-        for fact in scan:
-            parsed = _dates(fact.values) if temporal else _numbers(fact.values)
-            if parsed is None:
-                # A same-column-pair distractor can only verbalize rows whose
-                # value cell does not parse (in-scope cells are gold cells),
-                # so skipping it mirrors the generation-time scope.
-                continue
-            for item in parsed:
-                key = item.key() if temporal else item
-                if best is None or (key > best if bigger else key < best):
-                    best = key
-                    winners = [fact.conditions[0][1]]
-                elif key == best and fact.conditions[0][1] not in winners:
-                    winners.append(fact.conditions[0][1])
-        if best is None:
-            return None
-        return AnswerKind.SPAN_LIST, tuple(winners)
-
-    if kind in (GeneratorKind.ARITHMETIC_SUPERLATIVE, GeneratorKind.ARITHMETIC_ADDITION):
-        fact = _single(_facts_for(facts, cols["c1"], cols["c2"], vals["v2"]))
-        if fact is None or len(fact.values) < 2:
-            return None
-        if kind is GeneratorKind.ARITHMETIC_ADDITION:
-            numbers = _numbers(fact.values)
-            if numbers is None:
-                return None
-            return AnswerKind.NUMBER, (render_number(sum(numbers)),)
-        if op in ("highest", "lowest"):
-            numbers = _numbers(fact.values)
-            if numbers is None:
-                return None
-            chosen = max(numbers) if op == "highest" else min(numbers)
-            return AnswerKind.NUMBER, (render_number(chosen),)
-        dates = _dates(fact.values)
-        if dates is None or len({d.precision for d in dates}) != 1:
-            return None
-        chosen = (max if op == "latest" else min)(dates, key=Date.key)
-        return AnswerKind.DATE, (render_date(chosen),)
-
+    # The rest read the one fact of the col:1 values where col:2 was val:2.
+    fact = _single(_facts_for(facts, cols["c1"], cols["c2"], vals["v2"]))
+    if fact is None:
+        return None
+    if kind in _AGGREGATED:
+        return _aggregated(query, fact.values)
     if kind is GeneratorKind.COUNTING:
-        fact = _single(_facts_for(facts, cols["c1"], cols["c2"], vals["v2"]))
-        if fact is None:
-            return None
-        return AnswerKind.NUMBER, (str(len(set(fact.values))),)
-
-    if kind is GeneratorKind.DATE_DIFFERENCE:
-        da = _anchor_date(facts, cols["c1"], vals["v1"])
-        db = _anchor_date(facts, cols["c2"], vals["v2"])
-        if da is None or db is None:
-            return None
-        duration = walked_duration(da, db)
-        if duration is None:
-            return None
-        return AnswerKind.DURATION, (render_duration(duration),)
-
-    raise ValueError(f"unhandled kind {kind}")
+        return _counted(fact.values)
+    return _yes_no(set(fact.values) == {vals["v1"]})  # quantifier only
 
 
 _SET_COMPARED = (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE)

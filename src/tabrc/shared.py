@@ -1,7 +1,8 @@
 """Names that more than one command needs: the generator kinds, the sampling
 strategies, `generate`'s defaults, seed derivation, `check_not_input`, which
 keeps a command from writing over its input, `replacing`, the one way a
-command writes a file, and `to_stderr`, the one way it writes to stderr.
+command writes a file, and `to_stdout` and `to_stderr`, the one way it
+writes to each standard stream.
 
 This module imports nothing else from `tabrc`, so `stats` can list the
 sixteen kinds and `simulate` can derive seeds without loading the generators.
@@ -10,6 +11,7 @@ sixteen kinds and `simulate` can derive seeds without loading the generators.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import sys
 from enum import Enum
@@ -87,6 +89,15 @@ def replacing(path: str, errors: str = "strict") -> Iterator[TextIO]:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
+
+
+def to_stdout(text: str) -> None:
+    """Write `text` to stdout. Stdout carries the command's product, so a
+    closed one is an error: with fd 1 closed at start-up `sys.stdout` is
+    None, and this raises OSError (EBADF)."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
+    sys.stdout.write(text)
 
 
 def to_stderr(text: str) -> None:

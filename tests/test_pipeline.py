@@ -1169,6 +1169,16 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.decode() == "error: [Errno 9] standard output is closed\n"
 
+    def test_preset_verdicts_to_closed_stdout_exit_2(self, tmp_path):
+        # The preset's verdict lines are its product on stdout, as the stats
+        # report is: losing them fails the command.
+        command = [sys.executable, "-m", "tabrc.cli", "simulate", "--preset", "two-task",
+                   "--seeds", "0", "--output", "sim"]
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], env=cli_env(),
+                              cwd=tmp_path, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == "error: [Errno 9] standard output is closed\n"
+
     def test_stats_through_a_pipe_delivers_the_whole_report(self, dump, tmp_path, capsys):
         # The process exit path (`cli.run`) freezes the collector after
         # `main`; the report still reaches a pipe whole, with exit 0.

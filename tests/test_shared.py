@@ -1,5 +1,6 @@
-"""`shared.replacing`, the one way a command writes a file, a guard that
-keeps it the only one, and `shared.to_stderr`."""
+"""`shared.replacing`, the one way a command writes a file, `shared.to_stdout`
+and `shared.to_stderr`, the one way it writes to each standard stream, and
+guards that keep them the only ones."""
 
 import ast
 import errno
@@ -63,6 +64,14 @@ class TestReplacing:
         assert os.listdir(tmp_path) == []
 
 
+class TestToStdout:
+    def test_a_closed_stdout_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(OSError) as raised:
+            shared.to_stdout("lost\n")
+        assert raised.value.errno == errno.EBADF
+
+
 class TestToStderr:
     def test_a_failed_write_drops_the_stream(self, monkeypatch):
         # A stream that keeps what it could not write, as a buffered one may,
@@ -103,24 +112,49 @@ def _writes(call: ast.Call) -> bool:
     return any(flag in mode.value for flag in "wax+")
 
 
-def _writers(tree: ast.AST, scope: str = "") -> list[tuple[str, int]]:
-    """(enclosing function, line) of every writing call in the tree."""
+def _writes_a_stream(call: ast.Call) -> bool:
+    """Whether a call is a `print` or a `write` on `sys.stdout` or
+    `sys.stderr`."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "print"
+    stream = func.value if isinstance(func, ast.Attribute) and func.attr == "write" else None
+    return (isinstance(stream, ast.Attribute) and stream.attr in ("stdout", "stderr")
+            and isinstance(stream.value, ast.Name) and stream.value.id == "sys")
+
+
+def _calls(tree: ast.AST, wanted, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing function, line) of every call in the tree that `wanted`
+    picks."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and _writes(node):
+        if isinstance(node, ast.Call) and wanted(node):
             found.append((scope, node.lineno))
-        found += _writers(node, inner)
+        found += _calls(node, wanted, inner)
     return found
+
+
+def _calls_by_module(wanted) -> dict[str, list[tuple[str, int]]]:
+    return {module.name: _calls(ast.parse(module.read_text(), str(module)), wanted)
+            for module in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_only_replacing_opens_a_file_for_writing():
     # A file a command writes goes through `shared.replacing`, so that no
     # output is ever left half-written.
-    found = {module.name: _writers(ast.parse(module.read_text(), str(module)))
-             for module in sorted(PACKAGE.glob("*.py"))}
+    found = _calls_by_module(_writes)
     in_shared = found.pop("shared.py")
     assert {name: calls for name, calls in found.items() if calls} == {}
     assert [scope for scope, _line in in_shared] == ["replacing"]
+
+
+def test_only_the_stream_writers_write_to_stdout_or_stderr():
+    # A closed stdout fails the command and a closed stderr is skipped
+    # (`to_stdout`, `to_stderr`); a bare `print` would do neither.
+    found = _calls_by_module(_writes_a_stream)
+    in_shared = found.pop("shared.py")
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    assert [scope for scope, _line in in_shared] == ["to_stdout", "to_stderr"]
