@@ -188,37 +188,20 @@ def _receive(fd: int) -> bytearray | None:
     return None if header is None else _read(fd, int.from_bytes(header, "little"))
 
 
-def _place(index: int) -> None:
-    """Move this process to CPU `index` (modulo their number) of its
-    affinity mask, then give it the whole mask back. Forked workers start on
-    their parent's CPU; this starts worker i on a CPU of its own and leaves
-    no affinity behind, so the kernel may still move it. Where affinity
-    cannot be set, the worker stays where it is."""
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    with contextlib.suppress(OSError):
-        allowed = os.sched_getaffinity(0)
-        try:
-            os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
-        finally:
-            os.sched_setaffinity(0, allowed)
-
-
-def _serve(worker, index: int, tasks: int, results: int, inherited: list[int]) -> NoReturn:
-    """A forked worker's whole life. It closes the parent's pipe ends and
-    `_place`s itself as worker `index`, then answers each marshalled task
-    frame from `tasks` with a frame of the marshalled result on `results`,
-    until `tasks` ends. It leaves through `os._exit`, so nothing it
-    inherited is flushed, closed or cleaned up twice; a send to a parent
-    that has gone ends it, and so does anything `worker` raises, which the
-    parent sees as the worker's death."""
+def _serve(worker, tasks: int, results: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life. It closes the parent's pipe ends, then
+    answers each marshalled task frame from `tasks` with a frame of the
+    marshalled result on `results`, until `tasks` ends. It keeps the CPU
+    mask it inherited, and the kernel places it. It leaves through
+    `os._exit`, so nothing it inherited is flushed, closed or cleaned up
+    twice; a send to a parent that has gone ends it, and so does anything
+    `worker` raises, which the parent sees as the worker's death."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         for fd in inherited:
             os.close(fd)
-        _place(index)
         while (task := _receive(tasks)) is not None:
             _send(results, marshal.dumps(worker(marshal.loads(task))))
         code = 0
@@ -237,7 +220,7 @@ def _fork(worker, running: list[_Worker]) -> None:
     try:
         pid = os.fork()
         if pid == 0:
-            _serve(worker, len(running), tasks_r, results_w, inherited)
+            _serve(worker, tasks_r, results_w, inherited)
         running.append(_Worker(pid, tasks_w, results_r))
     except BaseException:
         os.close(tasks_w)
@@ -336,9 +319,10 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     surrogate as \\udXXXX. A byte of the input that is not UTF-8 is read
     as a lone surrogate, so its line is rejected as malformed. Records are
     written in input-table order regardless of worker count; with workers,
-    each table is its own task, so the heaviest tables do not queue behind
-    each other in one worker's chunk. Blank and whitespace-only lines are
-    skipped before they reach a worker, and line:N counts them too.
+    each table is its own task and goes to whichever worker is idle, so
+    while one worker runs a heavy table the others go on with the tables
+    after it. Blank and whitespace-only lines are skipped before they reach
+    a worker, and line:N counts them too.
 
     A line equal to an earlier one once outer JSON whitespace is stripped is
     a repeat. It is ingested again, so a repeated reject is logged under its

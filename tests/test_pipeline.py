@@ -508,6 +508,49 @@ class TestRepeatedLines:
         assert Path(out).read_bytes() == Path(expected).read_bytes()
 
 
+class TestHashSeed:
+    """Every command writes the same bytes under any `PYTHONHASHSEED`."""
+
+    @staticmethod
+    def run_commands(directory, hash_seed):
+        """Run `generate` at two workers, `stats`, the two-task preset and a
+        `--history` replay in `directory` under `hash_seed`; return each file
+        they wrote and each command's standard output, by name."""
+        env = dict(cli_env(), PYTHONHASHSEED=hash_seed)
+        commands = {
+            "generate": ["generate", "--input", "../tables.jsonl", "--output", "examples.jsonl",
+                         "--seed", "1", "--workers", "2"],
+            "stats": ["stats", "--input", "examples.jsonl", "--output", "stats.txt"],
+            "preset": ["simulate", "--preset", "two-task", "--seeds", "0,1", "--output", "sim"],
+            "replay": ["simulate", "--strategy", "momentum", "--history", "../feed.tsv",
+                       "--output", "replay"],
+        }
+        directory.mkdir()
+        produced = {}
+        for name, args in commands.items():
+            proc = subprocess.run([sys.executable, "-m", "tabrc.cli", *args], env=env,
+                                  cwd=directory, stdout=subprocess.PIPE, check=True, timeout=120)
+            produced[f"{name} stdout"] = proc.stdout
+        for path in sorted(directory.rglob("*")):
+            if path.is_file():
+                produced[str(path.relative_to(directory))] = path.read_bytes()
+        return produced
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        first, repeats, _ = TestRepeatedLines.lines()
+        write_lines(tmp_path / "tables.jsonl",
+                    [json.dumps(t) for t in HAND_TABLES] + first + repeats)
+        tasks = ("alpha", "beta", "gamma", "delta", "epsilon")
+        (tmp_path / "feed.tsv").write_text("".join(
+            f"{checkpoint}\t{task}\t{(checkpoint * 7 + i * 3) % 10 / 10:.1f}\n"
+            for checkpoint in range(1, 9) for i, task in enumerate(tasks)))
+        runs = [self.run_commands(tmp_path / f"hash{seed}", seed) for seed in ("0", "12345")]
+        assert runs[0]["examples.jsonl.rejects"].count(b"\t") == 4
+        assert runs[0]["preset stdout"]
+        assert all(data for name, data in runs[0].items() if not name.endswith("stdout"))
+        assert runs[0] == runs[1]
+
+
 # sha256 of the golden corpus below, under seed-stream v2 (lazy partial
 # Fisher–Yates sampling of candidates and distractors). Any change to it
 # changes output bytes, which is allowed only as a declared seed-stream
