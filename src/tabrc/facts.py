@@ -20,7 +20,9 @@ with the table and page titles.
 Distractors come from a `FactPool`, which renders each fact once per table
 into `runs`, by (subject, key) column pair; a fact is a candidate when its
 cells are disjoint from the question's gold cells. The pool also renders
-each gold fact once per table, however many questions need it. Candidates
+each gold fact once per table, however many questions need it. Every entry
+is a plain `Fact`, which carries its word count for the context's word
+budget. Candidates
 are sampled with `_sampled`, a lazy partial Fisher–Yates shuffle that draws
 once per fact tried and only reads the sequence it samples (seed-stream v2).
 """
@@ -116,13 +118,14 @@ def gold_spec(plans: list[FactPlan] | tuple[FactPlan, ...], n_cols: int) -> Gold
 
 
 class Fact(NamedTuple):
-    """One rendered fact. `cells` is its plan's `cell_mask` (bit
-    `r * n_cols + c` for each cell (r, c) it states), so it only makes sense
-    with the table the fact was rendered from."""
+    """One rendered fact and its word count. `cells` is its plan's
+    `cell_mask` (bit `r * n_cols + c` for each cell (r, c) it states), so it
+    only makes sense with the table the fact was rendered from."""
 
     text: str
     kind: FactKind
     cells: int
+    words: int
 
 
 class Context(NamedTuple):
@@ -135,41 +138,32 @@ def _render_plan(table: TypedTable, plan: FactPlan, kind: FactKind) -> Fact:
     text = render_fact(table.column_name(plan.subject),
                        [(table.column_name(k), table.raw(first, k)) for k in plan.keys],
                        [table.raw(r, plan.subject) for r in plan.rows])
-    return Fact(text, kind, cell_mask(plan, table.n_cols))
-
-
-class PoolFact(NamedTuple):
-    """A fact rendered as a distractor and its word count. Its `cells` mask
-    is only comparable with masks of the pool's own table."""
-
-    fact: Fact
-    words: int
+    return Fact(text, kind, cell_mask(plan, table.n_cols), len(text.split()))
 
 
 class FactPool:
     """Every complete single-key fact one table can express, rendered once
-    and kept in `runs`. Facts whose text contains `FACT_SEPARATOR` (say, a
-    cell reading "St. Louis") are left out, since as distractors they would
-    make the context split back wrongly. The pool also keeps each gold fact
-    it has rendered (`gold`). Each part is built on first use; make one per
-    table and pass it to every `build_context` call on that table."""
+    as a distractor `Fact` and kept in `runs`. Facts whose text contains
+    `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out, since
+    as distractors they would make the context split back wrongly. The pool
+    also keeps each gold `Fact` it has rendered (`gold`). Each part is built
+    on first use; make one per table and pass it to every `build_context`
+    call on that table."""
 
     def __init__(self, table: TypedTable):
         self.table = table
-        self._gold: dict[FactPlan, tuple[Fact, int]] = {}
+        self._gold: dict[FactPlan, Fact] = {}
 
-    def gold(self, plan: FactPlan) -> tuple[Fact, int]:
-        """The gold fact of `plan` and its word count, rendered on the first
-        request for that plan."""
-        known = self._gold.get(plan)
-        if known is None:
-            fact = _render_plan(self.table, plan, FactKind.GOLD)
-            known = (fact, len(fact.text.split()))
-            self._gold[plan] = known
-        return known
+    def gold(self, plan: FactPlan) -> Fact:
+        """The gold fact of `plan`, rendered on the first request for that
+        plan."""
+        fact = self._gold.get(plan)
+        if fact is None:
+            fact = self._gold[plan] = _render_plan(self.table, plan, FactKind.GOLD)
+        return fact
 
     @cached_property
-    def runs(self) -> dict[tuple[int, int], tuple[PoolFact, ...]]:
+    def runs(self) -> dict[tuple[int, int], tuple[Fact, ...]]:
         """Each (subject, key) column pair, by key and then subject column, to
         its facts in key-value order. Pairs with no fact are left out."""
         table = self.table
@@ -186,7 +180,7 @@ class FactPool:
                     fact = _render_plan(table, plan, FactKind.DISTRACTOR)
                     if FACT_SEPARATOR in fact.text:
                         continue
-                    run.append(PoolFact(fact, len(fact.text.split())))
+                    run.append(fact)
                 if run:
                     runs[(subject_col, key_col)] = tuple(run)
         return runs
@@ -194,10 +188,10 @@ class FactPool:
     @cached_property
     def shortest(self) -> int:
         """The word count of the shortest fact."""
-        return min((entry.words for run in self.runs.values() for entry in run), default=0)
+        return min((fact.words for run in self.runs.values() for fact in run), default=0)
 
 
-def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[PoolFact]:
+def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[Fact]:
     """The candidate distractor facts of the pool, in the order to try them.
     First, in a seeded random order, the preferred tier: facts reusing the
     gold facts' column pairs (other rows). Then, likewise, the fallback tier
@@ -207,11 +201,11 @@ def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Ite
     gold_pairs = dict.fromkeys((plan.subject, plan.keys[0]) for plan in gold.plans
                                if len(plan.keys) == 1)
     runs, gold_cells = pool.runs, gold.cells
-    preferred = [entry for pair in gold_pairs for entry in runs.get(pair, ())
-                 if not entry.fact.cells & gold_cells]
+    preferred = [fact for pair in gold_pairs for fact in runs.get(pair, ())
+                 if not fact.cells & gold_cells]
     yield from _sampled(rng, preferred)
-    fallback = [entry for pair, run in runs.items() if pair not in gold_pairs
-                for entry in run if not entry.fact.cells & gold_cells]
+    fallback = [fact for pair, run in runs.items() if pair not in gold_pairs
+                for fact in run if not fact.cells & gold_cells]
     yield from _sampled(rng, fallback)
 
 
@@ -227,23 +221,19 @@ def build_context(pool: FactPool, gold: GoldSpec, seed: int) -> Context:
     """
     table = pool.table
     rng = random.Random(seed)
-    gold_facts: list[Fact] = []
+    gold_facts = [pool.gold(plan) for plan in gold.plans]
     prefix = f"In {table.meta.table_title} of {table.meta.page_title}: "
-    words = len(prefix.split())
-    for plan in gold.plans:
-        fact, fact_words = pool.gold(plan)
-        gold_facts.append(fact)
-        words += fact_words
+    words = len(prefix.split()) + sum(fact.words for fact in gold_facts)
 
     wanted = rng.randint(DISTRACTORS_MIN, DISTRACTORS_MAX)
     distractors: list[Fact] = []
-    for entry in _distractor_order(pool, gold, rng):
-        if words + entry.words > CONTEXT_WORD_CAP:
+    for fact in _distractor_order(pool, gold, rng):
+        if words + fact.words > CONTEXT_WORD_CAP:
             if words + pool.shortest > CONTEXT_WORD_CAP:
                 break  # no candidate left can fit
             continue
-        words += entry.words
-        distractors.append(entry.fact)
+        words += fact.words
+        distractors.append(fact)
         if len(distractors) >= wanted:
             break
 

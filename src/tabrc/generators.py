@@ -50,13 +50,12 @@ import itertools
 import math
 import random
 from decimal import Decimal
-from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .facts import FactPlan, GoldSpec, _sampled, gold_spec
 from .grammar import OPERATORS, TEMPLATES, Template, render_question
-from .shared import PER_TABLE_CAP, GeneratorKind, derive_seed
+from .shared import PER_TABLE_CAP, AnswerKind, GeneratorKind, derive_seed
 from .tables import TypedTable
 from .values import (
     Date,
@@ -66,14 +65,6 @@ from .values import (
     render_duration,
     render_number,
 )
-
-
-class AnswerKind(Enum):
-    SPAN_LIST = "span_list"
-    YES_NO = "yes_no"
-    NUMBER = "number"
-    DATE = "date"
-    DURATION = "duration"
 
 
 class Answer(NamedTuple):

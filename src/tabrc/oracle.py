@@ -17,11 +17,12 @@ Each reader only finds texts. One set of private functions (`_compared`,
 question kind has one meaning here. Where the readers differ on purpose,
 the difference stays in the reader, with a test in tests/test_oracle.py.
 
-Shared with generation: number/date parsing, canonical rendering, and the
-surface grammar in `grammar`. The generators write questions and facts from
-its templates, operator words and fact shapes, and the readers used here are
-derived from the same ones (tests/test_grammar.py checks the round trip).
-What a reading means is not shared with generation: all selection,
+Shared with generation: number/date parsing, canonical rendering, the kinds
+in `shared`, and the surface grammar in `grammar`; this module imports neither
+`generators` nor `facts`. The generators write questions and facts from the
+grammar's templates, operator words and fact shapes, and the readers used
+here are derived from the same ones (tests/test_grammar.py checks the round
+trip). What a reading means is not shared with generation: all selection,
 aggregation and comparison logic (each operator word's direction included)
 is re-implemented here, and date differences are recomputed by greedy month
 walking instead of the arithmetic used at generation time.
@@ -38,8 +39,8 @@ import functools
 import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .generators import AnswerKind, GeneratorKind
 from .grammar import TEMPLATES, ParsedFact, column_surfaces, parse_fact, pluralize, question_regex
+from .shared import AnswerKind, GeneratorKind
 from .tables import TypedTable
 from .values import (
     Date,
@@ -113,16 +114,6 @@ _RANKED = (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE)
 _AGGREGATED = (GeneratorKind.ARITHMETIC_SUPERLATIVE, GeneratorKind.ARITHMETIC_ADDITION)
 
 
-def _distinct(values: Iterable[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return out
-
-
 def _parsed(texts: Iterable[str], parse: Callable[[str], object]) -> list | None:
     """Each text's parse, or None as soon as one text does not parse."""
     out = []
@@ -139,7 +130,7 @@ def _date_key(text: str) -> tuple[int, int, int]:
 
 
 def _spans(texts: Sequence[str]) -> _Answer:
-    return (AnswerKind.SPAN_LIST, tuple(_distinct(texts))) if texts else None
+    return (AnswerKind.SPAN_LIST, tuple(dict.fromkeys(texts))) if texts else None
 
 
 def _yes_no(verdict: bool) -> _Answer:
@@ -483,9 +474,6 @@ def facts_answer(query: Query, fact_texts: list[str]) -> _Answer:
     return _yes_no(set(fact.values) == {vals["v1"]})  # quantifier only
 
 
-_SET_COMPARED = (GeneratorKind.NUMBER_SUPERLATIVE, GeneratorKind.TEMPORAL_SUPERLATIVE)
-
-
 def answers_match(kind: GeneratorKind, expected: tuple[str, ...],
                   got: tuple[str, ...] | None) -> bool:
     """Exact ordered comparison, except superlative span lists which are
@@ -493,6 +481,6 @@ def answers_match(kind: GeneratorKind, expected: tuple[str, ...],
     ties once the facts are shuffled."""
     if got is None:
         return False
-    if kind in _SET_COMPARED:
+    if kind in _RANKED:
         return len(expected) == len(got) and set(expected) == set(got)
     return tuple(expected) == tuple(got)

@@ -81,9 +81,6 @@ class TaskDistribution(_DistributionFields):
                 return p
         raise KeyError(task)
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.probs)
-
     def entropy(self) -> float:
         """Shannon entropy in nats. Each term is negated, not the sum, so a
         point mass gives 0.0, not -0.0."""

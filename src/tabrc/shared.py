@@ -1,11 +1,12 @@
-"""Names that more than one command needs: the generator kinds, the sampling
-strategies, `generate`'s defaults, seed derivation, `check_not_input`, which
-keeps a command from writing over its input, `replacing`, the one way a
-command writes a file, and `to_stdout` and `to_stderr`, the one way it
-writes to each standard stream.
+"""Names that more than one command needs: the generator and answer kinds,
+the sampling strategies, `generate`'s defaults, seed derivation,
+`check_not_input`, which keeps a command from writing over its input,
+`replacing`, the one way a command writes a file, and `to_stdout` and
+`to_stderr`, the one way it writes to each standard stream.
 
 This module imports nothing else from `tabrc`, so `stats` can list the
-sixteen kinds and `simulate` can derive seeds without loading the generators.
+sixteen kinds, `simulate` can derive seeds and the oracle can name its answers
+without loading the generators.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class GeneratorKind(Enum):
     ARITHMETIC_ADDITION = "arithmetic_addition"
     COUNTING = "counting"
     DATE_DIFFERENCE = "date_difference"
+
+
+class AnswerKind(Enum):
+    SPAN_LIST = "span_list"
+    YES_NO = "yes_no"
+    NUMBER = "number"
+    DATE = "date"
+    DURATION = "duration"
 
 
 class Strategy(Enum):

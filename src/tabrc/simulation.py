@@ -45,12 +45,10 @@ class LearnerTask(NamedTuple):
     ceiling: float = 1.0
     noisy: bool = False
 
-    def effective_ceiling(self) -> float:
-        return CHANCE_LEVEL if self.noisy else self.ceiling
-
     def accuracy(self, examples: int) -> float:
         """Held-out accuracy after training on `examples` examples."""
-        return self.effective_ceiling() * (1.0 - math.exp(-examples / self.rate))
+        ceiling = CHANCE_LEVEL if self.noisy else self.ceiling
+        return ceiling * (1.0 - math.exp(-examples / self.rate))
 
 
 class _SimulationFields(NamedTuple):
@@ -150,44 +148,45 @@ SLOW_TASK = "arithmetic_addition"
 THRESHOLD_FRACTION = 0.9
 # Error sampling counts as stuck on the noisy task above this final share.
 CONCENTRATION_FLOOR = 0.8
+# Never noisy, so the threshold is a share of its own ceiling.
+_SLOW_LEARNER = LearnerTask(SLOW_TASK, rate=2500.0)
 
 
-class StrategyOutcome(NamedTuple):
-    strategy: Strategy
-    to_threshold: int | None
-    final_accuracy: float
-    final_probs: dict[str, float]
-    trace: list[CheckpointRecord]
+def _rank(trace: list[CheckpointRecord]) -> float:
+    """Total examples when the slow task first reaches `THRESHOLD_FRACTION`
+    of its ceiling; infinity if it never does."""
+    crossing = examples_to_threshold(trace, SLOW_TASK, THRESHOLD_FRACTION * _SLOW_LEARNER.ceiling)
+    return math.inf if crossing is None else crossing
 
 
 class TwoTaskReport(NamedTuple):
-    gold: dict[Strategy, StrategyOutcome]
-    noisy: dict[Strategy, StrategyOutcome]
+    """Each strategy's trace in the gold and in the noisy condition. The
+    verdicts read the slow task's threshold crossing and the final
+    distribution off the traces."""
 
-    @staticmethod
-    def _rank(outcome: StrategyOutcome) -> float:
-        return math.inf if outcome.to_threshold is None else outcome.to_threshold
+    gold: dict[Strategy, list[CheckpointRecord]]
+    noisy: dict[Strategy, list[CheckpointRecord]]
 
     def gold_ordering_holds(self) -> bool:
         """Error-driven strategies beat uniform on the slow task; error is
         at least as fast as momentum, which pays for its warm start."""
-        err = self._rank(self.gold[Strategy.ERROR])
-        mom = self._rank(self.gold[Strategy.MOMENTUM])
-        uni = self._rank(self.gold[Strategy.UNIFORM])
+        err = _rank(self.gold[Strategy.ERROR])
+        mom = _rank(self.gold[Strategy.MOMENTUM])
+        uni = _rank(self.gold[Strategy.UNIFORM])
         return err <= mom < uni
 
     def noisy_ordering_holds(self) -> bool:
         """With random labels on the fast task, momentum beats uniform while
         error sampling falls behind it."""
-        err = self._rank(self.noisy[Strategy.ERROR])
-        mom = self._rank(self.noisy[Strategy.MOMENTUM])
-        uni = self._rank(self.noisy[Strategy.UNIFORM])
+        err = _rank(self.noisy[Strategy.ERROR])
+        mom = _rank(self.noisy[Strategy.MOMENTUM])
+        uni = _rank(self.noisy[Strategy.UNIFORM])
         return mom < uni < err
 
     def error_concentrates_on_noise(self) -> bool:
         """Error sampling ends up spending most probability on the
         unlearnable task."""
-        return self.noisy[Strategy.ERROR].final_probs[FAST_TASK] > CONCENTRATION_FLOOR
+        return self.noisy[Strategy.ERROR][-1].distribution.prob(FAST_TASK) > CONCENTRATION_FLOOR
 
     def all_hold(self) -> bool:
         return (self.gold_ordering_holds() and self.noisy_ordering_holds()
@@ -195,10 +194,7 @@ class TwoTaskReport(NamedTuple):
 
 
 def two_task_config(strategy: Strategy, noisy: bool) -> SimulationConfig:
-    tasks = (
-        LearnerTask(FAST_TASK, rate=200.0, noisy=noisy),
-        LearnerTask(SLOW_TASK, rate=2500.0),
-    )
+    tasks = (LearnerTask(FAST_TASK, rate=200.0, noisy=noisy), _SLOW_LEARNER)
     sampler = SamplerConfig(strategy=strategy, window=4, smoothing=2, eps=0.002,
                             replay_lambda=0.0)
     return SimulationConfig(sampler=sampler, tasks=tasks, batch_size=50,
@@ -208,33 +204,22 @@ def two_task_config(strategy: Strategy, noisy: bool) -> SimulationConfig:
 def two_task_report(seed: int) -> TwoTaskReport:
     """Run the two-task benchmark for all three strategies in both the gold
     and the noisy condition."""
-    results: dict[bool, dict[Strategy, StrategyOutcome]] = {False: {}, True: {}}
-    for noisy in (False, True):
-        for strategy in Strategy:
-            config = two_task_config(strategy, noisy)
-            trace = run_simulation(config, seed)
-            threshold = THRESHOLD_FRACTION * config.tasks[1].effective_ceiling()
-            final = trace[-1]
-            results[noisy][strategy] = StrategyOutcome(
-                strategy=strategy,
-                to_threshold=examples_to_threshold(trace, SLOW_TASK, threshold),
-                final_accuracy=final.accuracies[SLOW_TASK],
-                final_probs=final.distribution.as_dict(),
-                trace=trace,
-            )
-    return TwoTaskReport(gold=results[False], noisy=results[True])
+    gold, noisy = (
+        {strategy: run_simulation(two_task_config(strategy, noisy), seed) for strategy in Strategy}
+        for noisy in (False, True))
+    return TwoTaskReport(gold=gold, noisy=noisy)
 
 
 def report_lines(report: TwoTaskReport) -> list[str]:
     """Human-readable verdicts, one ordering check per line."""
     lines = []
-    for label, outcomes in (("gold", report.gold), ("noisy", report.noisy)):
+    for label, traces in (("gold", report.gold), ("noisy", report.noisy)):
         for strategy in Strategy:
-            outcome = outcomes[strategy]
+            trace = traces[strategy]
+            rank = _rank(trace)
             lines.append(
-                f"{label}\t{strategy.value}\tto_threshold="
-                f"{outcome.to_threshold if outcome.to_threshold is not None else 'never'}"
-                f"\tfinal_acc={outcome.final_accuracy:.4f}"
+                f"{label}\t{strategy.value}\tto_threshold={rank if rank < math.inf else 'never'}"
+                f"\tfinal_acc={trace[-1].accuracies[SLOW_TASK]:.4f}"
             )
     lines.append(f"verdict gold ordering (error <= momentum < uniform): "
                  f"{'pass' if report.gold_ordering_holds() else 'fail'}")

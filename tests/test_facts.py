@@ -199,7 +199,7 @@ class TestBuildContext:
                 _limit(patched, *TAKE_ALL)
                 ctx = build_context(pool, gold, seed=1)
             taken = {fact.text for fact in ctx.facts if fact.kind is FactKind.DISTRACTOR}
-            facts = [entry.fact for run in pool.runs.values() for entry in run]
+            facts = [entry for run in pool.runs.values() for entry in run]
             disjoint = {fact.text for fact in facts if not (fact.cells & gold.cells)}
             assert taken == disjoint
             assert len(taken) < len(facts)
@@ -246,7 +246,7 @@ class TestBuildContext:
                     continue
                 used = len(ctx.rendered.split())
                 left = [entry for run in pool.runs.values() for entry in run
-                        if entry.fact.text not in taken and not entry.fact.cells & gold.cells]
+                        if entry.text not in taken and not entry.cells & gold.cells]
                 assert all(used + entry.words > cap for entry in left)
 
 
@@ -266,7 +266,7 @@ class TestSeparatorText:
         team, city, wins = (t.column_index(name) for name in ("Team", "City", "Wins"))
         pool = FactPool(t)
         assert pool.runs
-        assert not any(FACT_SEPARATOR in entry.fact.text
+        assert not any(FACT_SEPARATOR in entry.text
                        for run in pool.runs.values() for entry in run)
         # A gold fact naming St. Louis keeps its place.
         gold = gold_spec([FactPlan(city, (team,), (0,)), FactPlan(wins, (city,), (1,))], t.n_cols)
@@ -285,7 +285,7 @@ class TestFactPool:
     def test_pool_facts_rendered_once_per_table(self):
         t, gold = _gold()
         pool = FactPool(t)
-        pooled = {id(entry.fact) for run in pool.runs.values() for entry in run}
+        pooled = {id(entry) for run in pool.runs.values() for entry in run}
         for seed in range(10):
             ctx = build_context(pool, gold, seed=seed)
             for fact in ctx.facts:
@@ -296,7 +296,21 @@ class TestFactPool:
         pool = FactPool(_rough_table_with_blank_and_na())
         for run in pool.runs.values():
             for entry in run:
-                assert entry.words == len(entry.fact.text.split())
+                assert entry.words == len(entry.text.split())
+
+    def test_gold_facts_carry_their_word_count(self):
+        # `build_context` charges each gold fact's `words` to the word budget.
+        combined = 0
+        for t in (table(), _rough_table_with_blank_and_na()):
+            pool = FactPool(t)
+            for kind in GeneratorKind:
+                for triplet in generate(t, kind, 3, cap=None):
+                    for plan in triplet.gold.plans:
+                        fact = pool.gold(plan)
+                        assert fact.kind is FactKind.GOLD
+                        assert fact.words == len(fact.text.split())
+                        combined += len(plan.keys) == 2
+        assert combined
 
     def test_runs_hold_only_their_pairs_facts(self):
         # A fact of the (subject, key) run states cells of exactly those two
@@ -307,7 +321,7 @@ class TestFactPool:
         for (subject, key), run in pool.runs.items():
             assert run
             for entry in run:
-                mask = entry.fact.cells
+                mask = entry.cells
                 columns = {bit % t.n_cols for bit in range(mask.bit_length()) if mask >> bit & 1}
                 assert columns == {subject, key}
 

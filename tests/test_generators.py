@@ -593,7 +593,7 @@ class TestPinnedTriplets:
                 for rows in table.groups(key).values():
                     plan = FactPlan(subject, (key,), rows)
                     plans[_render_plan(table, plan, FactKind.DISTRACTOR).text] = plan
-                for fact, _ in run:
+                for fact in run:
                     expected = _plan_cells(plans[fact.text])
                     assert set(_mask_cells(fact.cells, table.n_cols)) == expected
             for kind in GeneratorKind:
@@ -602,5 +602,5 @@ class TestPinnedTriplets:
                     expected = set().union(*map(_plan_cells, gold.plans))
                     assert set(_mask_cells(gold.cells, table.n_cols)) == expected
                     for plan in gold.plans:
-                        fact, _ = pool.gold(plan)
+                        fact = pool.gold(plan)
                         assert set(_mask_cells(fact.cells, table.n_cols)) == _plan_cells(plan)

@@ -96,6 +96,15 @@ def test_package_import_loads_no_submodule():
     assert json.loads(_python(probe)) == []
 
 
+def test_oracle_loads_no_generation_code():
+    # The readers stay apart from the generation code path: they share the
+    # grammar, the tables and the value parsing, not the generators or facts.
+    probe = "import json, sys, tabrc.oracle\nprint(json.dumps(sorted(m for m in sys.modules " \
+            "if m.startswith('tabrc.'))))"
+    assert json.loads(_python(probe)) == ["tabrc.grammar", "tabrc.oracle", "tabrc.shared",
+                                          "tabrc.tables", "tabrc.values"]
+
+
 def test_package_exposes_only_its_version():
     # No public name, re-export list or lazy lookup, so the root cannot grow back.
     probe = ("import json, tabrc\nprint(json.dumps([n for n in vars(tabrc) if not n.startswith('_')"

@@ -322,7 +322,7 @@ def _perturbed(record, table):
 
 
 def _pool_texts(table):
-    return [entry.fact.text for run in FactPool(table).runs.values() for entry in run]
+    return [entry.text for run in FactPool(table).runs.values() for entry in run]
 
 
 def _verdict_records():
@@ -359,12 +359,12 @@ def _verdict_lines(seed=11, cap=3):
                 query = oracle.parse_question(table, kind, question)
                 ctx = [f.text for f in build_context(
                     pool, triplet.gold, derive_seed(seed, table.meta.id, question)).facts]
-                gold = [pool.gold(plan)[0].text for plan in triplet.gold.plans]
+                gold = [pool.gold(plan).text for plan in triplet.gold.plans]
                 fact_lists = [gold, ctx, ctx[1:], ctx[:-1], ctx[::2], sample, gold + sample[::3],
                               [t.replace(" and ", ", ") for t in ctx], ctx + ctx]
                 # The gold plans read on each same-shape copy, and each
                 # copy's facts that name a value of the question.
-                fact_lists += [[FactPool(p).gold(plan)[0].text for plan in triplet.gold.plans]
+                fact_lists += [[FactPool(p).gold(plan).text for plan in triplet.gold.plans]
                                for p in perturbed if p is not None and p.n_rows == table.n_rows]
                 fact_lists += [[t for t in other if any(v in t for v in query.vals.values())]
                                for other in perturbed_texts]

@@ -155,14 +155,14 @@ class TestTwoTaskReport:
     def test_momentum_trails_error_during_warm_start(self):
         report = two_task_report(seed=1)
         window = 4
-        momentum = report.gold[Strategy.MOMENTUM].trace
-        error = report.gold[Strategy.ERROR].trace
+        momentum = report.gold[Strategy.MOMENTUM]
+        error = report.gold[Strategy.ERROR]
         for i in range(window):
             assert momentum[i].accuracies[SLOW_TASK] <= error[i].accuracies[SLOW_TASK] + 1e-9
 
     def test_noisy_momentum_converges_toward_uniform(self):
         report = two_task_report(seed=2)
-        final = report.noisy[Strategy.MOMENTUM].trace[-1]
+        final = report.noisy[Strategy.MOMENTUM][-1]
         assert final.entropy == pytest.approx(math.log(2), abs=0.01)
 
     def test_verdicts_hold_across_the_preset_seeds(self):
@@ -201,7 +201,7 @@ class TestPinnedOutput:
         # alters an intermediate distribution still shows.
         report = two_task_report(0)
         lines = [line for outcomes in (report.gold, report.noisy) for strategy in Strategy
-                 for line in trace_lines(outcomes[strategy].trace)]
+                 for line in trace_lines(outcomes[strategy])]
         assert self._sha256(lines) == (
             "e1df66c9f4fe34eeda5d8c75780b4b3b0a196923e4ad95b9ad4e6187e30d8a92")
 
