@@ -19,12 +19,14 @@ with the table and page titles.
 
 Distractors come from a `FactPool`, which renders each fact once per table
 into `runs`, by (subject, key) column pair; a fact is a candidate when its
-cells are disjoint from the question's gold cells. The pool also renders
-each gold fact once per table, however many questions need it. Every entry
-is a plain `Fact`, which carries its word count for the context's word
-budget. Candidates
-are sampled with `_sampled`, a lazy partial Fisher–Yates shuffle that draws
-once per fact tried and only reads the sequence it samples (seed-stream v2).
+cells are disjoint from the question's gold cells. A gold fact whose plan
+is a pool fact is that fact, marked GOLD, so its text is rendered once per
+table for both roles. The pool renders any other gold plan (two keys,
+separator text, an empty subject cell) once per table, however many
+questions need it. Every fact is a plain `Fact`, which carries its word
+count for the context's word budget. Candidates are sampled with `_sampled`,
+a lazy partial Fisher–Yates shuffle that draws once per fact tried and only
+reads the sequence it samples (seed-stream v2).
 """
 
 from __future__ import annotations
@@ -145,50 +147,57 @@ class FactPool:
     """Every complete single-key fact one table can express, rendered once
     as a distractor `Fact` and kept in `runs`. Facts whose text contains
     `FACT_SEPARATOR` (say, a cell reading "St. Louis") are left out, since
-    as distractors they would make the context split back wrongly. The pool
-    also keeps each gold `Fact` it has rendered (`gold`). Each part is built
-    on first use; make one per table and pass it to every `build_context`
-    call on that table."""
+    as distractors they would make the context split back wrongly. A gold
+    fact whose plan is a pool fact is that fact as GOLD, its text rendered
+    once; other gold plans are rendered on their first request (`gold`).
+    Each part is built on first use; make one per table and pass it to every
+    `build_context` call on that table."""
 
     def __init__(self, table: TypedTable):
         self.table = table
         self._gold: dict[FactPlan, Fact] = {}
 
     def gold(self, plan: FactPlan) -> Fact:
-        """The gold fact of `plan`, rendered on the first request for that
-        plan."""
+        """The gold fact of `plan`, made on the first request for that plan."""
         fact = self._gold.get(plan)
         if fact is None:
-            fact = self._gold[plan] = _render_plan(self.table, plan, FactKind.GOLD)
+            pooled = self._facts.get(plan)
+            fact = self._gold[plan] = (_render_plan(self.table, plan, FactKind.GOLD)
+                                       if pooled is None else pooled._replace(kind=FactKind.GOLD))
         return fact
 
     @cached_property
-    def runs(self) -> dict[tuple[int, int], tuple[Fact, ...]]:
-        """Each (subject, key) column pair, by key and then subject column, to
-        its facts in key-value order. Pairs with no fact are left out."""
+    def _facts(self) -> dict[FactPlan, Fact]:
+        """Every pool fact by its plan: by key column, then subject column,
+        then key value."""
         table = self.table
-        runs = {}
+        facts = {}
         for key_col in range(table.n_cols):
             for subject_col in range(table.n_cols):
                 if subject_col == key_col:
                     continue
-                run = []
                 for rows in table.groups(key_col).values():
                     if any(not table.raw(r, subject_col) for r in rows):
                         continue
                     plan = FactPlan(subject_col, (key_col,), rows)
                     fact = _render_plan(table, plan, FactKind.DISTRACTOR)
-                    if FACT_SEPARATOR in fact.text:
-                        continue
-                    run.append(fact)
-                if run:
-                    runs[(subject_col, key_col)] = tuple(run)
-        return runs
+                    if FACT_SEPARATOR not in fact.text:
+                        facts[plan] = fact
+        return facts
+
+    @cached_property
+    def runs(self) -> dict[tuple[int, int], tuple[Fact, ...]]:
+        """Each (subject, key) column pair, by key and then subject column, to
+        its facts in key-value order. Pairs with no fact are left out."""
+        runs: dict[tuple[int, int], list[Fact]] = {}
+        for plan, fact in self._facts.items():
+            runs.setdefault((plan.subject, plan.keys[0]), []).append(fact)
+        return {pair: tuple(run) for pair, run in runs.items()}
 
     @cached_property
     def shortest(self) -> int:
         """The word count of the shortest fact."""
-        return min((fact.words for run in self.runs.values() for fact in run), default=0)
+        return min((fact.words for fact in self._facts.values()), default=0)
 
 
 def _distractor_order(pool: FactPool, gold: GoldSpec, rng: random.Random) -> Iterator[Fact]:

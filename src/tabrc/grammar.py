@@ -3,8 +3,9 @@
 A question fills one of its generator's `TEMPLATES`, in the paper's slot
 notation: "col:N" shows a column (by name, or in its `COLUMN_FORMS` form),
 "val:N" a cell, "[OPERATOR]" one of the kind's `OPERATORS` words, and
-"table-title" and "page-title" the titles. `render_question` writes it, and
-`question_regex` derives from the same template the pattern that reads it.
+"table-title" and "page-title" the titles. Each template is split once into
+its texts and slots; `render_question` writes a question from that split,
+and `question_regex` derives from it the pattern that reads one.
 A fact ("The attendances when the opponent was Walsall were 5,666 and
 10,037") is written by `render_fact` and read by `parse_fact`, both from the
 sentence shapes below. A text reads back as written while no name, title or
@@ -116,6 +117,13 @@ COLUMN_FORMS: dict[GeneratorKind, dict[str, Callable[[str], str]]] = {
 }
 
 
+@functools.cache
+def _parts(pattern: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A template pattern split into its template texts and, between them,
+    its slots: one more text than slots."""
+    return tuple(_SLOT_RE.split(pattern)), tuple(_SLOT_RE.findall(pattern))
+
+
 def render_question(template: Template, table_title: str, page_title: str,
                     slots: Iterable[tuple[str, str]]) -> str:
     """The question `template` reads with these (slot, text) bindings. A
@@ -124,9 +132,15 @@ def render_question(template: Template, table_title: str, page_title: str,
     forms = COLUMN_FORMS.get(template.kind, {})
     shown = {"table-title": [table_title], "page-title": [page_title]}
     for slot, text in slots:
-        shown.setdefault(slot, []).append(forms.get(slot, str)(text))
+        form = forms.get(slot)
+        shown.setdefault(slot, []).append(text if form is None else form(text))
     fills = {slot: iter(texts) for slot, texts in shown.items()}
-    return _SLOT_RE.sub(lambda match: next(fills[match[0]]), template.pattern)
+    texts, order = _parts(template.pattern)
+    out = [texts[0]]
+    for slot, text in zip(order, texts[1:]):
+        out.append(next(fills[slot]))
+        out.append(text)
+    return "".join(out)
 
 
 def column_surfaces(column_names: Iterable[str]) -> dict[str, str]:
@@ -160,8 +174,7 @@ def question_regex(template: Template, column_names: Iterable[str], table_title:
     columns = "(?:" + "|".join(re.escape(s) for s in sorted(
         column_surfaces(column_names), key=len, reverse=True)) + ")"
     shown = {"table-title": re.escape(table_title), "page-title": re.escape(page_title)}
-    texts = _SLOT_RE.split(template.pattern)
-    slots = _SLOT_RE.findall(template.pattern)
+    texts, slots = _parts(template.pattern)
     last_value = max((i for i, slot in enumerate(slots) if slot.startswith("val:")), default=-1)
     seen: dict[str, int] = {}
     parts = ["^"]

@@ -32,12 +32,12 @@ import os
 import signal
 from collections import deque
 from functools import partial
-from typing import Iterator, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
-from .facts import FactKind, FactPool, build_context
+from .facts import Context, FactPool, build_context
 from .generators import Triplet, generate
 from .shared import (MAX_ROWS, MIN_ROWS, PER_TABLE_CAP, GeneratorKind, check_not_input,
-                     derive_seed, replacing, to_stderr)
+                     replacing, seed_deriver, to_stderr)
 from .tables import IngestError, TypedTable, ingest, raw_table_from_json
 
 ALL_KINDS = tuple(GeneratorKind)
@@ -71,18 +71,22 @@ _BINDINGS_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 _RECORD_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-def example_id(table_id: str, kind: GeneratorKind, triplet: Triplet) -> str:
-    """Content hash over (table, generator, bindings) used for global dedup."""
+def example_id(derive: Callable[..., int], triplet: Triplet) -> str:
+    """Content hash over (table, generator, bindings) used for global dedup;
+    `derive` is `seed_deriver(table id, generator)`."""
     bindings = _BINDINGS_JSON([[slot, payload] for slot, payload in triplet.instantiation.bindings])
-    return f"{derive_seed(table_id, kind.value, bindings):016x}"
+    return f"{derive(bindings):016x}"
 
 
 def build_record(table: TypedTable, kind: GeneratorKind, triplet: Triplet,
-                 context, record_id: str) -> dict:
-    """One example record; `record_id` is the triplet's `example_id`."""
+                 context: Context, record_id: str) -> dict:
+    """One example record; `record_id` is the triplet's `example_id`.
+    `build_context` puts one gold fact in the context per gold plan, and the
+    rest of its facts are distractors."""
     source = {"page_title": table.meta.page_title, "table_id": table.meta.id}
     if table.meta.category is not None:
         source["category"] = table.meta.category
+    gold_count = len(triplet.gold.plans)
     return {
         "id": record_id,
         "eg": kind.value,
@@ -90,8 +94,8 @@ def build_record(table: TypedTable, kind: GeneratorKind, triplet: Triplet,
         "question": triplet.instantiation.question,
         "context": context.rendered,
         "answer": {"kind": triplet.answer.kind.value, "values": list(triplet.answer.values)},
-        "gold_fact_count": sum(1 for f in context.facts if f.kind is FactKind.GOLD),
-        "distractor_count": sum(1 for f in context.facts if f.kind is FactKind.DISTRACTOR),
+        "gold_fact_count": gold_count,
+        "distractor_count": len(context.facts) - gold_count,
         "source": source,
     }
 
@@ -100,10 +104,11 @@ def table_examples(table: TypedTable, settings: GenerationSettings) -> Iterator[
     """All example records for one table under the given settings."""
     pool = FactPool(table)
     for kind in settings.kinds:
+        id_of = seed_deriver(table.meta.id, kind.value)
+        context_seed = seed_deriver(settings.seed, table.meta.id, kind.value)
         for triplet in generate(table, kind, settings.seed, settings.cap):
-            record_id = example_id(table.meta.id, kind, triplet)
-            ctx_seed = derive_seed(settings.seed, table.meta.id, kind.value, record_id, "context")
-            context = build_context(pool, triplet.gold, ctx_seed)
+            record_id = example_id(id_of, triplet)
+            context = build_context(pool, triplet.gold, context_seed(record_id, "context"))
             yield build_record(table, kind, triplet, context, record_id)
 
 
@@ -362,7 +367,7 @@ def generate_corpus(input_path: str, output_path: str, settings: GenerationSetti
     def tasks(src) -> Iterator[tuple[int, str, bool]]:
         for line_no, text in enumerate(src, start=1):
             if text.strip():
-                # Imported here, as in `derive_seed`: an empty dump hashes
+                # Imported here, as in `seed_deriver`: an empty dump hashes
                 # nothing, and a plain `import` of a loaded module is cheap.
                 import hashlib
 

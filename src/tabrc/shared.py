@@ -16,7 +16,7 @@ import errno
 import os
 import sys
 from enum import Enum
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 
 class GeneratorKind(Enum):
@@ -59,17 +59,30 @@ MIN_ROWS = 10
 MAX_ROWS = 25
 
 
+def seed_deriver(*parts: object) -> Callable[..., int]:
+    """`derive_seed` with its leading parts fixed: `seed_deriver(*parts)(*rest)
+    == derive_seed(*parts, *rest)`. The joined `parts` are hashed once, and
+    each call hashes only `rest`, on a copy of that state."""
+    # Imported here, not by the module: `stats` loads this module and
+    # derives no seed.
+    import hashlib
+
+    prefix = hashlib.sha256("\x1f".join(map(str, parts)).encode("utf-8"))
+    lead = "\x1f" if parts else ""
+
+    def derive(*rest: object) -> int:
+        state = prefix.copy()
+        if rest:
+            state.update((lead + "\x1f".join(map(str, rest))).encode("utf-8"))
+        return int.from_bytes(state.digest()[:8], "big")
+
+    return derive
+
+
 def derive_seed(*parts: object) -> int:
     """Stable seed derivation so concurrency and call order never change
     output: hash of the joined parts, independent of PYTHONHASHSEED."""
-    # Imported here, not by the module: `stats` loads this module and
-    # derives no seed. (A plain `import` of a loaded module is cheap; `from
-    # hashlib import sha256` would cost about a microsecond per call.)
-    import hashlib
-
-    text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return seed_deriver(*parts)()
 
 
 def check_not_input(flag: str, path: str, input_path: str) -> None:

@@ -28,6 +28,7 @@ from tabrc.generators import GeneratorKind, derive_seed, generate
 from tabrc.pipeline import GenerationSettings, build_record, example_id, generate_corpus
 from tabrc.sampling import SamplerConfig, Strategy, error_sampling, momentum_sampling, uniform
 from tabrc.sampling import AccuracyHistory
+from tabrc.shared import seed_deriver
 from tabrc.stats import corpus_stats
 from tabrc.simulation import LearnerTask, SimulationConfig, run_simulation, two_task_report
 from tabrc.tables import ingest, raw_table_from_json
@@ -53,8 +54,9 @@ class DeskCorpus:
             self.tables[table.meta.id] = table
             pool = FactPool(table)
             for kind in GeneratorKind:
+                id_of = seed_deriver(table.meta.id, kind.value)
                 for triplet in generate(table, kind, SEED, cap=10):
-                    record_id = example_id(table.meta.id, kind, triplet)
+                    record_id = example_id(id_of, triplet)
                     ctx_seed = derive_seed(SEED, table.meta.id, kind.value, record_id, "context")
                     context = build_context(pool, triplet.gold, ctx_seed)
                     record = build_record(table, kind, triplet, context, record_id)

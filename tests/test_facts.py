@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
-from fixtures import chelsea
+from fixtures import HAND_TABLES, chelsea, typed
 from roughgen import rough_table
+from tablegen import make_table
 from tabrc import facts
 from tabrc.facts import (
     FACT_SEPARATOR,
@@ -283,16 +285,57 @@ class TestSeparatorText:
 
 class TestFactPool:
     def test_pool_facts_rendered_once_per_table(self):
+        # Distractors are the pool's facts, and a gold fact whose plan the
+        # pool holds shares that fact's text.
         t, gold = _gold()
         pool = FactPool(t)
         pooled = {id(entry) for run in pool.runs.values() for entry in run}
+        pooled_texts = {id(entry.text) for run in pool.runs.values() for entry in run}
         for seed in range(10):
             ctx = build_context(pool, gold, seed=seed)
+            assert sum(fact.kind is FactKind.GOLD for fact in ctx.facts) == len(gold.plans)
             for fact in ctx.facts:
                 if fact.kind is FactKind.DISTRACTOR:
                     assert id(fact) in pooled
+                else:
+                    assert id(fact.text) in pooled_texts
 
-    def test_cell_index_covers_every_entry(self):
+    def test_gold_facts_reuse_the_pools_rendering(self):
+        # Every gold plan of every generator, uncapped: the gold fact is what
+        # a fresh rendering gives. Where the pool holds the plan, its text is
+        # the pool's own; a plan the pool leaves out (separator text, an
+        # empty subject cell, two keys) is rendered.
+        tables = ([typed(record) for record in HAND_TABLES]
+                  + [ingest(raw_table_from_json(make_table(i, seed=3))) for i in range(2)]
+                  + [_rough_table_with_blank_and_na()])
+        made = Counter()
+        for t in tables:
+            pool = FactPool(t)
+            pooled = {(pair, entry.cells): entry
+                      for pair, run in pool.runs.items() for entry in run}
+            plans = [plan for kind in GeneratorKind for triplet in generate(t, kind, 3, cap=None)
+                     for plan in triplet.gold.plans]
+            # No generator asks for an empty subject cell; a plan over one is
+            # still a plan `gold` must render.
+            plans += [FactPlan(subject, (key,), rows) for key in range(t.n_cols)
+                      for rows in t.groups(key).values() for subject in range(t.n_cols)
+                      if subject != key and any(not t.raw(r, subject) for r in rows)]
+            for plan in plans:
+                fact, fresh = pool.gold(plan), _render_plan(t, plan, FactKind.GOLD)
+                assert fact == fresh
+                entry = pooled.get(((plan.subject, plan.keys[0]), fresh.cells))
+                if len(plan.keys) == 2:
+                    made["two keys"] += 1
+                elif entry is not None:
+                    assert fact.text is entry.text
+                    made["pool"] += 1
+                elif FACT_SEPARATOR in fresh.text:
+                    made["separator"] += 1
+                elif any(not t.raw(r, plan.subject) for r in plan.rows):
+                    made["empty subject"] += 1
+        assert set(made) == {"pool", "two keys", "separator", "empty subject"}, made
+
+    def test_pool_facts_carry_their_word_count(self):
         pool = FactPool(_rough_table_with_blank_and_na())
         for run in pool.runs.values():
             for entry in run:

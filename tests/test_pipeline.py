@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,15 @@ from roughgen import rough_table
 from tablegen import make_table
 from tabrc.cli import main
 from tabrc import pipeline
-from tabrc.generators import GeneratorKind
+from tabrc.facts import FACT_SEPARATOR, FactKind, FactPool, build_context
+from tabrc.generators import GeneratorKind, generate
 from tabrc.pipeline import (
     GenerationSettings,
     generate_corpus,
     parse_kinds,
     table_examples,
 )
+from tabrc.shared import derive_seed, seed_deriver
 from tabrc.stats import corpus_stats
 from tabrc.tables import ingest, raw_table_from_json
 
@@ -78,6 +81,33 @@ class TestGenerateCorpus:
         assert record["gold_fact_count"] >= 1
         # lossless round trip
         assert json.loads(json.dumps(record, ensure_ascii=False)) == record
+
+    def test_record_counts_match_the_rebuilt_context(self, tmp_path):
+        # `build_record` counts the facts of a context by its gold plans; the
+        # context `build_context` rebuilds for each record holds exactly
+        # that many GOLD facts, and the rest are distractors.
+        sources = list(HAND_TABLES) + [rough_table(i, seed=0) for i in range(4)]
+        path, out = tmp_path / "tables.jsonl", str(tmp_path / "examples.jsonl")
+        write_lines(path, [json.dumps(t) for t in sources])
+        generate_corpus(str(path), out, GenerationSettings(seed=5, workers=2))
+        rebuilt = {}
+        for source in sources:
+            table = ingest(raw_table_from_json(source))
+            pool = FactPool(table)
+            for kind in GeneratorKind:
+                id_of = seed_deriver(table.meta.id, kind.value)
+                for triplet in generate(table, kind, 5):
+                    record_id = pipeline.example_id(id_of, triplet)
+                    rebuilt[record_id] = build_context(pool, triplet.gold, derive_seed(
+                        5, table.meta.id, kind.value, record_id, "context"))
+        records = [json.loads(line) for line in read_lines(out)]
+        assert len(records) > 100
+        for record in records:
+            context = rebuilt[record["id"]]
+            assert record["context"] == context.rendered
+            kinds = Counter(fact.kind for fact in context.facts)
+            assert record["gold_fact_count"] == kinds[FactKind.GOLD]
+            assert record["distractor_count"] == kinds[FactKind.DISTRACTOR]
 
     def test_deterministic_bytes(self, dump, tmp_path):
         out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -579,6 +609,25 @@ class TestGoldenDigest:
             digest = hashlib.sha256(handle.read()).hexdigest()
         assert summary.examples == GOLDEN_EXAMPLES
         assert digest == GOLDEN_SHA256
+
+    def test_contexts_split_back_into_their_facts(self, golden_dump, tmp_path):
+        # Split at the fact separator, a context gives back as many facts as
+        # its record counts. The exceptions are all on the hand table whose
+        # "Rohr Inc." puts the separator inside a gold fact: ROADMAP item 2,
+        # which turns this count into 0.
+        out = str(tmp_path / "examples.jsonl")
+        generate_corpus(golden_dump, out, GenerationSettings(seed=7))
+        with open(golden_dump, encoding="utf-8") as handle:
+            prefixes = {t["id"]: f"In {t['table_title']} of {t['page_title']}: "
+                        for t in map(json.loads, handle)}
+        wrong = Counter()
+        for record in map(json.loads, read_lines(out)):
+            context, prefix = record["context"], prefixes[record["source"]["table_id"]]
+            assert context.startswith(prefix) and context.endswith(".")
+            facts = context[len(prefix):-1].split(FACT_SEPARATOR)
+            if len(facts) != record["gold_fact_count"] + record["distractor_count"]:
+                wrong[record["source"]["table_id"]] += 1
+        assert wrong == {"chula-vista-top-employers": 14}
 
     def test_stats_report_pinned(self, golden_dump, tmp_path):
         out, report = str(tmp_path / "examples.jsonl"), str(tmp_path / "stats.txt")

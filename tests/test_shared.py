@@ -1,19 +1,41 @@
 """`shared.replacing`, the one way a command writes a file, `shared.to_stdout`
 and `shared.to_stderr`, the one way it writes to each standard stream, and
-guards that keep them the only ones."""
+guards that keep them the only ones; and seed derivation with and without a
+fixed prefix."""
 
 import ast
 import errno
+import hashlib
 import io
 import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tabrc import shared
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabrc"
+
+
+# Parts that hold the separator the parts are joined with, or are empty.
+_PART = st.one_of(st.integers(), st.text(st.characters(blacklist_categories=("Cs",))),
+                  st.sampled_from(["", "\x1f", "a\x1f", "\x1fb"]))
+
+
+class TestDeriveSeed:
+    def test_hashes_the_parts_joined_by_the_unit_separator(self):
+        digest = hashlib.sha256("7\x1ftable\x1fcounting".encode("utf-8")).digest()
+        assert shared.derive_seed(7, "table", "counting") == int.from_bytes(digest[:8], "big")
+
+    @given(parts=st.lists(_PART, max_size=5))
+    def test_prefix_form_equals_derive_seed_at_every_split(self, parts):
+        seed = shared.derive_seed(*parts)
+        for cut in range(len(parts) + 1):
+            derive = shared.seed_deriver(*parts[:cut])
+            assert derive(*parts[cut:]) == seed
+            assert derive(*parts[cut:]) == seed  # a call leaves the prefix as it was
 
 
 class TestReplacing:
